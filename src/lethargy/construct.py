@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import DistanceResult, SolverError, best_approximant, rho
-from .functionals import Functional, norming_functional
+from .distance import DistanceResult, SolverError, best_approximant, level_endpoint, rho
+from .functionals import norming_functional  # noqa: F401  (bench/tracing.py patches this binding)
 from .spaces import Chain, NormSpec, Subspace, as_vector, contains, norm_eval
 
 
@@ -229,83 +229,27 @@ def normalize_step(chain: Chain, n: int, tol: float | None = None) -> np.ndarray
     return y if y[i] >= 0 else -y
 
 
-def _bisect_to_target(g, lo, hi, g_lo, g_hi, target, tol, max_iter):
-    """Monotone-bracket bisection: g(lo) <= target <= g(hi)."""
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm - target) <= tol:
-            return mid
-        if gm < target:
-            lo, g_lo = mid, gm
-        else:
-            hi, g_hi = mid, gm
-    # interval collapsed without meeting tol: report best endpoint
-    if abs(g_lo - target) <= 10 * tol:
-        return lo
-    if abs(g_hi - target) <= 10 * tol:
-        return hi
-    raise ConstructionError(
-        f"bisection exhausted {max_iter} iterations; attained range "
-        f"[{g_lo:.9g}, {g_hi:.9g}] around target {target:.9g}"
-    )
+def smallest_root(
+    x, q, Y: Subspace, norm: NormSpec, target: float, two_sided: bool = True
+) -> float:
+    """Root t of rho(x + t q, Y) = target nearest to 0.
 
-
-def _expand_crossing(g, g0, target, direction, scale, max_doublings=80):
-    """Find t (of the given sign) with g(t) >= target; g(0) = g0 < target."""
-    t = direction * max(scale, 1e-6)
-    for _ in range(max_doublings):
-        gt = g(t)
-        if gt >= target:
-            return t, gt
-        t *= 2.0
-    raise ConstructionError(
-        f"no bracket within expansion budget (last g({t / 2:.3g}) < {target:.9g})"
-    )
-
-
-def smallest_root(g, target, tol, scale=1.0, max_iter=200, two_sided=True):
-    """Smallest-magnitude root of g(t) = target for convex coercive g.
-
-    When g(0) <= target both signs carry a crossing and the smaller-|t| one
-    is returned; when g(0) > target the convex minimum is located first and
-    the crossing between it and 0 is used.  Raises when no root exists.
+    The level set {t : rho(x + t q, Y) <= target} is an interval [a, b]
+    (convexity).  When it misses 0 the nearer end is returned; when it holds
+    0 the answer is b one-sided, else the end of smaller magnitude (b on
+    ties).  Raises when the set is empty.
     """
-    g0 = g(0.0)
-    if abs(g0 - target) <= tol:
-        return 0.0
-    if g0 < target:
-        t_pos, gp = _expand_crossing(g, g0, target, +1.0, scale)
-        r_pos = _bisect_to_target(g, 0.0, t_pos, g0, gp, target, tol, max_iter)
-        if not two_sided:
-            return r_pos
-        t_neg, gn = _expand_crossing(g, g0, target, -1.0, scale)
-        r_neg = _bisect_to_target(
-            lambda t: g(-t), 0.0, -t_neg, g0, gn, target, tol, max_iter
-        )
-        return r_pos if abs(r_pos) <= abs(r_neg) else -r_neg
-    # overshoot: walk toward the convex minimum
-    from scipy.optimize import minimize_scalar
-
-    span = max(scale, 1e-3)
-    lo, hi = -span, span
-    for _ in range(60):
-        if g(lo) > g0 and g(hi) > g0:
-            break
-        lo *= 2.0
-        hi *= 2.0
-    res = minimize_scalar(g, bounds=(lo, hi), method="bounded", options={"xatol": tol * 1e-3})
-    t_star, g_star = float(res.x), float(res.fun)
-    if g_star > target + tol:
+    b = level_endpoint(x, q, Y, norm, target, upper=True)
+    if b is None:
         raise ConstructionError(
-            f"target {target:.9g} below attainable minimum {g_star:.9g}; "
-            f"attained range [{g_star:.9g}, {g0:.9g}]"
+            f"target {target:.9g} below attainable minimum of rho(x + t q, Y)"
         )
-    # monotone between the minimizer and 0; crossing there is nearest zero
-    a, b = (t_star, 0.0) if t_star < 0 else (0.0, t_star)
-    if t_star < 0:
-        return _bisect_to_target(g, t_star, 0.0, g_star, g0, target, tol, max_iter)
-    return -_bisect_to_target(lambda t: g(-t), -t_star, 0.0, g_star, g0, target, tol, max_iter)
+    if b < 0.0:
+        return b
+    a = level_endpoint(x, q, Y, norm, target, upper=False)
+    if a > 0.0:
+        return a
+    return b if not two_sided or b <= -a else a
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +266,6 @@ class FamilyMember:
 @dataclass(frozen=True)
 class InterpolationFamily:
     z: np.ndarray
-    w: np.ndarray
-    f: Functional
     members: tuple[FamilyMember, ...]
     u_targets: tuple[float, ...]
     v_targets: tuple[float, ...]
@@ -352,8 +294,8 @@ def interpolating_family(
 
     Each member is v_m * y + lambda_m * s where y is a unit step out of Q2
     (so the Q2 distance is exactly v_m) and s is a unit direction of Q2
-    outside Q1; lambda_m is found by the intermediate value theorem on the
-    continuous coercive map lambda -> rho(v_m y + lambda s, Q1).
+    outside Q1; lambda_m is the smallest root of the convex coercive map
+    lambda -> rho(v_m y + lambda s, Q1) = u_m, from one level-set solve.
     """
     u = [float(t) for t in u]
     v = [float(t) for t in v]
@@ -380,9 +322,6 @@ def interpolating_family(
         s = normalize_step(chain12, 1, tol=tol / 10)
 
     z = y + s
-    w = 2.0 * z - s
-    f = norming_functional(w, Q1, norm, x2=z)
-
     members = []
     for um, vm in zip(u, v):
         if vm == 0.0:
@@ -391,16 +330,10 @@ def interpolating_family(
             lam = um / rho_s if um > 0 else 0.0
             members.append(FamilyMember(q=lam * s, mu=lam))
             continue
-
-        def g(lam, vm=vm):
-            return rho(vm * y + lam * s, Q1, norm, tol / 10).value
-
-        lam = smallest_root(g, um, tol, scale=max(um - vm, tol), two_sided=False)
+        lam = smallest_root(vm * y, s, Q1, norm, um, two_sided=False)
         members.append(FamilyMember(q=vm * y + lam * s, mu=lam))
     return InterpolationFamily(
         z=z,
-        w=w,
-        f=f,
         members=tuple(members),
         u_targets=tuple(u),
         v_targets=tuple(v),
@@ -472,7 +405,6 @@ def build_schedule(d: TargetSequence, N: int) -> BorodinSchedule:
 @dataclass(frozen=True)
 class ConstructOptions:
     tol: float = 1e-6
-    max_bisect: int = 200
     distance_tol_factor: float = 0.1  # distance sub-calls run at tol * factor
 
     @property
@@ -554,19 +486,9 @@ def finite_construct(
     lambdas[Np - 1] = d.value(Np)
     x = d.value(Np) * steps[Np - 1]
     for k in range(Np - 1, 0, -1):
-        target = d.value(k)
         x = x - best_approximant(x, chain.level(k + 1), chain.norm, opts.sub_tol)
-        Yk = chain.level(k)
         qk = steps[k - 1]
-
-        def g(lam, x=x, qk=qk, Yk=Yk):
-            return rho(x + lam * qk, Yk, chain.norm, opts.sub_tol).value
-
-        # bisect at half the budget so re-measured residuals stay inside tol
-        lam = smallest_root(
-            g, target, 0.5 * opts.tol, scale=max(target, 1e-3),
-            max_iter=opts.max_bisect, two_sided=False,
-        )
+        lam = smallest_root(x, qk, chain.level(k), chain.norm, d.value(k), two_sided=False)
         lambdas[k - 1] = lam
         x = x + lam * qk
     x = x - best_approximant(x, chain.level(1), chain.norm, opts.sub_tol)
@@ -625,17 +547,8 @@ def _backward_construct(chain: Chain, d: TargetSequence, steps, Np: int, opts):
     lambdas[Np - 1] = d.value(Np)
     x = d.value(Np) * steps[Np - 1]
     for k in range(Np - 1, 0, -1):
-        target = d.value(k)
-        Yk = chain.level(k)
         qk = steps[k - 1]
-
-        def g(lam, x=x, qk=qk, Yk=Yk):
-            return rho(x + lam * qk, Yk, chain.norm, opts.sub_tol).value
-
-        lam = smallest_root(
-            g, target, 0.5 * opts.tol, scale=max(target - d.value(k + 1), opts.tol),
-            max_iter=opts.max_bisect, two_sided=True,
-        )
+        lam = smallest_root(x, qk, chain.level(k), chain.norm, d.value(k), two_sided=True)
         lambdas[k - 1] = lam
         x = x + lam * qk
     return x, lambdas

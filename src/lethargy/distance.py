@@ -8,8 +8,9 @@ approximant Y.basis @ c.  Solver routes:
   * p in {1, inf} exact linear-program reduction (HiGHS)
   * other p      smooth convex minimization over the coefficients
 
-A brute-force grid oracle (rho_oracle) is provided for cross-validation on
-low-rank instances.
+level_endpoint gives the ends of the interval {t : rho(x + t q, Y) <= d}, the
+exact root step of the backward constructions.  A brute-force grid oracle
+(rho_oracle) is provided for cross-validation on low-rank instances.
 """
 
 from __future__ import annotations
@@ -61,26 +62,37 @@ def _rho_l2(x: np.ndarray, Y: Subspace) -> DistanceResult:
     return DistanceResult(value=value, witness_coeffs=c, achieved_tol=eps, solver="closed_form_l2")
 
 
-def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec, tol: float) -> DistanceResult:
-    m, r = Y.ambient_dim, Y.rank
-    B = Y.basis
-    if norm.is_sup:
-        # min t  s.t.  -t <= (x - Bc)_i <= t
-        cost = np.concatenate([np.zeros(r), [1.0]])
-        A_ub = np.block([[-B, -np.ones((m, 1))], [B, -np.ones((m, 1))]])
-        b_ub = np.concatenate([-x, x])
-        bounds = [(None, None)] * r + [(0, None)]
+def _lp(x: np.ndarray, A: np.ndarray, norm: NormSpec, cost_v, d: float | None = None):
+    """HiGHS LP over (v, s) with |x - A v| <= s entrywise (p = 1) or s
+    scalar (p = inf).  Minimizes the norm bound when d is None; otherwise
+    caps it at d and minimizes cost_v . v."""
+    m, n = A.shape
+    J = np.ones((m, 1)) if norm.is_sup else np.eye(m)
+    k = J.shape[1]
+    A_ub = np.block([[-A, -J], [A, -J]])
+    b_ub = np.concatenate([-x, x])
+    if d is None:
+        cost = np.concatenate([cost_v, np.ones(k)])
     else:
-        # min sum s_i  s.t.  -s_i <= (x - Bc)_i <= s_i
-        cost = np.concatenate([np.zeros(r), np.ones(m)])
-        A_ub = np.block([[-B, -np.eye(m)], [B, -np.eye(m)]])
-        b_ub = np.concatenate([-x, x])
-        bounds = [(None, None)] * r + [(0, None)] * m
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        cost = np.concatenate([cost_v, np.zeros(k)])
+        A_ub = np.vstack([A_ub, np.concatenate([np.zeros(n), np.ones(k)])])
+        b_ub = np.append(b_ub, d)
+    bounds = [(None, None)] * n + [(0, None)] * k
+    return linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+
+
+def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec, tol: float) -> DistanceResult:
+    # Solve on the part of x orthogonal to Y, scaled to norm 1: rho only
+    # shifts and scales with it, and HiGHS's absolute tolerances then act
+    # relative to rho, which keeps a small rho (tiny x, or x near Y) accurate.
+    c0 = Y.basis.T @ x
+    xp = x - Y.basis @ c0
+    scale = norm_eval(xp, norm) or 1.0
+    res = _lp(xp / scale, Y.basis, norm, np.zeros(Y.rank))
     if not res.success:
         raise SolverError(f"linear program failed: {res.message}")
-    c = res.x[:r]
-    value = norm_eval(x - B @ c, norm)
+    c = c0 + res.x[: Y.rank] * scale
+    value = norm_eval(x - Y.basis @ c, norm)
     return DistanceResult(value=value, witness_coeffs=c, achieved_tol=tol, solver="linear_program")
 
 
@@ -134,6 +146,66 @@ def rho(x, Y: Subspace, norm: NormSpec, tol: float | None = None) -> DistanceRes
 def best_approximant(x, Y: Subspace, norm: NormSpec, tol: float | None = None) -> np.ndarray:
     """The nearest point of Y to x (one of them, for non-strictly-convex norms)."""
     return rho(x, Y, norm, tol).witness(Y)
+
+
+def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> float | None:
+    """Upper (or lower) end of {t : rho(x + t q, Y) <= d}; None when empty.
+
+    t -> rho(x + t q, Y) is convex, and coercive for q outside Y, so the set
+    is a closed interval and each end is one exact solve:
+
+      * p = 2        a quadratic on the orthogonal complement of Y
+      * p in {1, inf} one linear program maximizing t
+      * other p      Newton on rho - d from the outer bound
+                     (d + rho(x, Y)) / rho(q, Y); by convexity the iterates
+                     stay outside the interval
+
+    The lower end is minus the upper end for -q.  A direction q inside Y
+    (the set is empty or all of R) raises SolverError.
+    """
+    x = as_vector(x, dim=Y.ambient_dim)
+    q = as_vector(q, dim=Y.ambient_dim)
+    if not upper:
+        b = level_endpoint(x, -q, Y, norm, d, upper=True)
+        return None if b is None else -b
+    B = Y.basis
+    xp, qp = x - B @ (B.T @ x), q - B @ (B.T @ q)
+    if np.linalg.norm(qp) <= 1e-12 * np.linalg.norm(q):
+        raise SolverError("level set of a direction inside the subspace is empty or unbounded")
+    if norm.p == 2.0:
+        # |xp + t qp|^2 = d^2, roots in the cancellation-free form
+        nx, ab, bb = float(np.linalg.norm(xp)), float(xp @ qp), float(qp @ qp)
+        cc = (nx - d) * (nx + d)
+        disc = ab * ab - bb * cc
+        if disc < 0.0:
+            return None
+        sq = math.sqrt(disc)
+        if ab < 0.0:
+            return (sq - ab) / bb
+        return -cc / (ab + sq) if ab + sq > 0.0 else 0.0
+    if norm.p == 1.0 or norm.is_sup:
+        scale = max(norm_eval(xp, norm), d) or 1.0  # as in _rho_linprog
+        cost = np.zeros(Y.rank + 1)
+        cost[-1] = -1.0
+        res = _lp(xp / scale, np.column_stack([B, -q]), norm, cost, d / scale)
+        if res.status == 2:
+            return None
+        if not res.success:
+            raise SolverError(f"level-set linear program failed: {res.message}")
+        return float(res.x[Y.rank]) * scale
+    p = norm.p
+    t = (d + rho(x, Y, norm).value) / rho(q, Y, norm).value
+    for _ in range(100):
+        res = rho(x + t * q, Y, norm)
+        gap = res.value - d
+        if gap <= 1e-13 * (1.0 + d):
+            return t
+        r = x + t * q - res.witness(Y)
+        slope = float(np.sum(np.abs(r) ** (p - 1.0) * np.sign(r) * q)) / res.value ** (p - 1.0)
+        if slope <= 0.0:
+            return None  # walked past the minimum while still above d
+        t -= gap / slope
+    raise SolverError(f"level-set Newton iteration did not converge (last gap {gap:.3e})")
 
 
 def rho_oracle(

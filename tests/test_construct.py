@@ -5,6 +5,7 @@ import pytest
 
 from lethargy.construct import (
     BorodinSchedule,
+    ConstructionError,
     ConstructOptions,
     TargetError,
     TargetSequence,
@@ -17,6 +18,7 @@ from lethargy.construct import (
     interpolating_family,
     lipschitz_check,
     normalize_step,
+    smallest_root,
 )
 from lethargy.distance import rho
 from lethargy.spaces import Chain, NormSpec, Subspace, contains, coordinate_chain, norm_eval
@@ -154,6 +156,23 @@ def test_normalize_step_contract_random():
         assert contains(chain.level(2), y, 1e-8)
 
 
+def test_smallest_root_rules():
+    # rho(a e2 + t e2, span{e1}) = |a + t|: level set [-a - 0.5, -a + 0.5]
+    Y, e2 = Subspace(np.eye(3)[:, :1]), np.eye(3)[:, 1]
+    for a, one_sided, two_sided in (
+        (0.3, 0.2, 0.2),
+        (-0.3, 0.8, -0.2),
+        (0.0, 0.5, 0.5),  # tie: the upper end
+        (1.0, -0.5, -0.5),  # set left of 0: its upper end
+        (-1.0, 0.5, 0.5),  # set right of 0: its lower end
+    ):
+        for two, expect in ((False, one_sided), (True, two_sided)):
+            t = smallest_root(a * e2, e2, Y, L2, 0.5, two_sided=two)
+            assert t == pytest.approx(expect, abs=1e-15)
+    with pytest.raises(ConstructionError, match="below attainable minimum"):
+        smallest_root(np.eye(3)[:, 2], e2, Y, L2, 0.5)
+
+
 # -- interpolating families --------------------------------------------------
 
 
@@ -264,7 +283,7 @@ def test_finite_construct_zero_subspace_start():
     assert norm_eval(tr.x, L2) == pytest.approx(0.7, abs=1e-6)
 
 
-@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("p", [1.0, math.inf, 3.0])
 def test_finite_construct_non_hilbert(p):
     norm = NormSpec(p)
     chain = coordinate_chain(5, 3, norm)
@@ -368,9 +387,15 @@ def test_construct_sequence_geometric_non_increasing():
         assert t.max_residual <= 1e-6
 
 
+def test_construct_sequence_long_geometric_tail_non_increasing():
+    # root noise at the tolerance level used to break the 1e-12 monotonicity check
+    d = TargetSequence((1.0,), "geometric", 0.25)
+    _, table = construct_sequence(coordinate_chain(18, 16, L2), d, 16, ConstructOptions(tol=1e-8))
+    assert not table.failures
+    assert table.tail_non_increasing
+
+
 def test_chain_too_short_reported():
     chain = coordinate_chain(3, 1, L2)
-    from lethargy.construct import ConstructionError
-
     with pytest.raises(ConstructionError, match="chain too short"):
         finite_construct(chain, TargetSequence((0.5, 0.2, 0.1)))

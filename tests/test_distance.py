@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lethargy.distance import best_approximant, default_tol, rho, rho_oracle
+from lethargy.distance import (
+    SolverError,
+    best_approximant,
+    default_tol,
+    level_endpoint,
+    rho,
+    rho_oracle,
+)
 from lethargy.spaces import NormSpec, Subspace, coordinate_chain, norm_eval
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
@@ -104,6 +111,8 @@ small_vec = st.lists(st.floats(-5, 5, allow_nan=False), min_size=3, max_size=6)
 
 @settings(max_examples=60, deadline=None)
 @given(small_vec, st.floats(-10, 10), st.sampled_from(P_VALUES), st.integers(0, 10_000))
+# tiny x: the LP route must not answer "witness 0" within HiGHS's absolute tolerances
+@example(entries=[0.0, 0.0, 5.960464477539063e-08], lam=2.0, p=1.0, seed=0)
 def test_property_homogeneity(entries, lam, p, seed):
     x = np.array(entries)
     dim = x.size
@@ -117,6 +126,8 @@ def test_property_homogeneity(entries, lam, p, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(small_vec, st.sampled_from(P_VALUES), st.integers(0, 10_000))
+# x + v far from 0 but near Y: rho must stay as accurate as for x itself
+@example(entries=[0.0, 4.313918950174063e-07, 0.0], p=1.0, seed=0)
 def test_property_translation_invariance(entries, p, seed):
     x = np.array(entries)
     rng = np.random.default_rng(seed)
@@ -165,3 +176,50 @@ def test_property_coercivity(p):
     assert ry > 1e-6  # y outside Y almost surely
     for t in (1.0, 10.0, 100.0, -50.0):
         assert rho(x + t * y, Y, norm).value >= abs(t) * ry - rx - 1e-6 * (1 + abs(t))
+
+
+# -- level-set endpoints ------------------------------------------------------
+
+
+def level_instance(rng, p, dim=5, rank=2):
+    Y = Subspace(rng.standard_normal((dim, rank)))
+    x, q = rng.standard_normal(dim), rng.standard_normal(dim)
+    return Y, x, q, 1.5 * rho(x, Y, NormSpec(p)).value + 0.1
+
+
+def test_level_endpoint_l2_is_quadratic_root():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        Y, x, q, d = level_instance(rng, 2.0)
+        P = np.eye(5) - Y.basis @ Y.basis.T
+        xp, qp = P @ x, P @ q
+        roots = np.roots([qp @ qp, 2.0 * (xp @ qp), xp @ xp - d * d]).real
+        lo = level_endpoint(x, q, Y, NormSpec(2), d, upper=False)
+        hi = level_endpoint(x, q, Y, NormSpec(2), d, upper=True)
+        assert (lo, hi) == pytest.approx((roots.min(), roots.max()), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+def test_level_endpoint_meets_level_and_is_extreme(p):
+    rng = np.random.default_rng(32)
+    norm = NormSpec(p)
+    for _ in range(6):
+        Y, x, q, d = level_instance(rng, p)
+        lo = level_endpoint(x, q, Y, norm, d, upper=False)
+        hi = level_endpoint(x, q, Y, norm, d, upper=True)
+        assert lo < 0.0 < hi  # d > rho(x, Y): 0 lies inside the level set
+        for t, outside in ((lo, lo - 1e-6), (hi, hi + 1e-6)):
+            assert rho(x + t * q, Y, norm).value == pytest.approx(d, abs=1e-9)
+            assert rho(x + outside * q, Y, norm).value > d
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+def test_level_endpoint_empty_and_degenerate(p):
+    rng = np.random.default_rng(33)
+    norm = NormSpec(p)
+    Y, x, q, _ = level_instance(rng, p)
+    floor = rho(x, Subspace(np.column_stack([Y.basis, q])), norm).value  # min over t
+    for upper in (True, False):
+        assert level_endpoint(x, q, Y, norm, 0.5 * floor, upper) is None
+    with pytest.raises(SolverError):
+        level_endpoint(x, Y.basis @ [1.0, -2.0], Y, norm, 2.0 * floor, upper=True)
