@@ -247,6 +247,8 @@ def smallest_root(
     if b < 0.0:
         return b
     a = level_endpoint(x, q, Y, norm, target, upper=False)
+    if a is None:  # tangent within tolerance on one side only: a single point
+        a = b
     if a > 0.0:
         return a
     return b if not two_sided or b <= -a else a
@@ -324,12 +326,6 @@ def interpolating_family(
     z = y + s
     members = []
     for um, vm in zip(u, v):
-        if vm == 0.0:
-            # degenerate members live inside Q2
-            rho_s = rho(s, Q1, norm, tol / 10).value
-            lam = um / rho_s if um > 0 else 0.0
-            members.append(FamilyMember(q=lam * s, mu=lam))
-            continue
         lam = smallest_root(vm * y, s, Q1, norm, um, two_sided=False)
         members.append(FamilyMember(q=vm * y + lam * s, mu=lam))
     return InterpolationFamily(

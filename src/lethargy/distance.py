@@ -156,12 +156,14 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> 
 
       * p = 2        a quadratic on the orthogonal complement of Y
       * p in {1, inf} one linear program maximizing t
-      * other p      Newton on rho - d from the outer bound
-                     (d + rho(x, Y)) / rho(q, Y); by convexity the iterates
-                     stay outside the interval
+      * other p      Newton on rho - d from the outer bound t_min + (d +
+                     rho_min) / rho(q, Y), where rho_min = rho(x, Y + span q)
+                     is the minimum over t, at t_min; the iterates stay outside
 
-    The lower end is minus the upper end for -q.  A direction q inside Y
-    (the set is empty or all of R) raises SolverError.
+    The lower end is minus the upper end for -q.  A set that misses d by at
+    most rho's accuracy, default_tol(norm) * (1 + d), is the point t_min:
+    tied targets put d at that minimum, where rounding can leave it just out
+    of reach.  q inside Y (the set is empty or all of R) raises SolverError.
     """
     x = as_vector(x, dim=Y.ambient_dim)
     q = as_vector(q, dim=Y.ambient_dim)
@@ -172,40 +174,57 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> 
     xp, qp = x - B @ (B.T @ x), q - B @ (B.T @ q)
     if np.linalg.norm(qp) <= 1e-12 * np.linalg.norm(q):
         raise SolverError("level set of a direction inside the subspace is empty or unbounded")
+    exact_route = norm.p == 2.0 or norm.p == 1.0 or norm.is_sup
     if norm.p == 2.0:
         # |xp + t qp|^2 = d^2, roots in the cancellation-free form
         nx, ab, bb = float(np.linalg.norm(xp)), float(xp @ qp), float(qp @ qp)
         cc = (nx - d) * (nx + d)
         disc = ab * ab - bb * cc
-        if disc < 0.0:
-            return None
-        sq = math.sqrt(disc)
-        if ab < 0.0:
-            return (sq - ab) / bb
-        return -cc / (ab + sq) if ab + sq > 0.0 else 0.0
-    if norm.p == 1.0 or norm.is_sup:
+        if disc >= 0.0:
+            sq = math.sqrt(disc)
+            if ab < 0.0:
+                return (sq - ab) / bb
+            return -cc / (ab + sq) if ab + sq > 0.0 else 0.0
+    elif exact_route:
         scale = max(norm_eval(xp, norm), d) or 1.0  # as in _rho_linprog
-        cost = np.zeros(Y.rank + 1)
-        cost[-1] = -1.0
+        cost = np.append(np.zeros(Y.rank), -1.0)  # maximize t
         res = _lp(xp / scale, np.column_stack([B, -q]), norm, cost, d / scale)
-        if res.status == 2:
-            return None
-        if not res.success:
-            raise SolverError(f"level-set linear program failed: {res.message}")
-        return float(res.x[Y.rank]) * scale
+        if res.status != 2:  # 2: infeasible
+            if not res.success:
+                raise SolverError(f"level-set linear program failed: {res.message}")
+            return float(res.x[Y.rank]) * scale
+    # The exact routes found the set empty; other p start here.
+    Z = Subspace(np.column_stack([B, qp / np.linalg.norm(qp)]))
+    low = rho(x, Z, norm)
+    t_min = -float(qp @ low.witness(Z)) / float(qp @ qp)
+    tangent_tol = default_tol(norm) * (1.0 + d)
+    if low.value - d > tangent_tol:
+        return None
+    if low.value >= d - tangent_tol:
+        return t_min
+    if exact_route:
+        raise SolverError(f"no end found, yet the level set holds t = {t_min:.9g}")
+    # An inexact slope (a near-optimal witness) can step inside, and the next
+    # step back out.  A |gap| that stops shrinking has met rho's noise.
     p = norm.p
-    t = (d + rho(x, Y, norm).value) / rho(q, Y, norm).value
+    t = t_min + (d + low.value) / rho(q, Y, norm).value
+    best_t, best_gap = t, math.inf
     for _ in range(100):
         res = rho(x + t * q, Y, norm)
         gap = res.value - d
-        if gap <= 1e-13 * (1.0 + d):
+        if abs(gap) <= 1e-13 * (1.0 + d):
             return t
+        if abs(gap) >= best_gap:
+            break
+        best_t, best_gap = t, abs(gap)
         r = x + t * q - res.witness(Y)
         slope = float(np.sum(np.abs(r) ** (p - 1.0) * np.sign(r) * q)) / res.value ** (p - 1.0)
         if slope <= 0.0:
-            return None  # walked past the minimum while still above d
+            break
         t -= gap / slope
-    raise SolverError(f"level-set Newton iteration did not converge (last gap {gap:.3e})")
+    if best_gap > tangent_tol:
+        raise SolverError(f"level-set Newton iteration stalled at gap {best_gap:.3e}")
+    return best_t
 
 
 def rho_oracle(

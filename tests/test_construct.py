@@ -190,6 +190,17 @@ def test_family_equal_targets():
     assert fam.members[0].mu == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("p, dim, seed", [(2.0, 6, 6), (1.2, 5, 8), (1.2, 7, 11), (3.0, 6, 6)])
+def test_family_equal_targets_random_basis(p, dim, seed):
+    norm = NormSpec(p)
+    M = np.random.default_rng(seed).standard_normal((dim, 3))
+    Q1, Q2, Q3 = (Subspace(M[:, :k]) for k in (1, 2, 3))
+    fam = interpolating_family(Q1, Q2, Q3, norm, u=[1.3, 0.8], v=[1.3, 0.8])
+    for member, target in zip(fam.members, (1.3, 0.8)):
+        assert rho(member.q, Q1, norm).value == pytest.approx(target, abs=1e-6)
+        assert rho(member.q, Q2, norm).value == pytest.approx(target, abs=1e-6)
+
+
 def test_family_split_targets():
     Q1, Q2, Q3 = triple()
     fam = interpolating_family(Q1, Q2, Q3, L2, u=[1.25], v=[1.0])
@@ -245,6 +256,31 @@ def test_finite_construct_tied_targets():
     chain = coordinate_chain(5, 3, L2)
     tr = finite_construct(chain, TargetSequence((0.4, 0.4, 0.4)))
     assert tr.max_residual <= 1e-6
+
+
+def random_chain(seed: int, dim: int, n_levels: int, norm: NormSpec) -> Chain:
+    M = np.random.default_rng(seed).standard_normal((dim, n_levels))
+    return Chain(dim, norm, tuple(Subspace(M[:, :k]) for k in range(1, n_levels + 1)))
+
+
+# Tied targets make the target the exact minimum of the root map: the level
+# set is one point, which rounding can leave just out of reach.  Coordinate
+# chains keep the arithmetic exact; these random bases do not.
+@pytest.mark.parametrize(
+    "p, dim, seed", [(2.0, 7, 1), (2.0, 7, 2), (1.2, 5, 0), (1.2, 6, 1), (3.0, 7, 1)]
+)
+def test_finite_construct_tied_targets_random_basis(p, dim, seed):
+    chain = random_chain(seed, dim, dim - 2, NormSpec(p))
+    tr = finite_construct(chain, TargetSequence((0.7, 0.7, 0.4, 0.4)[: dim - 2]))
+    assert tr.max_residual <= 1e-6
+
+
+@pytest.mark.parametrize("p, seed", [(2.0, 0), (2.0, 5), (3.0, 0)])
+def test_construct_prefix_tied_targets_random_basis(p, seed):
+    chain = random_chain(seed, 7, 5, NormSpec(p))
+    d = TargetSequence((1.0, 0.6, 0.6, 0.3))
+    tr = construct_prefix(chain, d, 4, ConstructOptions(tol=1e-8))
+    assert tr.max_residual <= 1e-7
 
 
 def test_finite_construct_all_zero():

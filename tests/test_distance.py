@@ -223,3 +223,22 @@ def test_level_endpoint_empty_and_degenerate(p):
         assert level_endpoint(x, q, Y, norm, 0.5 * floor, upper) is None
     with pytest.raises(SolverError):
         level_endpoint(x, Y.basis @ [1.0, -2.0], Y, norm, 2.0 * floor, upper=True)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.2, 2.0, 3.0, math.inf])
+def test_level_endpoint_tangent(p):
+    # d at the minimum over t, or a rounding error below it: the set is the
+    # minimizer (an interval of them for p in {1, inf}), not empty
+    rng = np.random.default_rng(34)
+    norm = NormSpec(p)
+    for _ in range(4):
+        Y, x, q, _ = level_instance(rng, p)
+        floor = rho(x, Subspace(np.column_stack([Y.basis, q])), norm).value
+        for d in (floor, floor * (1.0 - 1e-12)):
+            lo = level_endpoint(x, q, Y, norm, d, upper=False)
+            hi = level_endpoint(x, q, Y, norm, d, upper=True)
+            assert lo is not None and hi is not None
+            assert lo <= hi + 1e-6
+            for t in (lo, hi):
+                assert rho(x + t * q, Y, norm).value == pytest.approx(floor, abs=1e-7)
+        assert level_endpoint(x, q, Y, norm, floor - 1e-4, upper=True) is None
