@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from importlib import resources
 
@@ -46,8 +47,19 @@ def bundled_scenario_path(name: str) -> str:
     return str(entry)
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _add_common(sub):
-    sub.add_argument("--tolerance", type=float, default=None, help="override scenario tolerance")
+    sub.add_argument("--tolerance", type=_positive_float, default=None,
+                     help="override scenario tolerance")
     sub.add_argument("--seed", type=int, default=None, help="override scenario seed")
     sub.add_argument(
         "--format", choices=("text", "machine"), default="text", dest="fmt",

@@ -4,8 +4,7 @@ Given a strictly nested chain Y_1 c Y_2 c ... and non-increasing targets
 d_1 >= d_2 >= ... >= 0, the routines here build an element x with
 rho(x, Y_k) = d_k:
 
-  * finite_construct      backward intermediate-value construction for
-                          finitely many targets (zero tail);
+  * finite_construct      finitely many targets (zero tail), over unit steps;
   * build_schedule        the tau / u / v tables driving the prefix builder;
   * interpolating_family  elements q with rho(q, Q1) = u_m, rho(q, Q2) = v_m
                           for prescribed u_m >= v_m;
@@ -15,7 +14,11 @@ rho(x, Y_k) = d_k:
                           stabilization diagnostics;
 
 plus the tail-domination (Borodin) condition checker and a sampled checker
-for the subspace-side condition.
+for the subspace-side condition.  All three modes share one core, _realize:
+zero-tail reduction, a backward pass with one exact root per level, the
+re-measure of every level and the residual gate.  They differ only in their
+step vectors and in whether the pass recentres, so a prefix is the last rung
+of its ladder.
 """
 
 from __future__ import annotations
@@ -205,7 +208,7 @@ def check_subspace_condition(
 # ---------------------------------------------------------------------------
 
 
-def normalize_step(chain: Chain, n: int, tol: float | None = None) -> np.ndarray:
+def normalize_step(chain: Chain, n: int) -> np.ndarray:
     """A unit vector y in Y_{n+1} \\ Y_n with rho(y, Y_n) = |y| = 1.
 
     Built by subtracting a best approximant: pick a basis direction of
@@ -218,7 +221,7 @@ def normalize_step(chain: Chain, n: int, tol: float | None = None) -> np.ndarray
     resid = Ynext.basis - (Yn.basis @ (Yn.basis.T @ Ynext.basis) if Yn.rank else 0.0)
     col = int(np.argmax(np.linalg.norm(np.atleast_2d(resid), axis=0)))
     z = Ynext.basis[:, col]
-    v = best_approximant(z, Yn, chain.norm, tol)
+    v = best_approximant(z, Yn, chain.norm)
     y = z - v
     ny = norm_eval(y, chain.norm)
     if ny <= 1e-12:
@@ -290,7 +293,6 @@ def interpolating_family(
     u,
     v,
     within_direction=None,
-    tol: float = 1e-7,
 ) -> InterpolationFamily:
     """Members q_m with rho(q_m, Q1) = u_m and rho(q_m, Q2) = v_m.
 
@@ -313,7 +315,7 @@ def interpolating_family(
             raise ValueError("nesting hypothesis violated")
 
     chain23 = Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q2, Q3))
-    y = normalize_step(chain23, 1, tol=tol / 10)
+    y = normalize_step(chain23, 1)
     if within_direction is not None:
         s = as_vector(within_direction, dim=Q3.ambient_dim)
         if not contains(Q2, s, 1e-8) or contains(Q1, s, 1e-8):
@@ -321,7 +323,7 @@ def interpolating_family(
         s = s / norm_eval(s, norm)
     else:
         chain12 = Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q1, Q2))
-        s = normalize_step(chain12, 1, tol=tol / 10)
+        s = normalize_step(chain12, 1)
 
     z = y + s
     members = []
@@ -401,11 +403,10 @@ def build_schedule(d: TargetSequence, N: int) -> BorodinSchedule:
 @dataclass(frozen=True)
 class ConstructOptions:
     tol: float = 1e-6
-    distance_tol_factor: float = 0.1  # distance sub-calls run at tol * factor
 
-    @property
-    def sub_tol(self) -> float:
-        return self.tol * self.distance_tol_factor
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -431,123 +432,26 @@ class ConstructionTrace:
         return max(self.residuals) if self.residuals else 0.0
 
 
-def _measure(chain: Chain, x: np.ndarray, d: TargetSequence, n_levels: int, sub_tol: float):
-    achieved = tuple(rho(x, chain.level(k), chain.norm, sub_tol) for k in range(1, n_levels + 1))
-    residuals = tuple(abs(r.value - d.value(k)) for k, r in enumerate(achieved, start=1))
-    return achieved, residuals
+# ---------------------------------------------------------------------------
+# the construction core
+# ---------------------------------------------------------------------------
 
 
-def _require_levels(chain: Chain, top: int):
-    if top > len(chain.levels) + 1:
+def _levels_to_build(chain: Chain, d: TargetSequence, N: int) -> int:
+    """Zero-tail reduction: the largest Np <= N with d_Np > 0.
+
+    x is then built inside Y_{Np+1}, which the chain must provide.
+    """
+    Np = N
+    while Np > 0 and d.value(Np) <= 0.0:
+        Np -= 1
+    if Np > len(chain.levels):
         raise ConstructionError(
-            f"chain too short: construction needs level {top}, chain has {len(chain.levels)}"
+            f"chain too short: construction needs level {Np + 1}, chain has {len(chain.levels)}"
         )
-    if top == len(chain.levels) + 1 and chain.levels and chain.levels[-1].rank >= chain.ambient_dim:
+    if Np == len(chain.levels) and chain.levels and chain.levels[-1].rank >= chain.ambient_dim:
         raise ConstructionError("top chain level already fills the ambient space")
-
-
-# ---------------------------------------------------------------------------
-# finite construction
-# ---------------------------------------------------------------------------
-
-
-def finite_construct(
-    chain: Chain,
-    d: TargetSequence,
-    opts: ConstructOptions | None = None,
-) -> ConstructionTrace:
-    """Element x with rho(x, Y_k) = d_k for all stored k (zero-tail targets).
-
-    Backward intermediate-value construction: start at the deepest nonzero
-    level with x = d_N q_N, then per level recentre by the best approximant
-    in Y_{k+1} (which fixes the already-achieved distances) and add the
-    smallest multiple of the level step that restores rho(x, Y_k) = d_k.
-    A final best-approximant trim in Y_1 leaves |x| = d_1.
-    """
-    opts = opts or ConstructOptions()
-    if d.tail != "zero":
-        raise TargetError("finite_construct needs a zero-tail target sequence")
-    n_levels = len(d)
-    Np = d.last_nonzero()
-    if Np == 0:
-        x = np.zeros(chain.ambient_dim)
-        achieved, residuals = _measure(chain, x, d, min(n_levels, len(chain.levels)), opts.sub_tol)
-        return ConstructionTrace(
-            x=x, step_vectors=(), coefficients=(), achieved=achieved,
-            targets=d, residuals=residuals,
-        )
-    _require_levels(chain, Np + 1)
-    steps = [normalize_step(chain, k, opts.sub_tol) for k in range(1, Np + 1)]
-    lambdas = [0.0] * Np
-    lambdas[Np - 1] = d.value(Np)
-    x = d.value(Np) * steps[Np - 1]
-    for k in range(Np - 1, 0, -1):
-        x = x - best_approximant(x, chain.level(k + 1), chain.norm, opts.sub_tol)
-        qk = steps[k - 1]
-        lam = smallest_root(x, qk, chain.level(k), chain.norm, d.value(k), two_sided=False)
-        lambdas[k - 1] = lam
-        x = x + lam * qk
-    x = x - best_approximant(x, chain.level(1), chain.norm, opts.sub_tol)
-    measure_levels = min(n_levels, len(chain.levels) + 1)
-    achieved, residuals = _measure(chain, x, d, measure_levels, opts.sub_tol)
-    if max(residuals[:Np]) > opts.tol * 10:
-        raise ConstructionError(
-            f"tolerance not met: max residual {max(residuals[:Np]):.3e} > {opts.tol:.1e}"
-        )
-    return ConstructionTrace(
-        x=x,
-        step_vectors=tuple(steps),
-        coefficients=tuple(lambdas),
-        achieved=achieved,
-        targets=d,
-        residuals=residuals,
-    )
-
-
-# ---------------------------------------------------------------------------
-# prefix construction and stabilization
-# ---------------------------------------------------------------------------
-
-
-def _prefix_steps(chain: Chain, schedule: BorodinSchedule, Np: int, N_col: int, opts):
-    """Step families q_j with rho(q_j, Y_j) = 1 and |q_j| = u_{N_col}^(j).
-
-    The within-Y_j search direction is chained to the previous level's step,
-    so each q_j pre-loads the distance one level down.  A rank-0 Y_j (the
-    chain starting at {0}) degenerates to a plain unit step.
-    """
-    zero = Subspace.zero(chain.ambient_dim)
-    steps = []
-    prev_y = None
-    for j in range(1, Np + 1):
-        Yj = chain.level(j)
-        Yj1 = chain.level(j + 1)
-        chainj = Chain(ambient_dim=chain.ambient_dim, norm=chain.norm, levels=(Yj, Yj1))
-        ystep = normalize_step(chainj, 1, opts.sub_tol)
-        if Yj.rank == 0:
-            steps.append(ystep)
-        else:
-            fam = interpolating_family(
-                zero, Yj, Yj1, chain.norm,
-                u=[float(schedule.u[j - 1, N_col - 1])], v=[1.0],
-                within_direction=prev_y, tol=opts.sub_tol,
-            )
-            steps.append(fam.members[0].q)
-        prev_y = ystep
-    return steps
-
-
-def _backward_construct(chain: Chain, d: TargetSequence, steps, Np: int, opts):
-    """x = sum lambda_k q_k with rho(x, Y_k) = d_k, k = 1..Np (no recentring)."""
-    lambdas = [0.0] * Np
-    lambdas[Np - 1] = d.value(Np)
-    x = d.value(Np) * steps[Np - 1]
-    for k in range(Np - 1, 0, -1):
-        qk = steps[k - 1]
-        lam = smallest_root(x, qk, chain.level(k), chain.norm, d.value(k), two_sided=True)
-        lambdas[k - 1] = lam
-        x = x + lam * qk
-    return x, lambdas
+    return Np
 
 
 def _coefficient_bounds(d: TargetSequence, lambdas, Np: int, tol: float):
@@ -562,36 +466,39 @@ def _coefficient_bounds(d: TargetSequence, lambdas, Np: int, tol: float):
     return tuple(out)
 
 
-def construct_prefix(
-    chain: Chain,
-    d: TargetSequence,
-    N: int,
-    opts: ConstructOptions | None = None,
-) -> ConstructionTrace:
-    """Prefix element x_N with rho(x_N, Y_k) = d_k for k = 1..N.
+def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOptions,
+             recentre: bool) -> ConstructionTrace:
+    """x = sum lambda_k q_k with rho(x, Y_k) = d_k for k <= Np = len(steps).
 
-    Uses schedule-derived step families and records every coefficient with
-    its theoretical bound d_k - d_{k+1}(1 - 2^-k); bound violations are
-    recorded, not raised.
+    Backward pass: x = d_Np q_Np, then for k = Np-1..1 add the root lambda_k
+    of rho(x + lambda q_k, Y_k) = d_k.  With recentre (finite mode) x is
+    first moved to its best-approximant residual in Y_{k+1}, which keeps the
+    distances already achieved, the root is taken one-sided, and a last trim
+    in Y_1 leaves |x| = d_1.  Without it (schedule modes) the root is
+    two-sided and each coefficient is recorded against its bound
+    d_k - d_{k+1}(1 - 2^-k).  Levels 1..min(N, len(chain) + 1) are then
+    re-measured.
     """
-    opts = opts or ConstructOptions()
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    Np = N
-    while Np > 0 and d.value(Np) <= 0.0:
-        Np -= 1  # zero-tail reduction: build inside Y_{Np+1}
-    if Np == 0:
-        x = np.zeros(chain.ambient_dim)
-        achieved, residuals = _measure(chain, x, d, min(N, len(chain.levels)), opts.sub_tol)
-        return ConstructionTrace(x=x, step_vectors=(), coefficients=(), achieved=achieved,
-                                 targets=d, residuals=residuals)
-    _require_levels(chain, Np + 1)
-    schedule = build_schedule(d, Np)
-    steps = _prefix_steps(chain, schedule, Np, Np, opts)
-    x, lambdas = _backward_construct(chain, d, steps, Np, opts)
-    measure_levels = min(N, len(chain.levels) + 1)
-    achieved, residuals = _measure(chain, x, d, measure_levels, opts.sub_tol)
-    if max(residuals[:Np]) > opts.tol * 10:
+    Np = len(steps)
+    lambdas = [0.0] * Np
+    x = np.zeros(chain.ambient_dim)
+    if Np:
+        lambdas[-1] = d.value(Np)
+        x = d.value(Np) * steps[-1]
+    for k in range(Np - 1, 0, -1):
+        if recentre:
+            x = x - best_approximant(x, chain.level(k + 1), chain.norm)
+        lam = smallest_root(x, steps[k - 1], chain.level(k), chain.norm, d.value(k),
+                            two_sided=not recentre)
+        lambdas[k - 1] = lam
+        x = x + lam * steps[k - 1]
+    if recentre and Np:
+        x = x - best_approximant(x, chain.level(1), chain.norm)
+    achieved = tuple(
+        rho(x, chain.level(k), chain.norm) for k in range(1, min(N, len(chain.levels) + 1) + 1)
+    )
+    residuals = tuple(abs(r.value - d.value(k)) for k, r in enumerate(achieved, start=1))
+    if Np and max(residuals[:Np]) > opts.tol * 10:
         raise ConstructionError(
             f"tolerance not met: max residual {max(residuals[:Np]):.3e} > {opts.tol:.1e}"
         )
@@ -602,8 +509,84 @@ def construct_prefix(
         achieved=achieved,
         targets=d,
         residuals=residuals,
-        coefficient_bounds=_coefficient_bounds(d, lambdas, Np, opts.tol),
+        coefficient_bounds=() if recentre else _coefficient_bounds(d, lambdas, Np, opts.tol),
     )
+
+
+# ---------------------------------------------------------------------------
+# finite construction
+# ---------------------------------------------------------------------------
+
+
+def finite_construct(
+    chain: Chain,
+    d: TargetSequence,
+    opts: ConstructOptions | None = None,
+) -> ConstructionTrace:
+    """Element x with rho(x, Y_k) = d_k for all stored k (zero-tail targets).
+
+    Backward intermediate-value construction over the unit steps of
+    normalize_step, recentring at every level (see _realize).
+    """
+    if d.tail != "zero":
+        raise TargetError("finite_construct needs a zero-tail target sequence")
+    Np = _levels_to_build(chain, d, len(d))
+    steps = [normalize_step(chain, k) for k in range(1, Np + 1)]
+    return _realize(chain, d, len(d), steps, opts or ConstructOptions(), recentre=True)
+
+
+# ---------------------------------------------------------------------------
+# prefix construction and stabilization
+# ---------------------------------------------------------------------------
+
+
+def _prefix_steps(chain: Chain, d: TargetSequence, Np: int):
+    """Step families q_j with rho(q_j, Y_j) = 1 and |q_j| = u_Np^(j), j = 1..Np.
+
+    The within-Y_j search direction is chained to the previous level's step,
+    so each q_j pre-loads the distance one level down.  A rank-0 Y_j (the
+    chain starting at {0}) degenerates to a plain unit step.
+    """
+    if Np == 0:
+        return []
+    schedule = build_schedule(d, Np)
+    zero = Subspace.zero(chain.ambient_dim)
+    steps = []
+    prev_y = None
+    for j in range(1, Np + 1):
+        Yj = chain.level(j)
+        Yj1 = chain.level(j + 1)
+        chainj = Chain(ambient_dim=chain.ambient_dim, norm=chain.norm, levels=(Yj, Yj1))
+        ystep = normalize_step(chainj, 1)
+        if Yj.rank == 0:
+            steps.append(ystep)
+        else:
+            fam = interpolating_family(
+                zero, Yj, Yj1, chain.norm,
+                u=[float(schedule.u[j - 1, Np - 1])], v=[1.0], within_direction=prev_y,
+            )
+            steps.append(fam.members[0].q)
+        prev_y = ystep
+    return steps
+
+
+def construct_prefix(
+    chain: Chain,
+    d: TargetSequence,
+    N: int,
+    opts: ConstructOptions | None = None,
+) -> ConstructionTrace:
+    """Prefix element x_N with rho(x_N, Y_k) = d_k for k = 1..N.
+
+    Uses schedule-derived step families and records every coefficient with
+    its theoretical bound d_k - d_{k+1}(1 - 2^-k); bound violations are
+    recorded, not raised.  The result is the last rung of
+    construct_sequence(chain, d, N).
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    steps = _prefix_steps(chain, d, _levels_to_build(chain, d, N))
+    return _realize(chain, d, N, steps, opts or ConstructOptions(), recentre=False)
 
 
 @dataclass(frozen=True)
@@ -623,44 +606,23 @@ def construct_sequence(
     N_max: int,
     opts: ConstructOptions | None = None,
 ) -> tuple[list[ConstructionTrace], StabilizationTable]:
-    """Prefixes x_1..x_{N_max} over shared step families with a difference table."""
+    """Prefixes x_1..x_{N_max} over shared step families with a difference table.
+
+    Every rung reuses the steps of the longest prefix; the last rung is
+    construct_prefix(chain, d, N_max).  A rung that fails is listed in
+    failures instead of raising.
+    """
     opts = opts or ConstructOptions()
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
-    Np_max = N_max
-    while Np_max > 0 and d.value(Np_max) <= 0.0:
-        Np_max -= 1
+    Np_max = _levels_to_build(chain, d, N_max)
+    steps = _prefix_steps(chain, d, Np_max)
     traces: list[ConstructionTrace] = []
-    failures = []
-    shared_steps = []
-    if Np_max > 0:
-        _require_levels(chain, Np_max + 1)
-        schedule = build_schedule(d, Np_max)
-        shared_steps = _prefix_steps(chain, schedule, Np_max, Np_max, opts)
     kept = []
+    failures = []
     for N in range(1, N_max + 1):
-        Np = min(N, Np_max)
         try:
-            if Np == 0:
-                x, lambdas = np.zeros(chain.ambient_dim), []
-            else:
-                x, lambdas = _backward_construct(chain, d, shared_steps[:Np], Np, opts)
-            measure_levels = min(N, len(chain.levels) + 1)
-            achieved, residuals = _measure(chain, x, d, measure_levels, opts.sub_tol)
-            if Np and max(residuals[:Np]) > opts.tol * 10:
-                raise ConstructionError(
-                    f"prefix {N}: max residual {max(residuals[:Np]):.3e}"
-                )
-            trace = ConstructionTrace(
-                x=x,
-                step_vectors=tuple(shared_steps[:Np]),
-                coefficients=tuple(lambdas),
-                achieved=achieved,
-                targets=d,
-                residuals=residuals,
-                coefficient_bounds=_coefficient_bounds(d, lambdas, Np, opts.tol) if Np else (),
-            )
-            traces.append(trace)
+            traces.append(_realize(chain, d, N, steps[:min(N, Np_max)], opts, recentre=False))
             kept.append(N)
         except (ConstructionError, SolverError) as exc:
             failures.append((N, str(exc)))

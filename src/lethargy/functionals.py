@@ -33,7 +33,6 @@ class FunctionalError(ValueError):
 class Functional:
     dual_vector: np.ndarray
     dual_norm_value: float
-    kernel_basis: Subspace
 
     def __call__(self, x) -> float:
         return float(np.dot(self.dual_vector, as_vector(x, dim=self.dual_vector.size)))
@@ -181,7 +180,7 @@ def norming_functional(
         raise SolverError(
             f"norming identity violated: |f| * rho(x1, Q) = {dn * rho1:.6g}, expected 1"
         )
-    return Functional(dual_vector=d, dual_norm_value=dn, kernel_basis=Q)
+    return Functional(dual_vector=d, dual_norm_value=dn)
 
 
 def norm_attainment_check(f: Functional, x, norm: NormSpec, tol: float = 1e-9) -> bool:

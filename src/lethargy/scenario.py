@@ -30,7 +30,7 @@ from .construct import (
     finite_construct,
     normalize_step,
 )
-from .spaces import Chain, NormSpec, Subspace, norm_eval, validate_chain
+from .spaces import Chain, NormSpec, Subspace, coordinate_chain, norm_eval, validate_chain
 
 SCHEMA_VERSION = "1"
 
@@ -67,6 +67,22 @@ def _reject_unknown(obj: dict, allowed, where: str):
         raise ScenarioError(f"unknown field(s) {extra} in {where} (schema is fail-closed)")
 
 
+def _int_field(raw, name: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ScenarioError(f"{name} must be an integer, got {raw!r}")
+    return raw
+
+
+def _parse_tolerance(raw) -> float:
+    try:
+        tol = float(raw)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"tolerance must be a number, got {raw!r}") from exc
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ScenarioError(f"tolerance must be finite and positive, got {raw!r}")
+    return tol
+
+
 def _parse_norm(raw) -> NormSpec:
     if raw == "inf":
         return NormSpec(math.inf)
@@ -96,20 +112,18 @@ def _parse_chain(raw, norm: NormSpec, ambient_dim: int) -> Chain:
         gen = raw["generator"]
         if gen == "coordinate":
             _reject_unknown(raw, ("generator", "n_levels"), "chain")
-            n_levels = int(raw.get("n_levels", 0))
+            n_levels = _int_field(raw.get("n_levels", 0), "n_levels")
             if not (1 <= n_levels < ambient_dim):
                 raise ScenarioError("coordinate generator needs 1 <= n_levels < ambient_dim")
-            eye = np.eye(ambient_dim)
-            levels = [Subspace(eye[:, : k + 1]) for k in range(n_levels)]
-            return Chain(ambient_dim=ambient_dim, norm=norm, levels=tuple(levels))
+            return coordinate_chain(ambient_dim, n_levels, norm)
         if gen == "polynomial_grid":
             _reject_unknown(raw, ("generator", "n_levels", "grid_points"), "chain")
-            gp = int(raw.get("grid_points", ambient_dim))
+            gp = _int_field(raw.get("grid_points", ambient_dim), "grid_points")
             if gp != ambient_dim:
                 raise ScenarioError("polynomial_grid grid_points must equal ambient_dim")
             if not norm.is_sup:
                 raise ScenarioError('polynomial_grid models C[0,1]; use norm_p = "inf"')
-            return _polynomial_grid_chain(int(raw.get("n_levels", 0)), gp, norm)
+            return _polynomial_grid_chain(_int_field(raw.get("n_levels", 0), "n_levels"), gp, norm)
         raise ScenarioError(f"unknown chain generator {gen!r}")
     if "levels" in raw:
         _reject_unknown(raw, ("levels",), "chain")
@@ -151,7 +165,7 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
     for key in ("ambient_dim", "norm_p", "chain", "targets", "mode"):
         if key not in doc:
             raise ScenarioError(f"missing required field {key!r}")
-    ambient_dim = int(doc["ambient_dim"])
+    ambient_dim = _int_field(doc["ambient_dim"], "ambient_dim")
     if ambient_dim < 1:
         raise ScenarioError("ambient_dim must be positive")
     norm = _parse_norm(doc["norm_p"])
@@ -167,6 +181,10 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
         raise ScenarioError("prefix mode needs N")
     if mode == "sequence" and "N_max" not in doc:
         raise ScenarioError("sequence mode needs N_max")
+    counts = {key: _int_field(doc[key], key) for key in ("N", "N_max") if key in doc}
+    for key, value in counts.items():
+        if value < 1:
+            raise ScenarioError(f"{key} must be >= 1, got {value}")
     sub = doc.get("subspace_condition")
     if sub is not None:
         if not isinstance(sub, dict):
@@ -181,10 +199,10 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
         chain=chain,
         targets=targets,
         mode=mode,
-        tolerance=float(doc.get("tolerance", 1e-6)),
-        N=int(doc["N"]) if "N" in doc else None,
-        N_max=int(doc["N_max"]) if "N_max" in doc else None,
-        seed=int(doc.get("seed", 0)),
+        tolerance=_parse_tolerance(doc.get("tolerance", 1e-6)),
+        N=counts.get("N"),
+        N_max=counts.get("N_max"),
+        seed=_int_field(doc.get("seed", 0), "seed"),
         subspace_condition=sub,
     )
 
@@ -311,7 +329,7 @@ def run(scenario: Scenario) -> Report:
     if scenario.mode == "finite":
         trace = finite_construct(scenario.chain, scenario.targets, opts)
         _trace_fields(trace, report)
-        report.norm_x = _f(norm_eval(trace.x, scenario.norm)) if trace.x.size else 0.0
+        report.norm_x = _f(norm_eval(trace.x, scenario.norm))
         resid_ok = trace.max_residual <= scenario.tolerance
         report.checks["residuals_within_tolerance"] = resid_ok
         if scenario.targets.is_strictly_decreasing():
@@ -321,7 +339,7 @@ def run(scenario: Scenario) -> Report:
     elif scenario.mode == "prefix":
         trace = construct_prefix(scenario.chain, scenario.targets, scenario.N, opts)
         _trace_fields(trace, report)
-        report.norm_x = _f(norm_eval(trace.x, scenario.norm)) if trace.x.size else 0.0
+        report.norm_x = _f(norm_eval(trace.x, scenario.norm))
         report.checks["residuals_within_tolerance"] = trace.max_residual <= scenario.tolerance
         report.checks["coefficient_bounds"] = all(b.ok for b in trace.coefficient_bounds)
         report.verdict = "pass" if all(report.checks.values()) else "fail"

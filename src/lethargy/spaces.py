@@ -215,8 +215,7 @@ def validate_chain(chain: Chain, nest_tol: float = NEST_TOL) -> ChainValidation:
         if lo.rank == 0:
             nested, max_res = True, 0.0
         else:
-            res = hi.residual(lo.basis if lo.rank else np.zeros((chain.ambient_dim, 0)))
-            max_res = float(np.max(np.linalg.norm(res, axis=0))) if lo.rank else 0.0
+            max_res = float(np.max(np.linalg.norm(hi.residual(lo.basis), axis=0)))
             nested = max_res <= nest_tol
         strict = hi.rank > lo.rank
         pair = PairNesting(

@@ -23,7 +23,7 @@ from lethargy.construct import (
     interpolating_family,
     lipschitz_check,
 )
-from lethargy.distance import default_tol, rho, rho_oracle
+from lethargy.distance import default_tol, rho
 from lethargy.functionals import (
     kernel_distance_identity_check,
     limit_expression,
@@ -32,6 +32,7 @@ from lethargy.functionals import (
 )
 from lethargy.scenario import emit_machine, load_scenario, parse_report, run
 from lethargy.spaces import NormSpec, Subspace, coordinate_chain, norm_eval
+from oracles import rho_oracle
 
 
 def verdict(num, name, ok, detail=""):

@@ -435,3 +435,45 @@ def test_chain_too_short_reported():
     chain = coordinate_chain(3, 1, L2)
     with pytest.raises(ConstructionError, match="chain too short"):
         finite_construct(chain, TargetSequence((0.5, 0.2, 0.1)))
+
+
+def test_all_zero_targets_measure_every_level():
+    # the same levels are measured whether or not any target is positive
+    chain = coordinate_chain(3, 1, L2)
+    d = TargetSequence((0.0, 0.0))
+    traces, _ = construct_sequence(chain, d, 2)
+    for tr in (finite_construct(chain, d), construct_prefix(chain, d, 2), traces[-1]):
+        assert len(tr.achieved) == 2
+        assert tr.x == pytest.approx(np.zeros(3))
+    assert len(construct_prefix(chain, TargetSequence((0.5, 0.0)), 2).achieved) == 2
+
+
+PREFIX_TARGETS = {
+    "geometric": TargetSequence((1.0,), "geometric", 1.0 / 3.0),
+    "zero-tail": TargetSequence((1.0, 0.4, 0.1, 0.0, 0.0)),
+    "tied": TargetSequence((1.0, 0.6, 0.6, 0.3, 0.3)),
+}
+
+
+@pytest.mark.parametrize("targets", sorted(PREFIX_TARGETS))
+@pytest.mark.parametrize("basis", ["coordinate", "random"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_prefix_is_last_rung_of_its_ladder(p, basis, targets):
+    norm = NormSpec(p)
+    chain = coordinate_chain(7, 6, norm) if basis == "coordinate" else random_chain(3, 7, 6, norm)
+    d = PREFIX_TARGETS[targets]
+    for N in range(1, 6):
+        pre = construct_prefix(chain, d, N)
+        traces, table = construct_sequence(chain, d, N)
+        assert table.prefixes[-1] == N
+        last = traces[-1]
+        assert np.array_equal(pre.x, last.x)
+        assert pre.coefficients == last.coefficients
+        assert pre.coefficient_bounds == last.coefficient_bounds
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_construct_options_reject_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol"):
+        ConstructOptions(tol=tol)
+

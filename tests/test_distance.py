@@ -11,9 +11,9 @@ from lethargy.distance import (
     default_tol,
     level_endpoint,
     rho,
-    rho_oracle,
 )
 from lethargy.spaces import NormSpec, Subspace, coordinate_chain, norm_eval
+from oracles import rho_oracle
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
 

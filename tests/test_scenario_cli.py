@@ -202,3 +202,43 @@ def test_cli_tolerance_and_seed_overrides(tmp_path, capsys):
     p.write_text(json.dumps(base_doc()))
     assert cli.main(["construct", p.as_posix(), "--tolerance", "1e-4", "--seed", "9"]) == 0
     capsys.readouterr()
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse rejects bad options by exiting
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "over, extra",
+    [
+        ({"mode": "prefix", "N": 0}, []),
+        ({"mode": "sequence", "N_max": 0}, []),
+        ({"mode": "prefix", "N": "x"}, []),
+        ({"mode": "prefix", "N": 2.5}, []),
+        ({"tolerance": -1}, []),
+        ({"tolerance": "nan"}, []),
+        ({}, ["--tolerance", "-1"]),
+        ({}, ["--tolerance", "nan"]),
+        ({}, ["--tolerance", "x"]),
+    ],
+    ids=["N=0", "N_max=0", "N=x", "N=2.5", "tolerance=-1", "tolerance=nan",
+         "--tolerance=-1", "--tolerance=nan", "--tolerance=x"],
+)
+def test_cli_malformed_numbers_exit_2(tmp_path, capsys, over, extra):
+    doc = base_doc(**over)
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc))
+    command = "sequence" if doc["mode"] == "sequence" else "construct"
+    assert _exit_code([command, p.as_posix(), *extra]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", cli.list_bundled())
+def test_bundled_scenario_exit_code(name, capsys):
+    expected = 1 if name.endswith("-xfail") else 0
+    assert cli.main(["demo", name]) == expected
+    capsys.readouterr()
+
