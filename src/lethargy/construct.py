@@ -556,17 +556,17 @@ def _prefix_steps(chain: Chain, d: TargetSequence, Np: int):
     for j in range(1, Np + 1):
         Yj = chain.level(j)
         Yj1 = chain.level(j + 1)
-        chainj = Chain(ambient_dim=chain.ambient_dim, norm=chain.norm, levels=(Yj, Yj1))
-        ystep = normalize_step(chainj, 1)
         if Yj.rank == 0:
-            steps.append(ystep)
+            chainj = Chain(ambient_dim=chain.ambient_dim, norm=chain.norm, levels=(Yj, Yj1))
+            prev_y = normalize_step(chainj, 1)
+            steps.append(prev_y)
         else:
             fam = interpolating_family(
                 zero, Yj, Yj1, chain.norm,
                 u=[float(schedule.u[j - 1, Np - 1])], v=[1.0], within_direction=prev_y,
             )
             steps.append(fam.members[0].q)
-        prev_y = ystep
+            prev_y = fam.step_outer
     return steps
 
 

@@ -3,26 +3,31 @@
 A functional is represented by a dual vector d with f(x) = <d, x>; its
 operator norm is the lq norm of d for the conjugate exponent q.  The central
 construction produces f with f|Q = 0, f(x1) = 1 and operator norm exactly
-1/rho(x1, Q), optionally pinning f(x2) to the monotone limit
+1/rho(x1, Q), optionally pinning f(x2) to the limit of the non-decreasing
 
-    g(a) = a - rho(x2 - a*x1, Q) / rho(x1, Q),   a -> +infinity,
+    g(a) = a - rho(x2 - a*x1, Q) / rho(x1, Q),   a -> +infinity.
 
-which is non-decreasing in a and bounded by rho(x2, Q)/rho(x1, Q).
+The limit is a directional derivative of the convex rho(., Q) at x1
+(Rockafellar, Convex Analysis, Thm 23.4): min{g(x2) : g in the
+subdifferential} / rho(x1, Q), where the subdifferential is the face
+{|g|_* <= 1, g|Q = 0, g(x1) = rho(x1, Q)} of the dual ball.  The minimizer,
+divided by rho(x1, Q), is the pinned norming functional itself, so no search
+over a is needed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
 from .distance import SolverError, rho
 from .spaces import NormSpec, Subspace, as_vector, norm_eval
 
 FUNC_TOL = 1e-8
+NORMING_TOL = 1e-7  # HiGHS's feasibility tolerance
 
 
 class FunctionalError(ValueError):
@@ -63,74 +68,56 @@ def limit_expression(x2, x1, Q: Subspace, norm: NormSpec, a: float, func_tol: fl
     return a - val / rho1
 
 
-def limit_value(
-    x2,
-    x1,
-    Q: Subspace,
-    norm: NormSpec,
-    rel_tol: float = 1e-8,
-    max_doublings: int = 60,
-) -> float:
-    """Limit of g(a) as a -> infinity, by doubling until the increments die.
+def _face_minimizer(x1: np.ndarray, Q: Subspace, norm: NormSpec, x2, func_tol: float):
+    """rho(x1, Q) and a g in the face {|g|_* <= 1, g|Q = 0, g(x1) = rho} of
+    the dual ball, minimizing g(x2) over the face when x2 is given.
 
-    Monotonicity plus the bound |g| <= rho(x2,Q)/rho(x1,Q) make the doubling
-    rule sound; the residual error is on the order of the last increment.
+    1 < p < inf: the face is the point |r|^(p-1) sign(r) / rho^(p-1), r the
+    residual of rho's witness.  p in {1, inf}: LP 1 maximizes g(xh) over the
+    dual ball within Q's annihilator, xh the part of x1 orthogonal to Q at
+    norm 1 (as in distance._rho_linprog); LP 2 minimizes g(x2) subject to
+    g(xh) >= LP 1's optimum.  The projection onto Q's annihilator removes
+    the solvers' error in g|Q = 0.
     """
+    res = rho(x1, Q, norm)
+    rho1 = res.value
+    if rho1 <= func_tol:
+        raise FunctionalError(
+            f"x1 lies in the subspace within tolerance (rho = {rho1:.3e}); "
+            "no norming functional exists"
+        )
+    if not (norm.p == 1.0 or norm.is_sup):
+        r = x1 - res.witness(Q)
+        return rho1, Q.residual(np.abs(r / rho1) ** (norm.p - 1.0) * np.sign(r))
+    xh = Q.residual(x1)
+    xh = xh / norm_eval(xh, norm)
+    # g = u - v with u, v >= 0; |g_i| <= 1 for p = 1, sum |g_i| <= 1 for p = inf
+    m = Q.ambient_dim
+    A_ub = np.ones((1, 2 * m)) if norm.is_sup else np.zeros((0, 2 * m))
+    b_ub = np.ones(len(A_ub))
+
+    def solve(c):
+        out = linprog(np.concatenate([c, -c]), A_ub=A_ub, b_ub=b_ub,
+                      A_eq=np.hstack([Q.basis.T, -Q.basis.T]), b_eq=np.zeros(Q.rank),
+                      bounds=(0, None if norm.is_sup else 1), method="highs")
+        if not out.success:
+            raise SolverError(f"norming linear program failed: {out.message}")
+        return out.x[:m] - out.x[m:], out.fun
+
+    g, fun = solve(-xh)
+    if x2 is not None:
+        A_ub, b_ub = np.vstack([A_ub, np.concatenate([-xh, xh])]), np.append(b_ub, fun)
+        g, _ = solve(x2)
+    return rho1, Q.residual(g)
+
+
+def limit_value(x2, x1, Q: Subspace, norm: NormSpec) -> float:
+    """Limit of g(a) = a - rho(x2 - a*x1, Q)/rho(x1, Q) as a -> infinity,
+    exactly: min{g(x2) : g in the subdifferential at x1} / rho(x1, Q)."""
     x1 = as_vector(x1, dim=Q.ambient_dim)
     x2 = as_vector(x2, dim=Q.ambient_dim)
-    n1 = norm_eval(x1, norm)
-    n2 = norm_eval(x2, norm)
-    a = max(1.0, n2 / n1 if n1 > 0 else 1.0)
-    g_prev = limit_expression(x2, x1, Q, norm, a)
-    for _ in range(max_doublings):
-        a *= 2.0
-        g_next = limit_expression(x2, x1, Q, norm, a)
-        if g_next - g_prev < rel_tol * max(1.0, abs(g_prev)):
-            return g_next
-        g_prev = g_next
-    raise SolverError(
-        f"limit did not settle after {max_doublings} doublings; bracket "
-        f"[{g_prev:.12g}, {g_prev + rel_tol:.12g}]",
-        best_value=g_prev,
-    )
-
-
-def _min_dual_norm_solution(A: np.ndarray, b: np.ndarray, norm: NormSpec) -> np.ndarray:
-    """Minimal-operator-norm dual vector subject to A d = b."""
-    m = A.shape[1]
-    q = norm.dual_p
-    if q == 2.0:
-        return np.linalg.lstsq(A, b, rcond=None)[0]
-    if math.isinf(q):
-        # min t s.t. -t <= d_i <= t, A d = b
-        cost = np.concatenate([np.zeros(m), [1.0]])
-        A_ub = np.block([[np.eye(m), -np.ones((m, 1))], [-np.eye(m), -np.ones((m, 1))]])
-        b_ub = np.zeros(2 * m)
-        A_eq = np.hstack([A, np.zeros((A.shape[0], 1))])
-        res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b,
-                      bounds=[(None, None)] * m + [(0, None)], method="highs")
-        if not res.success:
-            raise SolverError(f"dual-norm LP failed: {res.message}")
-        return res.x[:m]
-    if q == 1.0:
-        # min sum(pos + neg), d = pos - neg
-        cost = np.ones(2 * m)
-        A_eq = np.hstack([A, -A])
-        res = linprog(cost, A_eq=A_eq, b_eq=b, bounds=[(0, None)] * 2 * m, method="highs")
-        if not res.success:
-            raise SolverError(f"dual-norm LP failed: {res.message}")
-        return res.x[:m] - res.x[m:]
-    d0 = np.linalg.lstsq(A, b, rcond=None)[0]
-    res = minimize(
-        lambda d: float(np.sum(np.abs(d) ** q)),
-        d0,
-        constraints=[{"type": "eq", "fun": lambda d: A @ d - b}],
-        method="SLSQP",
-        options={"maxiter": 2000, "ftol": 1e-14},
-    )
-    if not res.success:
-        raise SolverError(f"dual-norm minimization failed: {res.message}")
-    return res.x
+    _, g = _face_minimizer(x1, Q, norm, x2, FUNC_TOL)
+    return float(g @ x2) / float(g @ x1)
 
 
 def norming_functional(
@@ -143,21 +130,11 @@ def norming_functional(
     """f with f|Q = 0, f(x1) = 1 and operator norm 1/rho(x1, Q).
 
     When x2 is supplied (and lies outside span[{x1} union Q]) the value f(x2)
-    is additionally pinned to limit_value(x2, x1, Q).  The extension to the
-    whole space is the minimal-dual-norm one; its norm identity with
+    is additionally pinned to limit_value(x2, x1, Q): f is the face minimizer
+    of limit_value scaled by 1/rho(x1, Q).  Its norm identity with
     1/rho(x1, Q) is verified, not assumed.
     """
     x1 = as_vector(x1, dim=Q.ambient_dim)
-    rho1 = rho(x1, Q, norm).value
-    if rho1 <= func_tol:
-        raise FunctionalError(
-            f"x1 lies in the subspace within tolerance (rho = {rho1:.3e}); "
-            "no norming functional exists"
-        )
-    rows = [Q.basis.T] if Q.rank else []
-    rhs = [np.zeros(Q.rank)] if Q.rank else []
-    rows.append(x1[None, :])
-    rhs.append(np.array([1.0]))
     if x2 is not None:
         x2 = as_vector(x2, dim=Q.ambient_dim)
         span = Subspace(
@@ -169,16 +146,12 @@ def norming_functional(
             raise FunctionalError(
                 f"x2 lies in span[{{x1}} + Q] within tolerance (residual = {res:.3e})"
             )
-        target = limit_value(x2, x1, Q, norm)
-        rows.append(x2[None, :])
-        rhs.append(np.array([target]))
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    d = _min_dual_norm_solution(A, b, norm)
+    rho1, g = _face_minimizer(x1, Q, norm, x2, func_tol)
+    d = g / float(g @ x1)
     dn = dual_norm(d, norm)
-    if abs(dn * rho1 - 1.0) > 1e-4:
+    if abs(dn * rho1 - 1.0) > NORMING_TOL:
         raise SolverError(
-            f"norming identity violated: |f| * rho(x1, Q) = {dn * rho1:.6g}, expected 1"
+            f"norming identity violated: |f| * rho(x1, Q) = {dn * rho1!r}, expected 1"
         )
     return Functional(dual_vector=d, dual_norm_value=dn)
 

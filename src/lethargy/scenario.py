@@ -73,6 +73,12 @@ def _int_field(raw, name: str) -> int:
     return raw
 
 
+def _number_field(raw, name: str) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ScenarioError(f"{name} must be a number, got {raw!r}")
+    return float(raw)
+
+
 def _parse_tolerance(raw) -> float:
     try:
         tol = float(raw)
@@ -142,11 +148,15 @@ def _parse_targets(raw) -> TargetSequence:
     if not isinstance(raw, dict):
         raise ScenarioError("targets must be an object")
     _reject_unknown(raw, ("values", "tail", "ratio"), "targets")
+    values = raw.get("values", [])
+    if not isinstance(values, list):
+        raise ScenarioError(f"targets.values must be a list of numbers, got {values!r}")
+    ratio = raw.get("ratio")
     try:
         return TargetSequence(
-            values=tuple(raw.get("values", ())),
+            values=tuple(_number_field(v, "targets.values entry") for v in values),
             tail=raw.get("tail", "zero"),
-            ratio=raw.get("ratio"),
+            ratio=None if ratio is None else _number_field(ratio, "targets.ratio"),
         )
     except TargetError as exc:
         raise ScenarioError(f"invalid targets: {exc}") from exc
@@ -192,6 +202,18 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
         _reject_unknown(sub, ("k", "n_samples"), "subspace_condition")
         if "k" not in sub:
             raise ScenarioError("subspace_condition needs k")
+        k = _int_field(sub["k"], "subspace_condition.k")
+        if not 2 <= k <= len(chain.levels):
+            raise ScenarioError(
+                f"subspace_condition.k must satisfy 2 <= k <= {len(chain.levels)} "
+                f"(the chain's levels), got {k}"
+            )
+        if targets.value(k) <= 0.0:
+            raise ScenarioError(f"subspace_condition needs d_k > 0, got d_{k} = 0")
+        n_samples = _int_field(sub.get("n_samples", 20), "subspace_condition.n_samples")
+        if n_samples < 1:
+            raise ScenarioError(f"subspace_condition.n_samples must be >= 1, got {n_samples}")
+        sub = {"k": k, "n_samples": n_samples}
     return Scenario(
         name=str(doc.get("name", name_hint)),
         ambient_dim=ambient_dim,
@@ -305,11 +327,9 @@ def run(scenario: Scenario) -> Report:
     if scenario.mode == "check_only":
         ok = cond.passes
         if scenario.subspace_condition is not None:
-            k = int(scenario.subspace_condition["k"])
-            n_samples = int(scenario.subspace_condition.get("n_samples", 20))
-            sub = check_subspace_condition(
-                scenario.chain, scenario.targets, _subspace_samples(scenario, k, n_samples), k
-            )
+            k = scenario.subspace_condition["k"]
+            samples = _subspace_samples(scenario, k, scenario.subspace_condition["n_samples"])
+            sub = check_subspace_condition(scenario.chain, scenario.targets, samples, k)
             report.subspace_condition = {
                 "level": sub.level,
                 "ratio": _f(sub.ratio),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import lethargy.construct as construct_module
 from lethargy.construct import (
     BorodinSchedule,
     ConstructionError,
@@ -395,6 +396,21 @@ def test_construct_prefix_records_bounds():
     tr = construct_prefix(chain, d, 3)
     assert len(tr.coefficient_bounds) == 3
     assert abs(tr.coefficients[-1] - d.value(3)) <= 1e-12
+
+
+def test_construct_prefix_solves_each_step_once(monkeypatch):
+    # one unit step per level plus the first level's within-Y_1 direction
+    calls = []
+    real = construct_module.normalize_step
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(construct_module, "normalize_step", counted)
+    chain = coordinate_chain(7, 6, NormSpec(1))
+    construct_prefix(chain, TargetSequence((1.0,), "geometric", 1.0 / 3.0), 5)
+    assert len(calls) == 6
 
 
 def test_construct_sequence_zero_tail_stabilizes_exactly():

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from lethargy.functionals import (
 from lethargy.distance import rho
 from lethargy.spaces import NormSpec, Subspace
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 L2 = NormSpec(2)
+DATA = Path(__file__).parent / "data"
 
 
 def test_limit_expression_values():
@@ -43,23 +47,61 @@ def test_limit_value_examples():
     assert limit_value([0.0, 1.0, 0.0], [1.0, 0.0, 0.0], Q, L2) == pytest.approx(0.0, abs=1e-6)
 
 
+def _check_limit(x2, x1, Q, norm, grid):
+    """g(a) is non-decreasing and bounded, its limit is exact, and the
+    pinned norming functional attains it."""
+    bound = rho(x2, Q, norm).value / rho(x1, Q, norm).value
+    vals = [limit_expression(x2, x1, Q, norm, a) for a in grid]
+    for a, b in zip(vals, vals[1:]):
+        assert b >= a - 1e-8
+    for v in vals:
+        assert abs(v) <= bound + 1e-8
+    L = limit_value(x2, x1, Q, norm)
+    assert max(vals) - 1e-8 <= L <= bound + 1e-8
+    f = norming_functional(x1, Q, norm, x2=x2)
+    d = f.dual_vector
+    assert f(x2) == pytest.approx(L, abs=1e-9)
+    assert np.linalg.norm(Q.basis.T @ d) <= 1e-12 * np.linalg.norm(d)
+    assert f(x1) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_limit_monotone_and_bounded():
     rng = np.random.default_rng(9)
-    for _ in range(20):
-        dim = int(rng.integers(2, 7))
-        r = int(rng.integers(0, dim - 1))
-        Q = Subspace(rng.standard_normal((dim, r))) if r else Subspace.zero(dim)
-        x1 = rng.standard_normal(dim)
-        x2 = rng.standard_normal(dim)
-        if rho(x1, Q, L2).value < 1e-6:
-            continue
-        bound = rho(x2, Q, L2).value / rho(x1, Q, L2).value
-        grid = [0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0]
-        vals = [limit_expression(x2, x1, Q, L2, a) for a in grid]
-        for a, b in zip(vals, vals[1:]):
-            assert b >= a - 1e-8
-        for v in vals:
-            assert abs(v) <= bound + 1e-8
+    grid = [0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0]
+    for p in (2.0, 1.0, 1.5, 3.0, math.inf):
+        norm = NormSpec(p)
+        for _ in range(20):
+            dim = int(rng.integers(2, 7))
+            r = int(rng.integers(0, dim - 1))
+            Q = Subspace(rng.standard_normal((dim, r))) if r else Subspace.zero(dim)
+            x1 = rng.standard_normal(dim)
+            x2 = rng.standard_normal(dim)
+            if rho(x1, Q, norm).value < 1e-6:
+                continue
+            _check_limit(x2, x1, Q, norm, grid)
+    # one large smooth case: the face is one point, so this takes milliseconds
+    Q = Subspace(rng.standard_normal((256, 5)))
+    _check_limit(rng.standard_normal(256), rng.standard_normal(256), Q, NormSpec(3), grid)
+
+
+def test_limit_value_does_not_stop_early():
+    """The p = 1 sweep input that ended a doubling search too early.
+
+    tests/data/sweep_seed10_input175.npz holds raw, x1 and x2 of
+    bench.workloads.build_sweep(10, 176, workdir)[175] (m = 256, rank 7):
+    a search that stopped once one doubling of a changed g(a) by less than
+    1e-8 returned -0.04444, below g(100) = -0.03983, and its norming
+    functional was off the norming identity by 6e-5.
+    """
+    data = np.load(DATA / "sweep_seed10_input175.npz")
+    Q, x1, x2 = Subspace(data["raw"]), data["x1"], data["x2"]
+    norm = NormSpec(1)
+    L = limit_value(x2, x1, Q, norm)
+    for a in (1e2, 1e3):
+        assert L >= limit_expression(x2, x1, Q, norm, a) - 1e-9
+    assert L == pytest.approx(-0.0388760457, abs=1e-8)
+    f = norming_functional(x1, Q, norm, x2=x2)
+    assert abs(f.dual_norm_value * rho(x1, Q, norm).value - 1.0) <= 1e-7
 
 
 def test_norming_functional_basic():

@@ -223,15 +223,27 @@ def _exit_code(argv):
         ({}, ["--tolerance", "-1"]),
         ({}, ["--tolerance", "nan"]),
         ({}, ["--tolerance", "x"]),
+        ({"targets": {"values": ["a"]}}, []),
+        ({"targets": {"values": 3}}, []),
+        ({"targets": {"values": [0.5], "tail": "geometric", "ratio": "x"}}, []),
+        ({"mode": "check_only", "subspace_condition": {"k": "x"}}, []),
+        ({"mode": "check_only", "subspace_condition": {"k": 1}}, []),
+        ({"mode": "check_only", "subspace_condition": {"k": 3}}, []),
+        ({"mode": "check_only", "targets": {"values": [0.5, 0.0]},
+          "subspace_condition": {"k": 2}}, []),
+        ({"mode": "check_only", "subspace_condition": {"k": 2, "n_samples": "x"}}, []),
+        ({"mode": "check_only", "subspace_condition": {"k": 2, "n_samples": -1}}, []),
     ],
     ids=["N=0", "N_max=0", "N=x", "N=2.5", "tolerance=-1", "tolerance=nan",
-         "--tolerance=-1", "--tolerance=nan", "--tolerance=x"],
+         "--tolerance=-1", "--tolerance=nan", "--tolerance=x",
+         "values=[a]", "values=3", "ratio=x", "k=x", "k=1", "k>levels", "d_k=0",
+         "n_samples=x", "n_samples=-1"],
 )
 def test_cli_malformed_numbers_exit_2(tmp_path, capsys, over, extra):
     doc = base_doc(**over)
     p = tmp_path / "s.json"
     p.write_text(json.dumps(doc))
-    command = "sequence" if doc["mode"] == "sequence" else "construct"
+    command = {"sequence": "sequence", "check_only": "check"}.get(doc["mode"], "construct")
     assert _exit_code([command, p.as_posix(), *extra]) == 2
     capsys.readouterr()
 
