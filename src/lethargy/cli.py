@@ -57,10 +57,20 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("--tolerance", type=_positive_float, default=None,
                      help="override scenario tolerance")
-    sub.add_argument("--seed", type=int, default=None, help="override scenario seed")
+    sub.add_argument("--seed", type=_seed, default=None, help="override scenario seed")
     sub.add_argument(
         "--format", choices=("text", "machine"), default="text", dest="fmt",
         help="report format on stdout",

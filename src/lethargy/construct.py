@@ -15,20 +15,20 @@ rho(x, Y_k) = d_k:
 
 plus the tail-domination (Borodin) condition checker and a sampled checker
 for the subspace-side condition.  All three modes share one core, _realize:
-zero-tail reduction, a backward pass with one exact root per level, the
-re-measure of every level and the residual gate.  They differ only in their
-step vectors and in whether the pass recentres, so a prefix is the last rung
-of its ladder.
+zero-tail reduction, a backward pass with one exact, certified root per
+level, the measure of every level at the final x and the residual gate.
+They differ only in their step vectors and in whether the pass recentres,
+so a prefix is the last rung of its ladder.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distance import DistanceResult, SolverError, best_approximant, level_endpoint, rho
+from .distance import DistanceResult, Endpoint, SolverError, best_approximant, level_endpoint, rho
 from .functionals import norming_functional  # noqa: F401  (bench/tracing.py patches this binding)
 from .spaces import Chain, NormSpec, Subspace, as_vector, contains, norm_eval
 
@@ -234,27 +234,28 @@ def normalize_step(chain: Chain, n: int) -> np.ndarray:
 
 def smallest_root(
     x, q, Y: Subspace, norm: NormSpec, target: float, two_sided: bool = True
-) -> float:
-    """Root t of rho(x + t q, Y) = target nearest to 0.
+) -> Endpoint:
+    """Root t of rho(x + t q, Y) = target nearest to 0, with its certificate.
 
     The level set {t : rho(x + t q, Y) <= target} is an interval [a, b]
     (convexity).  When it misses 0 the nearer end is returned; when it holds
     0 the answer is b one-sided, else the end of smaller magnitude (b on
-    ties).  Raises when the set is empty.
+    ties).  The certificate is level_endpoint's, at x + t q.  Raises when the
+    set is empty.
     """
     b = level_endpoint(x, q, Y, norm, target, upper=True)
     if b is None:
         raise ConstructionError(
             f"target {target:.9g} below attainable minimum of rho(x + t q, Y)"
         )
-    if b < 0.0:
+    if b.t < 0.0:
         return b
     a = level_endpoint(x, q, Y, norm, target, upper=False)
     if a is None:  # tangent within tolerance on one side only: a single point
         a = b
-    if a > 0.0:
+    if a.t > 0.0:
         return a
-    return b if not two_sided or b <= -a else a
+    return b if not two_sided or b.t <= -a.t else a
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +329,7 @@ def interpolating_family(
     z = y + s
     members = []
     for um, vm in zip(u, v):
-        lam = smallest_root(vm * y, s, Q1, norm, um, two_sided=False)
+        lam = smallest_root(vm * y, s, Q1, norm, um, two_sided=False).t
         members.append(FamilyMember(q=vm * y + lam * s, mu=lam))
     return InterpolationFamily(
         z=z,
@@ -426,10 +427,19 @@ class ConstructionTrace:
     targets: TargetSequence
     residuals: tuple[float, ...]
     coefficient_bounds: tuple[CoefficientBound, ...] = field(default_factory=tuple)
+    # certified lower bound on rho(x, Y_k) per level (achieved holds the
+    # upper one); None where the level was re-measured by rho
+    lower_bounds: tuple[float | None, ...] = field(default_factory=tuple)
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals) if self.residuals else 0.0
+
+    @property
+    def certificate_gap(self) -> float | None:
+        """Worst upper - lower over the certified levels; None when none is."""
+        gaps = [r.value - lo for r, lo in zip(self.achieved, self.lower_bounds) if lo is not None]
+        return max(gaps) if gaps else None
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +476,35 @@ def _coefficient_bounds(d: TargetSequence, lambdas, Np: int, tol: float):
     return tuple(out)
 
 
+def _nearest(x, chain: Chain, k: int, solved: dict) -> np.ndarray:
+    """Best approximant of x in Y_k: the witness of level k's solve when
+    there is one (x has not moved since it), else a fresh solve."""
+    if k in solved:
+        return solved[k][1].witness(chain.level(k))
+    return best_approximant(x, chain.level(k), chain.norm)
+
+
+def _measure(x, chain: Chain, k: int, Np: int, solved: dict):
+    """rho(x, Y_k) with a certified lower bound (None when re-measured).
+
+    Level k's solve was made at x_k, and x - x_k lies in Y_k, so its
+    witness moves to w_k = witness + P(x - x_k) and its dual g_k still holds:
+    g_k(x - w_k) <= rho(x, Y_k) <= |x - w_k|.  The lower end is evaluated on
+    x - w_k, never as g_k(x), which cancels when rho is small against |x|.
+    """
+    Y, norm = chain.level(k), chain.norm
+    if k > Np:  # x lies in Y_{Np+1}, inside Y_k
+        return DistanceResult(0.0, Y.basis.T @ x, 0.0, "contained"), 0.0
+    if k not in solved:
+        return rho(x, Y, norm), None
+    xk, res = solved[k]
+    c = res.witness_coeffs + Y.basis.T @ (x - xk)
+    r = x - Y.basis @ c
+    g = res.dual(Y, norm)
+    lower = 0.0 if g is None else float(g @ r)
+    return replace(res, value=norm_eval(r, norm), witness_coeffs=c), lower
+
+
 def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOptions,
              recentre: bool) -> ConstructionTrace:
     """x = sum lambda_k q_k with rho(x, Y_k) = d_k for k <= Np = len(steps).
@@ -476,32 +515,46 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
     distances already achieved, the root is taken one-sided, and a last trim
     in Y_1 leaves |x| = d_1.  Without it (schedule modes) the root is
     two-sided and each coefficient is recorded against its bound
-    d_k - d_{k+1}(1 - 2^-k).  Levels 1..min(N, len(chain) + 1) are then
-    re-measured.
+    d_k - d_{k+1}(1 - 2^-k).
+
+    Each root comes with the certificate of its solve, and the top level has
+    one rho call before the pass.  Every later change to x lies in Y_k, so
+    level k's certificate serves the recentre in Y_k, the trim in Y_1 and the
+    measure of level k at the final x (see _measure), with no further solve.
+    At p = 2 the certificates go unused: the closed-form rho recentres and
+    re-measures at no solve.  Levels 1..min(N, len(chain) + 1) are measured,
+    and the 10 tol gate checks both ends of every certified bracket.
     """
+    norm = chain.norm
+    certify = norm.p != 2.0
     Np = len(steps)
     lambdas = [0.0] * Np
     x = np.zeros(chain.ambient_dim)
+    solved = {}  # level -> (x after its solve, rho there with its certificate)
     if Np:
         lambdas[-1] = d.value(Np)
         x = d.value(Np) * steps[-1]
+        if certify:
+            solved[Np] = (x, rho(x, chain.level(Np), norm))
     for k in range(Np - 1, 0, -1):
         if recentre:
-            x = x - best_approximant(x, chain.level(k + 1), chain.norm)
-        lam = smallest_root(x, steps[k - 1], chain.level(k), chain.norm, d.value(k),
-                            two_sided=not recentre)
-        lambdas[k - 1] = lam
-        x = x + lam * steps[k - 1]
+            x = x - _nearest(x, chain, k + 1, solved)
+        root = smallest_root(x, steps[k - 1], chain.level(k), norm, d.value(k),
+                             two_sided=not recentre)
+        lambdas[k - 1] = root.t
+        x = x + root.t * steps[k - 1]
+        if certify:  # every end off p = 2 carries one
+            solved[k] = (x, root.certificate)
     if recentre and Np:
-        x = x - best_approximant(x, chain.level(1), chain.norm)
-    achieved = tuple(
-        rho(x, chain.level(k), chain.norm) for k in range(1, min(N, len(chain.levels) + 1) + 1)
-    )
+        x = x - _nearest(x, chain, 1, solved)
+    top = min(N, len(chain.levels) + 1)
+    achieved, lower_bounds = zip(*(_measure(x, chain, k, Np, solved) for k in range(1, top + 1)))
     residuals = tuple(abs(r.value - d.value(k)) for k, r in enumerate(achieved, start=1))
-    if Np and max(residuals[:Np]) > opts.tol * 10:
-        raise ConstructionError(
-            f"tolerance not met: max residual {max(residuals[:Np]):.3e} > {opts.tol:.1e}"
-        )
+    lower_ends = (abs(lo - d.value(k)) for k, lo in enumerate(lower_bounds[:Np], start=1)
+                  if lo is not None)
+    worst = max([*residuals[:Np], *lower_ends], default=0.0)
+    if worst > opts.tol * 10:
+        raise ConstructionError(f"tolerance not met: max residual {worst:.3e} > {opts.tol:.1e}")
     return ConstructionTrace(
         x=x,
         step_vectors=tuple(steps),
@@ -510,6 +563,7 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
         targets=d,
         residuals=residuals,
         coefficient_bounds=() if recentre else _coefficient_bounds(d, lambdas, Np, opts.tol),
+        lower_bounds=lower_bounds,
     )
 
 

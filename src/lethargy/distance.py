@@ -2,20 +2,26 @@
 
 rho(x, Y) = inf over y in Y of |x - y|.  In finite dimension the infimum is
 attained, so every result carries witness coefficients c with best
-approximant Y.basis @ c.  Solver routes:
+approximant Y.basis @ c, and a Hahn-Banach certificate: a dual functional g
+with |g|_* = 1, g|Y = 0 and g(x - witness) = rho (Singer, Best Approximation
+in Normed Linear Spaces, 1970).  Any such g gives the lower bound
+g(x - y) <= rho(x, Y) for every y in Y; the witness gives the upper bound.
+Solver routes:
 
   * p = 2        orthogonal projection (closed form)
   * p in {1, inf} exact linear-program reduction (HiGHS)
   * other p      smooth convex minimization over the coefficients
 
 level_endpoint gives the ends of the interval {t : rho(x + t q, Y) <= d}, the
-exact root step of the backward constructions.
+exact root step of the backward constructions, each with the certificate of
+rho at that end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -47,18 +53,52 @@ class DistanceResult:
     witness_coeffs: np.ndarray
     achieved_tol: float
     solver: str
+    # Raw direction of the certificate, as the route has it: the residual's
+    # norming direction, or the LP's row duals.  dual() projects and scales it.
+    dual_direction: np.ndarray | None = None
 
     def witness(self, Y: Subspace) -> np.ndarray:
         if Y.rank == 0:
             return np.zeros(Y.ambient_dim)
         return Y.basis @ self.witness_coeffs
 
+    def dual(self, Y: Subspace, norm: NormSpec) -> np.ndarray | None:
+        """The certificate g: |g|_* = 1 and g|Y = 0, with g(x - witness) =
+        value to the route's accuracy.  None when the direction vanishes (x
+        in Y, where rho = 0 needs no certificate)."""
+        if self.dual_direction is None:
+            return None
+        g = Y.residual(self.dual_direction)
+        size = norm_eval(g, NormSpec(norm.dual_p))
+        return g / size if size > 0.0 else None
+
+
+class Endpoint(NamedTuple):
+    """An end t of a level set, with rho(x + t q, Y) and its certificate
+    (None from the closed-form p = 2 quadratic, which solves for t only)."""
+
+    t: float
+    certificate: DistanceResult | None
+
+
+def _norming_direction(r: np.ndarray, norm: NormSpec) -> np.ndarray:
+    """A direction g with g(r) = |r| |g|_*: |r|^(p-1) sign(r), or for the sup
+    norm the signed unit vector at the largest entry."""
+    if norm.is_sup:
+        g = np.zeros_like(r)
+        i = int(np.argmax(np.abs(r)))
+        g[i] = np.sign(r[i])
+        return g
+    return np.abs(r) ** (norm.p - 1.0) * np.sign(r)
+
 
 def _rho_l2(x: np.ndarray, Y: Subspace) -> DistanceResult:
     c = Y.basis.T @ x
-    value = float(np.linalg.norm(x - Y.basis @ c))
+    r = x - Y.basis @ c
+    value = float(np.linalg.norm(r))
     eps = 1e-13 * max(1.0, float(np.linalg.norm(x)))
-    return DistanceResult(value=value, witness_coeffs=c, achieved_tol=eps, solver="closed_form_l2")
+    return DistanceResult(value=value, witness_coeffs=c, achieved_tol=eps, solver="closed_form_l2",
+                          dual_direction=r)
 
 
 def _lp(x: np.ndarray, A: np.ndarray, norm: NormSpec, cost_v, d: float | None = None):
@@ -80,6 +120,14 @@ def _lp(x: np.ndarray, A: np.ndarray, norm: NormSpec, cost_v, d: float | None = 
     return linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
 
 
+def _lp_dual(res, m: int) -> np.ndarray:
+    """Certificate direction of an _lp solve: the duals of its rows
+    x - A v <= s minus those of A v - x <= s.  They annihilate A's columns
+    that are free and cost nothing, and take the sign of the residual."""
+    lam = -res.ineqlin.marginals
+    return lam[:m] - lam[m:2 * m]
+
+
 def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec, tol: float) -> DistanceResult:
     # Solve on the part of x orthogonal to Y, scaled to norm 1: rho only
     # shifts and scales with it, and HiGHS's absolute tolerances then act
@@ -92,7 +140,8 @@ def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec, tol: float) -> Dist
         raise SolverError(f"linear program failed: {res.message}")
     c = c0 + res.x[: Y.rank] * scale
     value = norm_eval(x - Y.basis @ c, norm)
-    return DistanceResult(value=value, witness_coeffs=c, achieved_tol=tol, solver="linear_program")
+    return DistanceResult(value=value, witness_coeffs=c, achieved_tol=tol, solver="linear_program",
+                          dual_direction=_lp_dual(res, x.size))
 
 
 def _rho_convex(x: np.ndarray, Y: Subspace, norm: NormSpec, tol: float) -> DistanceResult:
@@ -115,10 +164,12 @@ def _rho_convex(x: np.ndarray, Y: Subspace, norm: NormSpec, tol: float) -> Dista
         options={"maxiter": 10_000, "ftol": 1e-16, "gtol": 1e-12},
     )
     c = res.x
-    value = norm_eval(x - B @ c, norm)
+    r = x - B @ c
+    value = norm_eval(r, norm)
     if not res.success and res.status != 2:  # status 2: precision loss at optimum
         raise SolverError(f"convex descent failed: {res.message}", best_value=value)
-    return DistanceResult(value=value, witness_coeffs=c, achieved_tol=tol, solver="convex_descent")
+    return DistanceResult(value=value, witness_coeffs=c, achieved_tol=tol, solver="convex_descent",
+                          dual_direction=_norming_direction(r, norm))
 
 
 def rho(x, Y: Subspace, norm: NormSpec, tol: float | None = None) -> DistanceResult:
@@ -134,6 +185,7 @@ def rho(x, Y: Subspace, norm: NormSpec, tol: float | None = None) -> DistanceRes
             witness_coeffs=np.zeros(0),
             achieved_tol=0.0,
             solver="zero_subspace",
+            dual_direction=_norming_direction(x, norm),
         )
     if norm.p == 2.0:
         return _rho_l2(x, Y)
@@ -147,7 +199,7 @@ def best_approximant(x, Y: Subspace, norm: NormSpec, tol: float | None = None) -
     return rho(x, Y, norm, tol).witness(Y)
 
 
-def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> float | None:
+def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> Endpoint | None:
     """Upper (or lower) end of {t : rho(x + t q, Y) <= d}; None when empty.
 
     t -> rho(x + t q, Y) is convex, and coercive for q outside Y, so the set
@@ -159,18 +211,21 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> 
                      rho_min) / rho(q, Y), where rho_min = rho(x, Y + span q)
                      is the minimum over t, at t_min; the iterates stay outside
 
-    The lower end is minus the upper end for -q.  A set that misses d by at
-    most rho's accuracy, default_tol(norm) * (1 + d), is the point t_min:
-    tied targets put d at that minimum, where rounding can leave it just out
-    of reach.  q inside Y (the set is empty or all of R) raises SolverError.
+    The end comes with rho(x + t q, Y) and its certificate, from the solve
+    that found it (none from the quadratic).  The lower end is minus the
+    upper end for -q.  A set that misses d by at most rho's accuracy,
+    default_tol(norm) * (1 + d), is the point t_min: tied targets put d at
+    that minimum, where rounding can leave it just out of reach.  q inside Y
+    (the set is empty or all of R) raises SolverError.
     """
     x = as_vector(x, dim=Y.ambient_dim)
     q = as_vector(q, dim=Y.ambient_dim)
     if not upper:
-        b = level_endpoint(x, -q, Y, norm, d, upper=True)
-        return None if b is None else -b
+        end = level_endpoint(x, -q, Y, norm, d, upper=True)
+        return None if end is None else Endpoint(-end.t, end.certificate)
     B = Y.basis
-    xp, qp = x - B @ (B.T @ x), q - B @ (B.T @ q)
+    cx = B.T @ x
+    xp, qp = x - B @ cx, q - B @ (B.T @ q)
     if np.linalg.norm(qp) <= 1e-12 * np.linalg.norm(q):
         raise SolverError("level set of a direction inside the subspace is empty or unbounded")
     exact_route = norm.p == 2.0 or norm.p == 1.0 or norm.is_sup
@@ -182,8 +237,8 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> 
         if disc >= 0.0:
             sq = math.sqrt(disc)
             if ab < 0.0:
-                return (sq - ab) / bb
-            return -cc / (ab + sq) if ab + sq > 0.0 else 0.0
+                return Endpoint((sq - ab) / bb, None)
+            return Endpoint(-cc / (ab + sq) if ab + sq > 0.0 else 0.0, None)
     elif exact_route:
         scale = max(norm_eval(xp, norm), d) or 1.0  # as in _rho_linprog
         cost = np.append(np.zeros(Y.rank), -1.0)  # maximize t
@@ -191,36 +246,50 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> 
         if res.status != 2:  # 2: infeasible
             if not res.success:
                 raise SolverError(f"level-set linear program failed: {res.message}")
-            return float(res.x[Y.rank]) * scale
+            t = float(res.x[Y.rank]) * scale
+            c = cx + res.x[: Y.rank] * scale
+            cert = DistanceResult(
+                value=norm_eval(x + t * q - B @ c, norm), witness_coeffs=c,
+                achieved_tol=default_tol(norm), solver="linear_program",
+                dual_direction=_lp_dual(res, x.size),
+            )
+            return Endpoint(t, cert)
     # The exact routes found the set empty; other p start here.
     Z = Subspace(np.column_stack([B, qp / np.linalg.norm(qp)]))
     low = rho(x, Z, norm)
-    t_min = -float(qp @ low.witness(Z)) / float(qp @ qp)
+    w = low.witness(Z)
+    t_min = -float(qp @ w) / float(qp @ qp)
     tangent_tol = default_tol(norm) * (1.0 + d)
     if low.value - d > tangent_tol:
         return None
     if low.value >= d - tangent_tol:
-        return t_min
+        # x + t_min q - (w + t_min q) = x - w, and w + t_min q lies in Y;
+        # low's certificate annihilates Z, which holds Y.
+        return Endpoint(t_min, DistanceResult(
+            value=low.value, witness_coeffs=B.T @ (w + t_min * q), achieved_tol=low.achieved_tol,
+            solver=low.solver, dual_direction=low.dual_direction,
+        ))
     if exact_route:
         raise SolverError(f"no end found, yet the level set holds t = {t_min:.9g}")
     # An inexact slope (a near-optimal witness) can step inside, and the next
     # step back out.  A |gap| that stops shrinking has met rho's noise.
     p = norm.p
     t = t_min + (d + low.value) / rho(q, Y, norm).value
-    best_t, best_gap = t, math.inf
+    best, best_gap = None, math.inf
     for _ in range(100):
         res = rho(x + t * q, Y, norm)
         gap = res.value - d
         if abs(gap) <= 1e-13 * (1.0 + d):
-            return t
+            return Endpoint(t, res)
         if abs(gap) >= best_gap:
             break
-        best_t, best_gap = t, abs(gap)
-        r = x + t * q - res.witness(Y)
-        slope = float(np.sum(np.abs(r) ** (p - 1.0) * np.sign(r) * q)) / res.value ** (p - 1.0)
+        best, best_gap = Endpoint(t, res), abs(gap)
+        # the derivative of rho along q, at the witness: g(q) for the
+        # normalized |r|^(p-1) sign(r)
+        slope = float(res.dual_direction @ q) / res.value ** (p - 1.0)
         if slope <= 0.0:
             break
         t -= gap / slope
     if best_gap > tangent_tol:
         raise SolverError(f"level-set Newton iteration stalled at gap {best_gap:.3e}")
-    return best_t
+    return best

@@ -20,8 +20,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .construct import (
+    ConstructionError,
     ConstructOptions,
     TargetError,
+    _levels_to_build,
     TargetSequence,
     check_borodin_condition,
     check_subspace_condition,
@@ -187,6 +189,8 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
     mode = doc["mode"]
     if mode not in MODES:
         raise ScenarioError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "finite" and targets.tail != "zero":
+        raise ScenarioError("finite mode needs a zero-tail target sequence")
     if mode == "prefix" and "N" not in doc:
         raise ScenarioError("prefix mode needs N")
     if mode == "sequence" and "N_max" not in doc:
@@ -195,6 +199,12 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
     for key, value in counts.items():
         if value < 1:
             raise ScenarioError(f"{key} must be >= 1, got {value}")
+    levels_key = {"prefix": "N", "sequence": "N_max"}.get(mode)
+    if levels_key is not None:
+        try:
+            _levels_to_build(chain, targets, counts[levels_key])
+        except ConstructionError as exc:
+            raise ScenarioError(f"{levels_key} = {counts[levels_key]}: {exc}") from exc
     sub = doc.get("subspace_condition")
     if sub is not None:
         if not isinstance(sub, dict):
@@ -214,6 +224,9 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
         if n_samples < 1:
             raise ScenarioError(f"subspace_condition.n_samples must be >= 1, got {n_samples}")
         sub = {"k": k, "n_samples": n_samples}
+    seed = _int_field(doc.get("seed", 0), "seed")
+    if seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {seed}")
     return Scenario(
         name=str(doc.get("name", name_hint)),
         ambient_dim=ambient_dim,
@@ -224,7 +237,7 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
         tolerance=_parse_tolerance(doc.get("tolerance", 1e-6)),
         N=counts.get("N"),
         N_max=counts.get("N_max"),
-        seed=_int_field(doc.get("seed", 0), "seed"),
+        seed=seed,
         subspace_condition=sub,
     )
 
@@ -262,6 +275,9 @@ class Report:
     stabilization: dict | None = None
     checks: dict = field(default_factory=dict)
     wall_time: float = field(default=0.0, compare=False)
+    # worst upper - lower over the certified levels (None: none certified);
+    # text report only, like wall_time
+    certificate_gap: float | None = field(default=None, compare=False)
 
 
 def _f(x):
@@ -281,6 +297,7 @@ def _trace_fields(trace, report: Report):
     ]
     report.x = [_f(v) for v in trace.x]
     report.coefficients = [_f(c) for c in trace.coefficients]
+    report.certificate_gap = trace.certificate_gap
     if trace.coefficient_bounds:
         report.coefficient_bounds = [
             {"k": b.level, "value": _f(b.value), "bound": _f(b.bound), "ok": b.ok}
@@ -307,10 +324,11 @@ def _subspace_samples(scn: Scenario, k: int, n_samples: int):
 
 
 def run(scenario: Scenario) -> Report:
-    """Execute the scenario's pipeline and assemble a fully re-measured report.
+    """Execute the scenario's pipeline and assemble a fully measured report.
 
-    Every printed residual is re-measured through the distance module against
-    the final x; nothing is copied from solver-internal state.
+    Every printed distance holds at the final x: measured there by rho, or
+    bracketed there by the duality certificate of the level's solve (see
+    construct._measure), with both ends of the bracket gated.
     """
     start = time.perf_counter()
     report = Report(
@@ -368,6 +386,8 @@ def run(scenario: Scenario) -> Report:
         if traces:
             _trace_fields(traces[-1], report)
             report.norm_x = _f(norm_eval(traces[-1].x, scenario.norm))
+            gaps = [t.certificate_gap for t in traces if t.certificate_gap is not None]
+            report.certificate_gap = max(gaps, default=None)
         report.stabilization = {
             "prefixes": list(table.prefixes),
             "differences": [[_f(v) for v in row] for row in table.differences],
@@ -393,9 +413,11 @@ def run(scenario: Scenario) -> Report:
 
 
 def emit_machine(report: Report) -> str:
-    """Canonical JSON form: sorted keys, full float precision, no wall time."""
+    """Canonical JSON form: sorted keys, full float precision, no wall time
+    and no certificate gap."""
     doc = asdict(report)
     doc.pop("wall_time")
+    doc.pop("certificate_gap")
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
@@ -432,6 +454,11 @@ def emit_text(report: Report) -> str:
                 f"{row['k']:>3} {row['target']:>14.8f} {row['achieved']:>14.8f} "
                 f"{row['residual']:>12.3e}{mark}"
             )
+        if report.certificate_gap is None:
+            lines.append("certificate gap: none certified (levels re-measured by rho)")
+        else:
+            lines.append(f"certificate gap: {report.certificate_gap:.3e} "
+                         "(worst upper - lower bound over the certified levels)")
     if report.norm_x is not None:
         lines.append(f"|x| = {report.norm_x:.10g}")
     if report.coefficients:

@@ -1,4 +1,4 @@
-"""Brute-force distance oracle for cross-checking the solvers in tests."""
+"""Test oracles: a brute-force distance, and the exact l2 model of a prefix."""
 
 import math
 
@@ -40,3 +40,27 @@ def rho_oracle(
             vals = np.sum(np.abs(R) ** norm.p, axis=0) ** (1.0 / norm.p)
         best = min(best, float(np.min(vals)))
     return best
+
+
+def l2_prefix_coefficients(d, u) -> list[float]:
+    """Coefficients of the l2 prefix x_N = sum lambda_k q_k on a coordinate chain.
+
+    d = (d_1..d_N) are the targets and u = (u_1..u_N) the schedule column
+    u_N^(j).  Each step is q_j = e_{j+1} + mu_j e_j with mu_j = sqrt(u_j^2 - 1),
+    so rho(x, Y_k) is the l2 norm of the coordinates above k, and the root
+    at level k only sets coordinate k+1 to +-sqrt(d_k^2 - d_{k+1}^2):
+
+        lambda_N = d_N,
+        lambda_k = sqrt(d_k^2 - d_{k+1}^2) - mu_{k+1} lambda_{k+1},
+
+    with the sign of the square root that of mu_{k+1} lambda_{k+1} (the root
+    nearer 0; + on a tie).
+    """
+    N = len(d)
+    mu = [math.sqrt(uj * uj - 1.0) for uj in u]
+    lam = [0.0] * N
+    lam[-1] = d[-1]
+    for k in range(N - 1, 0, -1):  # lam[k - 1] is lambda_k
+        a = mu[k] * lam[k]
+        lam[k - 1] = math.copysign(math.sqrt(d[k - 1] ** 2 - d[k] ** 2), a) - a
+    return lam

@@ -21,10 +21,14 @@ from lethargy.construct import (
     normalize_step,
     smallest_root,
 )
-from lethargy.distance import rho
+from lethargy.distance import default_tol, rho
 from lethargy.spaces import Chain, NormSpec, Subspace, contains, coordinate_chain, norm_eval
+from oracles import l2_prefix_coefficients
 
 L2 = NormSpec(2)
+
+# a certificate divides by a dual norm that vanishes when x lies in Y
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def closed_form_witness(d: TargetSequence, dim: int) -> np.ndarray:
@@ -168,7 +172,7 @@ def test_smallest_root_rules():
         (-1.0, 0.5, 0.5),  # set right of 0: its lower end
     ):
         for two, expect in ((False, one_sided), (True, two_sided)):
-            t = smallest_root(a * e2, e2, Y, L2, 0.5, two_sided=two)
+            t = smallest_root(a * e2, e2, Y, L2, 0.5, two_sided=two).t
             assert t == pytest.approx(expect, abs=1e-15)
     with pytest.raises(ConstructionError, match="below attainable minimum"):
         smallest_root(np.eye(3)[:, 2], e2, Y, L2, 0.5)
@@ -453,6 +457,64 @@ def test_chain_too_short_reported():
         finite_construct(chain, TargetSequence((0.5, 0.2, 0.1)))
 
 
+def certified_levels(tr, chain: Chain) -> int:
+    """Check that every certified level's bracket [lower, upper] holds an
+    independent rho(x, Y_k); return how many levels are certified."""
+    count = 0
+    for k, (res, lower) in enumerate(zip(tr.achieved, tr.lower_bounds), start=1):
+        if lower is None:
+            continue
+        fresh = rho(tr.x, chain.level(k), chain.norm).value
+        slack = default_tol(chain.norm) * max(1.0, fresh)
+        assert lower - slack <= fresh <= res.value + slack
+        assert lower <= res.value + 1e-14
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("basis", ["coordinate", "random"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_certified_levels_bracket_rho(p, basis):
+    norm = NormSpec(p)
+    chain = coordinate_chain(6, 4, norm) if basis == "coordinate" else random_chain(5, 6, 4, norm)
+    d = TargetSequence((0.9, 0.5, 0.3, 0.1))
+    tr = finite_construct(chain, d)
+    # p = 2 re-measures every level in closed form instead
+    assert certified_levels(tr, chain) == (0 if p == 2.0 else 4)
+    assert (tr.certificate_gap is None) == (p == 2.0)
+    pre = construct_prefix(chain, TargetSequence((0.9, 0.5, 0.3)), 3)
+    assert certified_levels(pre, chain) == (0 if p == 2.0 else 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_certificate_of_a_tiny_distance(p, seed):
+    # rho(x, Y_3) = 1e-8 while |x| = 1: the lower end g(x - w) stays exact
+    # where g(x) would cancel
+    norm = NormSpec(p)
+    chain = random_chain(seed, 8, 3, norm)
+    d = TargetSequence((1.0, 0.3, 1e-8))
+    tr = finite_construct(chain, d, ConstructOptions(tol=1e-12))
+    assert norm_eval(tr.x, norm) == pytest.approx(1.0)
+    assert tr.lower_bounds[2] == pytest.approx(1e-8, rel=1e-6)
+    assert tr.achieved[2].value == pytest.approx(1e-8, rel=1e-6)
+    assert certified_levels(tr, chain) == 3
+
+
+def test_finite_construct_reuses_its_solves(monkeypatch):
+    # 4 unit steps, the top level's rho, and 2 level-set ends for each of the
+    # 3 roots; recentres, the trim and the measures reuse those certificates
+    import lethargy.distance as distance_module
+
+    calls = []
+    linprog = distance_module.linprog
+    monkeypatch.setattr(distance_module, "linprog",
+                        lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+    tr = finite_construct(coordinate_chain(6, 4, NormSpec(1)), TargetSequence((0.9, 0.5, 0.3, 0.1)))
+    assert tr.max_residual <= 1e-12
+    assert len(calls) == 11
+
+
 def test_all_zero_targets_measure_every_level():
     # the same levels are measured whether or not any target is positive
     chain = coordinate_chain(3, 1, L2)
@@ -486,6 +548,43 @@ def test_prefix_is_last_rung_of_its_ladder(p, basis, targets):
         assert np.array_equal(pre.x, last.x)
         assert pre.coefficients == last.coefficients
         assert pre.coefficient_bounds == last.coefficient_bounds
+
+
+# Criterion 8's chain: l2, Y_k = span{e_1..e_k}, d_k = r^(k-1).  The prefix
+# there is exactly the scalar recursion of oracles.l2_prefix_coefficients.
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.25, 1.0 / 3.0, 0.4, 0.45])
+def test_l2_prefix_matches_its_exact_model(ratio):
+    chain = coordinate_chain(12, 10, L2)
+    d = TargetSequence((1.0,), tail="geometric", ratio=ratio)
+    for N in range(2, 9):
+        tr = construct_prefix(chain, d, N, ConstructOptions(tol=1e-8))
+        u = build_schedule(d, N).u[:, N - 1]
+        model = l2_prefix_coefficients([d.value(j) for j in range(1, N + 1)], u)
+        assert np.max(np.abs(np.array(tr.coefficients) - model)) <= 1e-12
+
+
+def test_criterion_8_bound_is_unreachable_at_level_N_minus_1():
+    """|lambda_{N-1}| >= sqrt(d_{N-1}^2 - d_N^2) - mu_N d_N.  Since tau never
+    increases, the entries u_n^(N) = 1 + tau_n / (2^N d_N) of every column
+    n >= N are at most u_N^(N), so mu_N <= sqrt(u_N^(N)^2 - 1).  That lower
+    bound already exceeds the recorded bound d_{N-1} - d_N(1 - 2^(1-N)) for
+    N = 4..8: no schedule column meets it."""
+    chain = coordinate_chain(12, 10, L2)
+    d = TargetSequence((1.0,), tail="geometric", ratio=1.0 / 3.0)
+    sched = build_schedule(d, 8)
+    for N in range(4, 9):
+        dN1, dN = d.value(N - 1), d.value(N)
+        u_top = sched.u[N - 1, N - 1]
+        assert np.max(sched.u[N - 1, N - 1:]) == u_top
+        lower = math.sqrt(dN1**2 - dN**2) - math.sqrt(u_top**2 - 1.0) * dN
+        recorded = dN1 - dN * (1.0 - 2.0 ** (1 - N))
+        assert lower > recorded
+        lam = construct_prefix(chain, d, N, ConstructOptions(tol=1e-8)).coefficients[N - 2]
+        assert abs(lam) >= lower - 1e-12
+        if N == 4:
+            assert (lower, recorded) == pytest.approx((0.0857, 0.0787), abs=5e-5)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])

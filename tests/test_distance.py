@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lethargy.distance import (
+    DistanceResult,
     SolverError,
     best_approximant,
     default_tol,
@@ -16,6 +17,21 @@ from lethargy.spaces import NormSpec, Subspace, coordinate_chain, norm_eval
 from oracles import rho_oracle
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
+
+# a certificate divides by a dual norm that vanishes when x lies in Y
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def assert_certifies(cert: DistanceResult, x, Y: Subspace, norm: NormSpec, value: float, tol: float):
+    """cert's dual g has |g|_* = 1 and g|Y = 0, and g(x - w) and |x - w|
+    both equal value within tol, w the witness: a bracket of rho(x, Y)."""
+    g = cert.dual(Y, norm)
+    assert g is not None
+    assert np.max(np.abs(Y.basis.T @ g), initial=0.0) <= 1e-12
+    assert norm_eval(g, NormSpec(norm.dual_p)) == pytest.approx(1.0, abs=1e-12)
+    r = x - cert.witness(Y)
+    assert float(g @ r) == pytest.approx(value, abs=tol)
+    assert norm_eval(r, norm) == pytest.approx(value, abs=tol)
 
 
 def test_rho_l2_projection():
@@ -104,6 +120,30 @@ def test_witness_certifies_value():
             res = rho(x, Y, norm)
             assert norm_eval(x - res.witness(Y), norm) <= res.value + max(res.achieved_tol, 1e-9)
             assert res.value <= norm_eval(x, norm) + 1e-12
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+def test_rho_certificate_on_every_route(p):
+    rng = np.random.default_rng(41)
+    norm = NormSpec(p)
+    for dim, r in ((4, 0), (4, 1), (6, 3), (9, 5)):
+        Y = Subspace(rng.standard_normal((dim, r))) if r else Subspace.zero(dim)
+        for scale in (1.0, 1e-6, 1e3):
+            x = scale * rng.standard_normal(dim)
+            res = rho(x, Y, norm)
+            tol = max(res.achieved_tol, 1e-12) * max(1.0, res.value)
+            assert_certifies(res, x, Y, norm, res.value, tol)
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+def test_rho_of_a_point_in_the_subspace_has_no_certificate(p):
+    norm = NormSpec(p)
+    Y = Subspace(np.eye(4)[:, :2])
+    for x in (np.array([1.0, -2.0, 0.0, 0.0]), np.zeros(4)):
+        res = rho(x, Y, norm)
+        assert res.value == pytest.approx(0.0, abs=1e-12)
+        assert res.dual(Y, norm) is None
+    assert rho(np.zeros(3), Subspace.zero(3), norm).dual(Subspace.zero(3), norm) is None
 
 
 small_vec = st.lists(st.floats(-5, 5, allow_nan=False), min_size=3, max_size=6)
@@ -196,7 +236,8 @@ def test_level_endpoint_l2_is_quadratic_root():
         roots = np.roots([qp @ qp, 2.0 * (xp @ qp), xp @ xp - d * d]).real
         lo = level_endpoint(x, q, Y, NormSpec(2), d, upper=False)
         hi = level_endpoint(x, q, Y, NormSpec(2), d, upper=True)
-        assert (lo, hi) == pytest.approx((roots.min(), roots.max()), rel=1e-12, abs=1e-12)
+        assert lo.certificate is None and hi.certificate is None  # the quadratic solves for t only
+        assert (lo.t, hi.t) == pytest.approx((roots.min(), roots.max()), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
@@ -207,10 +248,12 @@ def test_level_endpoint_meets_level_and_is_extreme(p):
         Y, x, q, d = level_instance(rng, p)
         lo = level_endpoint(x, q, Y, norm, d, upper=False)
         hi = level_endpoint(x, q, Y, norm, d, upper=True)
-        assert lo < 0.0 < hi  # d > rho(x, Y): 0 lies inside the level set
-        for t, outside in ((lo, lo - 1e-6), (hi, hi + 1e-6)):
+        assert lo.t < 0.0 < hi.t  # d > rho(x, Y): 0 lies inside the level set
+        for end in (lo, hi):
+            t = end.t
             assert rho(x + t * q, Y, norm).value == pytest.approx(d, abs=1e-9)
-            assert rho(x + outside * q, Y, norm).value > d
+            assert rho(x + (t + math.copysign(1e-6, t)) * q, Y, norm).value > d
+            assert_certifies(end.certificate, x + t * q, Y, norm, d, 1e-9)
 
 
 @pytest.mark.parametrize("p", P_VALUES)
@@ -238,7 +281,9 @@ def test_level_endpoint_tangent(p):
             lo = level_endpoint(x, q, Y, norm, d, upper=False)
             hi = level_endpoint(x, q, Y, norm, d, upper=True)
             assert lo is not None and hi is not None
-            assert lo <= hi + 1e-6
-            for t in (lo, hi):
-                assert rho(x + t * q, Y, norm).value == pytest.approx(floor, abs=1e-7)
+            assert lo.t <= hi.t + 1e-6
+            for end in (lo, hi):
+                assert rho(x + end.t * q, Y, norm).value == pytest.approx(floor, abs=1e-7)
+                if end.certificate is not None:
+                    assert_certifies(end.certificate, x + end.t * q, Y, norm, floor, 1e-7)
         assert level_endpoint(x, q, Y, norm, floor - 1e-4, upper=True) is None

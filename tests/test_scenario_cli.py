@@ -1,8 +1,13 @@
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lethargy import cli
 from lethargy.scenario import (
@@ -10,6 +15,7 @@ from lethargy.scenario import (
     ScenarioError,
     emit,
     emit_machine,
+    emit_text,
     load_scenario,
     parse_report,
     parse_scenario,
@@ -119,6 +125,19 @@ def test_emit_text_contains_table():
     assert "wall time" in text
     with pytest.raises(ValueError):
         emit(rep, "xml")
+
+
+@pytest.mark.parametrize("norm_p, certified", [(1, True), ("inf", True), (2, False)])
+def test_text_report_states_the_certificate_gap(norm_p, certified):
+    rep = run(parse_scenario(base_doc(norm_p=norm_p)))
+    gap_lines = [ln for ln in emit_text(rep).splitlines() if ln.startswith("certificate gap:")]
+    assert len(gap_lines) == 1
+    if certified:
+        assert 0.0 <= rep.certificate_gap <= 1e-12
+        assert f"{rep.certificate_gap:.3e}" in gap_lines[0]
+    else:
+        assert rep.certificate_gap is None and "none certified" in gap_lines[0]
+    assert "certificate_gap" not in json.loads(emit_machine(rep))  # text report only
 
 
 def test_check_only_with_subspace_samples():
@@ -233,11 +252,19 @@ def _exit_code(argv):
           "subspace_condition": {"k": 2}}, []),
         ({"mode": "check_only", "subspace_condition": {"k": 2, "n_samples": "x"}}, []),
         ({"mode": "check_only", "subspace_condition": {"k": 2, "n_samples": -1}}, []),
+        ({"targets": {"values": [0.5], "tail": "geometric", "ratio": 0.3}, "mode": "sequence",
+          "N_max": 9}, []),
+        ({"targets": {"values": [0.5], "tail": "geometric", "ratio": 0.3}, "mode": "prefix",
+          "N": 3}, []),
+        ({"targets": {"values": [0.5], "tail": "geometric", "ratio": 0.3}}, []),
+        ({"mode": "check_only", "seed": -1, "subspace_condition": {"k": 2}}, []),
+        ({"mode": "check_only", "subspace_condition": {"k": 2}}, ["--seed", "-1"]),
     ],
     ids=["N=0", "N_max=0", "N=x", "N=2.5", "tolerance=-1", "tolerance=nan",
          "--tolerance=-1", "--tolerance=nan", "--tolerance=x",
          "values=[a]", "values=3", "ratio=x", "k=x", "k=1", "k>levels", "d_k=0",
-         "n_samples=x", "n_samples=-1"],
+         "n_samples=x", "n_samples=-1", "N_max>chain", "N>chain",
+         "finite-geometric", "seed=-1", "--seed=-1"],
 )
 def test_cli_malformed_numbers_exit_2(tmp_path, capsys, over, extra):
     doc = base_doc(**over)
@@ -254,3 +281,54 @@ def test_bundled_scenario_exit_code(name, capsys):
     assert cli.main(["demo", name]) == expected
     capsys.readouterr()
 
+
+
+# -- scenario fuzz -------------------------------------------------------------
+
+FUZZ_VALUE = st.one_of(
+    st.integers(-2, 8),
+    st.floats(-2.0, 9.0),
+    st.sampled_from([math.nan, math.inf, 0.0, 1e-300]),
+    st.text(max_size=3),
+    # words of the schema, so that edits also reach valid combinations
+    st.sampled_from(["finite", "prefix", "sequence", "check_only", "zero", "geometric",
+                     "coordinate", "polynomial_grid", "inf", "1"]),
+    st.none(),
+    st.lists(st.one_of(st.integers(-1, 3), st.floats(-1.0, 2.0)), max_size=4),
+)
+# (section or None, field) of the documents below
+FUZZ_FIELDS = [
+    (None, key) for key in ("version", "ambient_dim", "norm_p", "chain", "targets", "mode",
+                            "tolerance", "N", "N_max", "seed", "subspace_condition")
+] + [("chain", "generator"), ("chain", "n_levels"), ("targets", "values"),
+     ("targets", "tail"), ("targets", "ratio"), ("subspace_condition", "k"),
+     ("subspace_condition", "n_samples")]
+FUZZ_BASES = [
+    base_doc(),
+    base_doc(norm_p=1, mode="prefix", N=2, targets={"values": [0.5, 0.2], "tail": "zero"}),
+    base_doc(norm_p="inf", mode="sequence", N_max=3, ambient_dim=5,
+             chain={"generator": "coordinate", "n_levels": 3},
+             targets={"values": [0.5], "tail": "geometric", "ratio": 0.3}),
+    base_doc(mode="check_only", subspace_condition={"k": 2, "n_samples": 3}),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FUZZ_BASES), st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS), FUZZ_VALUE),
+                                              min_size=1, max_size=3))
+def test_cli_fuzzed_scenarios_exit_with_a_code(base, edits):
+    """Any field of a valid document, set to any JSON value, gives exit 0-3."""
+    doc = json.loads(json.dumps(base))
+    for (section, key), value in edits:
+        if section is None:
+            doc[key] = value
+        elif isinstance(doc.get(section), dict):
+            doc[section][key] = value
+    command = {"sequence": "sequence", "check_only": "check"}.get(base["mode"], "construct")
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/s.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = _exit_code([command, path])
+    assert code in (0, 1, 2, 3)
