@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog
 
-from .distance import SolverError, rho
+from .distance import SolverError, linprog, rho
 from .spaces import NormSpec, Subspace, as_vector, norm_eval
 
 FUNC_TOL = 1e-8
@@ -99,7 +98,7 @@ def _face_minimizer(x1: np.ndarray, Q: Subspace, norm: NormSpec, x2, func_tol: f
     def solve(c):
         out = linprog(np.concatenate([c, -c]), A_ub=A_ub, b_ub=b_ub,
                       A_eq=np.hstack([Q.basis.T, -Q.basis.T]), b_eq=np.zeros(Q.rank),
-                      bounds=(0, None if norm.is_sup else 1), method="highs")
+                      bounds=(0, None if norm.is_sup else 1))
         if not out.success:
             raise SolverError(f"norming linear program failed: {out.message}")
         return out.x[:m] - out.x[m:], out.fun

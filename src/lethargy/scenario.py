@@ -199,12 +199,15 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
     for key, value in counts.items():
         if value < 1:
             raise ScenarioError(f"{key} must be >= 1, got {value}")
-    levels_key = {"prefix": "N", "sequence": "N_max"}.get(mode)
-    if levels_key is not None:
+    # the levels each mode builds: one per target value, N, or N_max
+    levels = {"finite": ("targets", len(targets)), "prefix": ("N", counts.get("N")),
+              "sequence": ("N_max", counts.get("N_max"))}.get(mode)
+    if levels is not None:
+        name, N = levels
         try:
-            _levels_to_build(chain, targets, counts[levels_key])
+            _levels_to_build(chain, targets, N)
         except ConstructionError as exc:
-            raise ScenarioError(f"{levels_key} = {counts[levels_key]}: {exc}") from exc
+            raise ScenarioError(f"{name} = {N}: {exc}") from exc
     sub = doc.get("subspace_condition")
     if sub is not None:
         if not isinstance(sub, dict):

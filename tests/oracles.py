@@ -1,5 +1,6 @@
-"""Test oracles: a brute-force distance, and the exact l2 model of a prefix."""
+"""Test oracles: brute-force distances, and the exact l2 model of a prefix."""
 
+import itertools
 import math
 
 import numpy as np
@@ -40,6 +41,48 @@ def rho_oracle(
             vals = np.sum(np.abs(R) ** norm.p, axis=0) ** (1.0 / norm.p)
         best = min(best, float(np.min(vals)))
     return best
+
+
+def rho_vertex_oracle(x, Y: Subspace, norm: NormSpec) -> float:
+    """Exact rho(x, Y) for p in {1, inf} by vertex enumeration, no LP solver.
+
+    The best approximation problem is a linear program whose optimum sits at
+    a vertex (Cheney, Introduction to Approximation Theory, ch. 2):
+
+      * p = 1    r = rank residual entries vanish: solve B_S c = x_S for
+                 every r-subset S of the rows
+      * p = inf  r + 1 residual entries tie at +-t: solve
+                 B_S c + sigma_S t = x_S for every (r + 1)-subset S and sign
+                 vector sigma (sigma_1 = +1, since -sigma gives the same c)
+
+    Each nonsingular system gives a candidate c, and rho is the least
+    |x - B c| over them.
+    """
+    x = as_vector(x, dim=Y.ambient_dim)
+    if not (norm.p == 1.0 or norm.is_sup):
+        raise ValueError("rho_vertex_oracle supports p in {1, inf} only")
+    m, r = Y.ambient_dim, Y.rank
+    if r == 0:
+        return norm_eval(x, norm)
+    if r == m:
+        return 0.0
+    B = Y.basis
+    if norm.is_sup:
+        rows = np.array(list(itertools.combinations(range(m), r + 1)))
+        signs = np.array([(1.0, *s) for s in itertools.product((1.0, -1.0), repeat=r)])
+        M = np.concatenate([
+            np.repeat(B[rows], len(signs), axis=0),
+            np.tile(signs, (len(rows), 1))[:, :, None],
+        ], axis=2)
+        rhs = np.repeat(x[rows], len(signs), axis=0)
+    else:
+        rows = np.array(list(itertools.combinations(range(m), r)))
+        M, rhs = B[rows], x[rows]
+    solvable = np.linalg.matrix_rank(M) == M.shape[-1]
+    C = np.linalg.solve(M[solvable], rhs[solvable][:, :, None])[:, :r, 0]
+    R = x[None, :] - C @ B.T
+    vals = np.max(np.abs(R), axis=1) if norm.is_sup else np.sum(np.abs(R), axis=1)
+    return float(np.min(vals))
 
 
 def l2_prefix_coefficients(d, u) -> list[float]:

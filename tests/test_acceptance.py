@@ -32,7 +32,7 @@ from lethargy.functionals import (
 )
 from lethargy.scenario import emit_machine, load_scenario, parse_report, run
 from lethargy.spaces import NormSpec, Subspace, coordinate_chain, norm_eval
-from oracles import rho_oracle
+from oracles import rho_vertex_oracle
 
 
 def verdict(num, name, ok, detail=""):
@@ -113,12 +113,10 @@ def test_criterion_2_non_hilbert_construction():
     worst_lp = 0.0
     for chain, d, tr in instances:
         for k in range(1, len(d) + 1):
+            # the exact vertex oracle shares no code with the LP solver
             Y = chain.level(k)
-            if Y.rank <= 2:
-                v = rho(tr.x, Y, chain.norm).value
-                steps = 6001 if Y.rank == 1 else 4001  # spacing ~1e-3 on [-3, 3]
-                o = rho_oracle(tr.x, Y, chain.norm, grid_radius=3.0, grid_steps=steps)
-                worst_lp = max(worst_lp, abs(v - o))
+            v = rho(tr.x, Y, chain.norm).value
+            worst_lp = max(worst_lp, abs(v - rho_vertex_oracle(tr.x, Y, chain.norm)))
     ok = worst <= 1e-5 and worst_lp <= 1e-3 and elapsed < 30.0
     assert verdict(
         2, "non-Hilbert construction", ok,

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lethargy.distance as distance_module
+import lethargy.functionals as functionals_module
+from lethargy.construct import finite_construct
 from lethargy.distance import (
     DistanceResult,
     SolverError,
@@ -14,7 +18,8 @@ from lethargy.distance import (
     rho,
 )
 from lethargy.spaces import NormSpec, Subspace, coordinate_chain, norm_eval
-from oracles import rho_oracle
+from oracles import rho_oracle, rho_vertex_oracle
+from test_acceptance import non_hilbert_instances
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
 
@@ -80,6 +85,28 @@ def test_rho_oracle_examples():
     Yd = Subspace(np.array([[1.0], [1.0]]))
     assert rho_oracle([1.0, -1.0], Yd, NormSpec(math.inf)) == pytest.approx(1.0, abs=0.01)
     assert rho_oracle([0.0, 0.0], Yd, NormSpec(2)) == 0.0
+
+
+def test_rho_vertex_oracle_examples():
+    Yd = Subspace(np.array([[1.0], [1.0]]))
+    assert rho_vertex_oracle([1.0, -1.0], Yd, NormSpec(1)) == pytest.approx(2.0, abs=1e-15)
+    assert rho_vertex_oracle([1.0, -1.0], Yd, NormSpec(math.inf)) == pytest.approx(1.0, abs=1e-15)
+    assert rho_vertex_oracle([3.0, -4.0], Subspace.zero(2), NormSpec(1)) == 7.0
+    assert rho_vertex_oracle([3.0, -4.0], Subspace(np.eye(2)), NormSpec(math.inf)) == 0.0
+    with pytest.raises(ValueError):
+        rho_vertex_oracle([1.0, 0.0], Yd, NormSpec(2))
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_rho_vertex_oracle_agrees_at_every_rank(p):
+    rng = np.random.default_rng(12)
+    norm = NormSpec(p)
+    for _ in range(40):
+        dim = int(rng.integers(2, 8))
+        r = int(rng.integers(1, dim))
+        Y = Subspace(rng.standard_normal((dim, r)))
+        x = rng.standard_normal(dim)
+        assert rho_vertex_oracle(x, Y, norm) == pytest.approx(rho(x, Y, norm).value, abs=1e-12)
 
 
 def test_rho_oracle_guards():
@@ -287,3 +314,68 @@ def test_level_endpoint_tangent(p):
                 if end.certificate is not None:
                     assert_certifies(end.certificate, x + end.t * q, Y, norm, floor, 1e-7)
         assert level_endpoint(x, q, Y, norm, floor - 1e-4, upper=True) is None
+
+
+# -- the LP entry point --------------------------------------------------------
+
+
+def recorded_lps(monkeypatch, module, run) -> list:
+    """The (args, kwargs) of every LP that run() solves through module.linprog."""
+    calls = []
+    solve = module.linprog
+    monkeypatch.setattr(module, "linprog", lambda *a, **kw: calls.append((a, kw)) or solve(*a, **kw))
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def level_set_lps():
+    # below, at and above the minimum over t: empty, tangent and proper sets
+    rng = np.random.default_rng(35)
+    for i in range(40):
+        norm = NormSpec(1.0 if i % 2 == 0 else math.inf)
+        Y, x, q, _ = level_instance(rng, norm.p, dim=int(rng.integers(3, 8)), rank=int(rng.integers(1, 3)))
+        floor = rho(x, Subspace(np.column_stack([Y.basis, q])), norm).value
+        for d in (0.5 * floor, floor, 1.5 * floor + 0.1):
+            for upper in (True, False):
+                level_endpoint(x, q, Y, norm, d, upper)
+
+
+def norming_lps():
+    rng = np.random.default_rng(36)
+    for i in range(24):
+        norm = NormSpec(1.0 if i % 2 == 0 else math.inf)
+        r = i % 4
+        dim = r + int(rng.integers(2, 5))  # x2 outside span[{x1} + Q]
+        Q = Subspace(rng.standard_normal((dim, r))) if r else Subspace.zero(dim)
+        x1, x2 = rng.standard_normal(dim), rng.standard_normal(dim)
+        functionals_module.norming_functional(x1, Q, norm)
+        functionals_module.norming_functional(x1, Q, norm, x2=x2)
+
+
+@pytest.mark.parametrize("family", ["criterion 2", "level sets", "norming"])
+def test_linprog_matches_scipy_linprog(monkeypatch, family):
+    # distance.linprog calls HiGHS directly: the same statuses, and at an
+    # optimum the same x, objective and row duals as scipy's linprog, bit for bit
+    instances, _ = non_hilbert_instances()  # built and cached outside the recording
+    module, run = {
+        "criterion 2": (distance_module, lambda: [finite_construct(c, d) for c, d, _ in instances]),
+        "level sets": (distance_module, level_set_lps),
+        "norming": (functionals_module, norming_lps),
+    }[family]
+    calls = recorded_lps(monkeypatch, module, run)
+    if family == "norming":  # bounds as one pair, and as a list of pairs
+        calls += [(a, {**kw, "bounds": [kw["bounds"]] * len(a[0])}) for a, kw in calls]
+    statuses = []
+    for args, kwargs in calls:
+        ours = distance_module.linprog(*args, **kwargs)
+        ref = scipy.optimize.linprog(*args, method="highs", **kwargs)
+        assert ours.status == ref.status
+        statuses.append(ours.status)
+        if ref.status == 0:
+            assert np.array_equal(ours.x, ref.x)
+            assert ours.fun == ref.fun
+            assert np.array_equal(ours.ineqlin.marginals, ref.ineqlin.marginals)
+    assert 0 in statuses
+    if family == "level sets":
+        assert 2 in statuses  # the empty sets

@@ -185,16 +185,17 @@ def test_cli_input_error_exit_codes(tmp_path, capsys):
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
-    # targets longer than the chain can carry -> construction error -> exit 3
+    # a valid document whose construction misses its tolerance -> exit 3
     doc = base_doc(
-        ambient_dim=3,
-        chain={"generator": "coordinate", "n_levels": 1},
-        targets={"values": [0.5, 0.4, 0.3], "tail": "zero"},
+        norm_p=1,
+        chain={"generator": "coordinate", "n_levels": 3},
+        targets={"values": [0.7, 0.4, 0.1], "tail": "zero"},
+        tolerance=1e-300,
     )
-    p = tmp_path / "short.json"
+    p = tmp_path / "strict.json"
     p.write_text(json.dumps(doc))
     assert cli.main(["construct", p.as_posix()]) == 3
-    capsys.readouterr()
+    assert "tolerance not met" in capsys.readouterr().err
 
 
 def test_cli_demo_listing_and_run(capsys):
@@ -259,12 +260,14 @@ def _exit_code(argv):
         ({"targets": {"values": [0.5], "tail": "geometric", "ratio": 0.3}}, []),
         ({"mode": "check_only", "seed": -1, "subspace_condition": {"k": 2}}, []),
         ({"mode": "check_only", "subspace_condition": {"k": 2}}, ["--seed", "-1"]),
+        ({"ambient_dim": 3, "chain": {"generator": "coordinate", "n_levels": 1},
+          "targets": {"values": [0.5, 0.4, 0.3], "tail": "zero"}}, []),
     ],
     ids=["N=0", "N_max=0", "N=x", "N=2.5", "tolerance=-1", "tolerance=nan",
          "--tolerance=-1", "--tolerance=nan", "--tolerance=x",
          "values=[a]", "values=3", "ratio=x", "k=x", "k=1", "k>levels", "d_k=0",
          "n_samples=x", "n_samples=-1", "N_max>chain", "N>chain",
-         "finite-geometric", "seed=-1", "--seed=-1"],
+         "finite-geometric", "seed=-1", "--seed=-1", "targets>chain"],
 )
 def test_cli_malformed_numbers_exit_2(tmp_path, capsys, over, extra):
     doc = base_doc(**over)
