@@ -94,11 +94,7 @@ DEFAULT_TOLS = {"l2": 1e-10, "lp_linear": 1e-8, "lp_general": 1e-7}
 
 
 class SolverError(RuntimeError):
-    """A distance solver failed to converge; carries the best bound found."""
-
-    def __init__(self, message: str, best_value: float | None = None):
-        super().__init__(message)
-        self.best_value = best_value
+    """A distance solver failed to converge."""
 
 
 def default_tol(norm: NormSpec) -> float:
@@ -190,7 +186,7 @@ def _lp_dual(res, m: int) -> np.ndarray:
     return lam[:m] - lam[m:2 * m]
 
 
-def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec, tol: float) -> DistanceResult:
+def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
     # Solve on the part of x orthogonal to Y, scaled to norm 1: rho only
     # shifts and scales with it, and HiGHS's absolute tolerances then act
     # relative to rho, which keeps a small rho (tiny x, or x near Y) accurate.
@@ -202,11 +198,11 @@ def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec, tol: float) -> Dist
         raise SolverError(f"linear program failed: {res.message}")
     c = c0 + res.x[: Y.rank] * scale
     value = norm_eval(x - Y.basis @ c, norm)
-    return DistanceResult(value=value, witness_coeffs=c, achieved_tol=tol, solver="linear_program",
-                          dual_direction=_lp_dual(res, x.size))
+    return DistanceResult(value=value, witness_coeffs=c, achieved_tol=default_tol(norm),
+                          solver="linear_program", dual_direction=_lp_dual(res, x.size))
 
 
-def _rho_convex(x: np.ndarray, Y: Subspace, norm: NormSpec, tol: float) -> DistanceResult:
+def _rho_convex(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
     p = norm.p
     B = Y.basis
     c0 = B.T @ x  # l2 projection is a good convex start
@@ -229,18 +225,14 @@ def _rho_convex(x: np.ndarray, Y: Subspace, norm: NormSpec, tol: float) -> Dista
     r = x - B @ c
     value = norm_eval(r, norm)
     if not res.success and res.status != 2:  # status 2: precision loss at optimum
-        raise SolverError(f"convex descent failed: {res.message}", best_value=value)
-    return DistanceResult(value=value, witness_coeffs=c, achieved_tol=tol, solver="convex_descent",
-                          dual_direction=_norming_direction(r, norm))
+        raise SolverError(f"convex descent failed: {res.message}")
+    return DistanceResult(value=value, witness_coeffs=c, achieved_tol=default_tol(norm),
+                          solver="convex_descent", dual_direction=_norming_direction(r, norm))
 
 
-def rho(x, Y: Subspace, norm: NormSpec, tol: float | None = None) -> DistanceResult:
+def rho(x, Y: Subspace, norm: NormSpec) -> DistanceResult:
     """Distance rho(x, Y) with a best-approximant witness."""
     x = as_vector(x, dim=Y.ambient_dim)
-    if tol is None:
-        tol = default_tol(norm)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if Y.rank == 0:
         return DistanceResult(
             value=norm_eval(x, norm),
@@ -252,13 +244,13 @@ def rho(x, Y: Subspace, norm: NormSpec, tol: float | None = None) -> DistanceRes
     if norm.p == 2.0:
         return _rho_l2(x, Y)
     if norm.p == 1.0 or norm.is_sup:
-        return _rho_linprog(x, Y, norm, tol)
-    return _rho_convex(x, Y, norm, tol)
+        return _rho_linprog(x, Y, norm)
+    return _rho_convex(x, Y, norm)
 
 
-def best_approximant(x, Y: Subspace, norm: NormSpec, tol: float | None = None) -> np.ndarray:
+def best_approximant(x, Y: Subspace, norm: NormSpec) -> np.ndarray:
     """The nearest point of Y to x (one of them, for non-strictly-convex norms)."""
-    return rho(x, Y, norm, tol).witness(Y)
+    return rho(x, Y, norm).witness(Y)
 
 
 def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> Endpoint | None:

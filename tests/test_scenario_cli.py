@@ -55,6 +55,25 @@ def test_parse_polynomial_grid_generator():
     assert [Y.rank for Y in scn.chain.levels] == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("n_levels", [14, 16])
+def test_polynomial_grid_high_degree_builds(tmp_path, capsys, n_levels):
+    # degrees at which monomial Vandermonde columns lose rank to rounding
+    doc = base_doc(
+        ambient_dim=64,
+        norm_p="inf",
+        chain={"generator": "polynomial_grid", "n_levels": n_levels, "grid_points": 64},
+        targets={"values": [0.8 * 0.7**k for k in range(n_levels)], "tail": "zero"},
+    )
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc))
+    assert _exit_code(["construct", p.as_posix()]) == 0
+    capsys.readouterr()
+    levels = parse_scenario(doc).chain.levels
+    assert [Y.rank for Y in levels] == list(range(1, n_levels + 1))
+    for lo, hi in zip(levels, levels[1:]):
+        assert np.max(np.abs(hi.residual(lo.basis))) <= 1e-14
+
+
 def test_polynomial_grid_requires_sup_norm():
     doc = base_doc(chain={"generator": "polynomial_grid", "n_levels": 2, "grid_points": 4})
     with pytest.raises(ScenarioError, match="inf"):
