@@ -214,6 +214,12 @@ def normalize_step(chain: Chain, n: int) -> np.ndarray:
     Built by subtracting a best approximant: pick a basis direction of
     Y_{n+1} outside Y_n, remove its nearest point of Y_n, normalize.
     """
+    return _unit_step(chain, n)[0]
+
+
+def _unit_step(chain: Chain, n: int) -> tuple[np.ndarray, DistanceResult]:
+    """normalize_step's y with the certificate of rho(y, Y_n) = 1, from the
+    one solve that builds y: witness 0, and the solve's dual, oriented as y."""
     Yn = chain.level(n)
     Ynext = chain.level(n + 1)
     if Ynext.rank <= Yn.rank:
@@ -221,15 +227,23 @@ def normalize_step(chain: Chain, n: int) -> np.ndarray:
     resid = Ynext.basis - (Yn.basis @ (Yn.basis.T @ Ynext.basis) if Yn.rank else 0.0)
     col = int(np.argmax(np.linalg.norm(np.atleast_2d(resid), axis=0)))
     z = Ynext.basis[:, col]
-    v = best_approximant(z, Yn, chain.norm)
-    y = z - v
+    res = rho(z, Yn, chain.norm)
+    y = z - res.witness(Yn)
     ny = norm_eval(y, chain.norm)
     if ny <= 1e-12:
         raise ConstructionError(f"degenerate step at level {n}: residual norm {ny:.3e}")
     y = y / ny
     # deterministic orientation
-    i = int(np.argmax(np.abs(y)))
-    return y if y[i] >= 0 else -y
+    sign = 1.0 if y[int(np.argmax(np.abs(y)))] >= 0 else -1.0
+    return sign * y, replace(res, value=1.0, witness_coeffs=np.zeros(Yn.rank),
+                             dual_direction=sign * res.dual_direction)
+
+
+def _scaled(cert: DistanceResult, a: float, shift=0.0) -> DistanceResult:
+    """Certificate of rho(a y + w, Y) = a rho(y, Y) for a >= 0 and w in Y with
+    coordinates shift, from that of rho(y, Y): the witness scales and
+    shifts, and the dual still holds."""
+    return replace(cert, value=a * cert.value, witness_coeffs=a * cert.witness_coeffs + shift)
 
 
 def smallest_root(
@@ -240,15 +254,17 @@ def smallest_root(
     The level set {t : rho(x + t q, Y) <= target} is an interval [a, b]
     (convexity).  When it misses 0 the nearer end is returned; when it holds
     0 the answer is b one-sided, else the end of smaller magnitude (b on
-    ties).  The certificate is level_endpoint's, at x + t q.  Raises when the
-    set is empty.
+    ties).  One-sided with |x| < target, 0 lies inside the set, since
+    rho(x, Y) <= |x|, so b is returned without solving for a.  The
+    certificate is level_endpoint's, at x + t q.  Raises when the set is
+    empty.
     """
     b = level_endpoint(x, q, Y, norm, target, upper=True)
     if b is None:
         raise ConstructionError(
             f"target {target:.9g} below attainable minimum of rho(x + t q, Y)"
         )
-    if b.t < 0.0:
+    if b.t < 0.0 or (not two_sided and norm_eval(x, norm) < target):
         return b
     a = level_endpoint(x, q, Y, norm, target, upper=False)
     if a is None:  # tangent within tolerance on one side only: a single point
@@ -267,6 +283,7 @@ def smallest_root(
 class FamilyMember:
     q: np.ndarray
     mu: float  # coordinate along the within-Q2 search direction (0 when u == v)
+    certificate: DistanceResult  # of rho(q, Q2) = v_m, with witness mu s
 
 
 @dataclass(frozen=True)
@@ -301,6 +318,8 @@ def interpolating_family(
     (so the Q2 distance is exactly v_m) and s is a unit direction of Q2
     outside Q1; lambda_m is the smallest root of the convex coercive map
     lambda -> rho(v_m y + lambda s, Q1) = u_m, from one level-set solve.
+    Each member carries the certificate of rho(q_m, Q2) = v_m: y's, scaled
+    by v_m, with witness lambda_m s.
     """
     u = [float(t) for t in u]
     v = [float(t) for t in v]
@@ -316,7 +335,7 @@ def interpolating_family(
             raise ValueError("nesting hypothesis violated")
 
     chain23 = Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q2, Q3))
-    y = normalize_step(chain23, 1)
+    y, y_cert = _unit_step(chain23, 1)
     if within_direction is not None:
         s = as_vector(within_direction, dim=Q3.ambient_dim)
         if not contains(Q2, s, 1e-8) or contains(Q1, s, 1e-8):
@@ -327,10 +346,12 @@ def interpolating_family(
         s = normalize_step(chain12, 1)
 
     z = y + s
+    s_coeffs = Q2.basis.T @ s
     members = []
     for um, vm in zip(u, v):
         lam = smallest_root(vm * y, s, Q1, norm, um, two_sided=False).t
-        members.append(FamilyMember(q=vm * y + lam * s, mu=lam))
+        members.append(FamilyMember(q=vm * y + lam * s, mu=lam,
+                                    certificate=_scaled(y_cert, vm, lam * s_coeffs)))
     return InterpolationFamily(
         z=z,
         members=tuple(members),
@@ -509,7 +530,8 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
              recentre: bool) -> ConstructionTrace:
     """x = sum lambda_k q_k with rho(x, Y_k) = d_k for k <= Np = len(steps).
 
-    Backward pass: x = d_Np q_Np, then for k = Np-1..1 add the root lambda_k
+    steps holds (q_k, certificate of rho(q_k, Y_k) = 1) pairs.  Backward
+    pass: x = d_Np q_Np, then for k = Np-1..1 add the root lambda_k
     of rho(x + lambda q_k, Y_k) = d_k.  With recentre (finite mode) x is
     first moved to its best-approximant residual in Y_{k+1}, which keeps the
     distances already achieved, the root is taken one-sided, and a last trim
@@ -517,32 +539,39 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
     two-sided and each coefficient is recorded against its bound
     d_k - d_{k+1}(1 - 2^-k).
 
-    Each root comes with the certificate of its solve, and the top level has
-    one rho call before the pass.  Every later change to x lies in Y_k, so
-    level k's certificate serves the recentre in Y_k, the trim in Y_1 and the
-    measure of level k at the final x (see _measure), with no further solve.
+    Each root comes with the certificate of its solve.  The top level takes
+    q_Np's, scaled by d_Np, with no solve; for 1 < p < inf it keeps one rho
+    call.  Every later change to x lies in Y_k, so level k's certificate
+    serves the recentre in Y_k, the trim in Y_1 and the measure of level k
+    at the final x (see _measure), with no further solve.
     At p = 2 the certificates go unused: the closed-form rho recentres and
     re-measures at no solve.  Levels 1..min(N, len(chain) + 1) are measured,
     and the 10 tol gate checks both ends of every certified bracket.
     """
     norm = chain.norm
     certify = norm.p != 2.0
+    # The convex route's step certificates are loose, so for 1 < p < inf the
+    # top level is measured afresh; exact distances there (ROADMAP item 1)
+    # remove this exception.
+    exact_route = norm.p == 1.0 or norm.is_sup
     Np = len(steps)
+    qs = [q for q, _ in steps]
     lambdas = [0.0] * Np
     x = np.zeros(chain.ambient_dim)
     solved = {}  # level -> (x after its solve, rho there with its certificate)
     if Np:
         lambdas[-1] = d.value(Np)
-        x = d.value(Np) * steps[-1]
+        x = d.value(Np) * qs[-1]
         if certify:
-            solved[Np] = (x, rho(x, chain.level(Np), norm))
+            solved[Np] = (x, _scaled(steps[-1][1], d.value(Np)) if exact_route
+                          else rho(x, chain.level(Np), norm))
     for k in range(Np - 1, 0, -1):
         if recentre:
             x = x - _nearest(x, chain, k + 1, solved)
-        root = smallest_root(x, steps[k - 1], chain.level(k), norm, d.value(k),
+        root = smallest_root(x, qs[k - 1], chain.level(k), norm, d.value(k),
                              two_sided=not recentre)
         lambdas[k - 1] = root.t
-        x = x + root.t * steps[k - 1]
+        x = x + root.t * qs[k - 1]
         if certify:  # every end off p = 2 carries one
             solved[k] = (x, root.certificate)
     if recentre and Np:
@@ -557,7 +586,7 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
         raise ConstructionError(f"tolerance not met: max residual {worst:.3e} > {opts.tol:.1e}")
     return ConstructionTrace(
         x=x,
-        step_vectors=tuple(steps),
+        step_vectors=tuple(qs),
         coefficients=tuple(lambdas),
         achieved=achieved,
         targets=d,
@@ -585,7 +614,7 @@ def finite_construct(
     if d.tail != "zero":
         raise TargetError("finite_construct needs a zero-tail target sequence")
     Np = _levels_to_build(chain, d, len(d))
-    steps = [normalize_step(chain, k) for k in range(1, Np + 1)]
+    steps = [_unit_step(chain, k) for k in range(1, Np + 1)]
     return _realize(chain, d, len(d), steps, opts or ConstructOptions(), recentre=True)
 
 
@@ -595,7 +624,8 @@ def finite_construct(
 
 
 def _prefix_steps(chain: Chain, d: TargetSequence, Np: int):
-    """Step families q_j with rho(q_j, Y_j) = 1 and |q_j| = u_Np^(j), j = 1..Np.
+    """Step families q_j with rho(q_j, Y_j) = 1 and |q_j| = u_Np^(j), j = 1..Np,
+    each with its certificate of rho(q_j, Y_j) = 1.
 
     The within-Y_j search direction is chained to the previous level's step,
     so each q_j pre-loads the distance one level down.  A rank-0 Y_j (the
@@ -612,14 +642,14 @@ def _prefix_steps(chain: Chain, d: TargetSequence, Np: int):
         Yj1 = chain.level(j + 1)
         if Yj.rank == 0:
             chainj = Chain(ambient_dim=chain.ambient_dim, norm=chain.norm, levels=(Yj, Yj1))
-            prev_y = normalize_step(chainj, 1)
-            steps.append(prev_y)
+            steps.append(_unit_step(chainj, 1))
+            prev_y = steps[-1][0]
         else:
             fam = interpolating_family(
                 zero, Yj, Yj1, chain.norm,
                 u=[float(schedule.u[j - 1, Np - 1])], v=[1.0], within_direction=prev_y,
             )
-            steps.append(fam.members[0].q)
+            steps.append((fam.members[0].q, fam.members[0].certificate))
             prev_y = fam.step_outer
     return steps
 

@@ -25,13 +25,14 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
+from scipy.optimize import linprog as _scipy_linprog
 
 from .spaces import NormSpec, Subspace, as_vector, norm_eval
 
 try:
     from scipy.optimize._highspy import _core as _highs
 except ImportError:  # scipy releases without the HiGHS core bindings
-    from scipy.optimize import linprog
+    _highs = None
 else:
     _STATUS = {
         _highs.HighsModelStatus.kOptimal: 0,
@@ -42,52 +43,60 @@ else:
         _highs.HighsModelStatus.kUnbounded: 3,
     }
 
-    def linprog(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=(0, None)):
-        """scipy.optimize.linprog(method="highs") on dense blocks, calling the
-        HiGHS solver scipy ships without linprog's input checks and option
-        handling, which cost most of a small LP.  The model, the options that
-        differ from HiGHS's defaults (presolve on, output off) and the status
-        codes are linprog's, so x, fun and the row duals ineqlin.marginals
-        (the first len(b_ub)) are bit for bit the same.  linprog's residual
-        check afterwards, at 3.2e-4, lies far outside HiGHS's own 1e-7."""
-        c = np.asarray(c, dtype=float)
-        n = c.size
-        A = np.vstack([A_ub] if A_eq is None else [A_ub, A_eq]).astype(float, copy=False)
-        b_ub = np.asarray(b_ub, dtype=float)
-        b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-        lo, hi = np.broadcast_to(np.array(bounds, dtype=float), (n, 2)).T  # None -> nan
-        nonzero = A.T != 0.0  # column-wise, rows ascending, as scipy's CSC
-        lp = _highs.HighsLp()
-        lp.num_col_, lp.num_row_ = n, A.shape[0]
-        lp.col_cost_ = c
-        lp.col_lower_ = np.where(np.isnan(lo), -np.inf, lo)
-        lp.col_upper_ = np.where(np.isnan(hi), np.inf, hi)
-        lp.row_lower_ = np.concatenate([np.full(b_ub.size, -np.inf), b_eq])
-        lp.row_upper_ = np.concatenate([b_ub, b_eq])
-        matrix = lp.a_matrix_
-        matrix.format_ = _highs.MatrixFormat.kColwise
-        matrix.num_col_, matrix.num_row_ = n, A.shape[0]
-        matrix.start_ = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))]).astype(np.int32)
-        matrix.index_ = np.nonzero(nonzero)[1].astype(np.int32)
-        matrix.value_ = A.T[nonzero]
-        solver = _highs._Highs()
-        solver.setOptionValue("output_flag", False)
-        solver.setOptionValue("presolve", "on")
-        if solver.passModel(lp) == _highs.HighsStatus.kError:
-            model_status = _highs.HighsModelStatus.kModelError
-        else:
-            solver.run()
-            model_status = solver.getModelStatus()
-        status = _STATUS.get(model_status, 4)
-        out = OptimizeResult(x=None, fun=None, status=status, success=status == 0,
-                             message=f"HiGHS: {solver.modelStatusToString(model_status)}",
-                             ineqlin=OptimizeResult(marginals=None))
-        if status == 0:  # the solution is read only at an optimum, as linprog does
-            solution = solver.getSolution()
-            out.x = np.array(solution.col_value)
-            out.fun = solver.getInfo().objective_function_value
-            out.ineqlin.marginals = np.array(solution.row_dual)[: b_ub.size]
-        return out
+
+def linprog(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=(0, None)):
+    """scipy.optimize.linprog(method="highs") on dense blocks, calling the
+    HiGHS solver scipy ships without linprog's input checks and option
+    handling, which cost most of a small LP.  The model, the options that
+    differ from HiGHS's defaults (presolve on, output off) and the status
+    codes are linprog's, so x, fun and the row duals ineqlin.marginals
+    (the first len(b_ub)) are bit for bit the same.  linprog's residual
+    check afterwards, at 3.2e-4, lies far outside HiGHS's own 1e-7.  Without
+    the HiGHS core bindings it is scipy's linprog.  An LP with no columns
+    raises ValueError on both paths (HiGHS alone would call it "Empty")."""
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    if n == 0:
+        raise ValueError("a linear program needs at least one column")
+    if _highs is None:
+        return _scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                              method="highs")
+    A = np.vstack([A_ub] if A_eq is None else [A_ub, A_eq]).astype(float, copy=False)
+    b_ub = np.asarray(b_ub, dtype=float)
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+    lo, hi = np.broadcast_to(np.array(bounds, dtype=float), (n, 2)).T  # None -> nan
+    nonzero = A.T != 0.0  # column-wise, rows ascending, as scipy's CSC
+    lp = _highs.HighsLp()
+    lp.num_col_, lp.num_row_ = n, A.shape[0]
+    lp.col_cost_ = c
+    lp.col_lower_ = np.where(np.isnan(lo), -np.inf, lo)
+    lp.col_upper_ = np.where(np.isnan(hi), np.inf, hi)
+    lp.row_lower_ = np.concatenate([np.full(b_ub.size, -np.inf), b_eq])
+    lp.row_upper_ = np.concatenate([b_ub, b_eq])
+    matrix = lp.a_matrix_
+    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = n, A.shape[0]
+    matrix.start_ = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))]).astype(np.int32)
+    matrix.index_ = np.nonzero(nonzero)[1].astype(np.int32)
+    matrix.value_ = A.T[nonzero]
+    solver = _highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    solver.setOptionValue("presolve", "on")
+    if solver.passModel(lp) == _highs.HighsStatus.kError:
+        model_status = _highs.HighsModelStatus.kModelError
+    else:
+        solver.run()
+        model_status = solver.getModelStatus()
+    status = _STATUS.get(model_status, 4)
+    out = OptimizeResult(x=None, fun=None, status=status, success=status == 0,
+                         message=f"HiGHS: {solver.modelStatusToString(model_status)}",
+                         ineqlin=OptimizeResult(marginals=None))
+    if status == 0:  # the solution is read only at an optimum, as linprog does
+        solution = solver.getSolution()
+        out.x = np.array(solution.col_value)
+        out.fun = solver.getInfo().objective_function_value
+        out.ineqlin.marginals = np.array(solution.row_dual)[: b_ub.size]
+    return out
 
 
 DEFAULT_TOLS = {"l2": 1e-10, "lp_linear": 1e-8, "lp_general": 1e-7}

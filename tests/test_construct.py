@@ -158,19 +158,27 @@ def test_normalize_step_contract_random():
         assert contains(chain.level(2), y, 1e-8)
 
 
-def test_smallest_root_rules():
+def test_smallest_root_rules(monkeypatch):
     # rho(a e2 + t e2, span{e1}) = |a + t|: level set [-a - 0.5, -a + 0.5]
     Y, e2 = Subspace(np.eye(3)[:, :1]), np.eye(3)[:, 1]
-    for a, one_sided, two_sided in (
-        (0.3, 0.2, 0.2),
-        (-0.3, 0.8, -0.2),
-        (0.0, 0.5, 0.5),  # tie: the upper end
-        (1.0, -0.5, -0.5),  # set left of 0: its upper end
-        (-1.0, 0.5, 0.5),  # set right of 0: its lower end
+    ends = []
+    real = construct_module.level_endpoint
+    monkeypatch.setattr(construct_module, "level_endpoint",
+                        lambda *a, **kw: ends.append(1) or real(*a, **kw))
+    # one-sided with |x| < target, 0 lies in the set: the upper end alone
+    for a, one_sided, two_sided, n_ends in (
+        (0.3, 0.2, 0.2, (1, 2)),
+        (-0.3, 0.8, -0.2, (1, 2)),
+        (0.0, 0.5, 0.5, (1, 2)),  # tie: the upper end
+        (1.0, -0.5, -0.5, (1, 1)),  # set left of 0: its upper end
+        (-1.0, 0.5, 0.5, (2, 2)),  # set right of 0: its lower end
+        (0.5, 0.0, 0.0, (2, 2)),  # |x| == target: both ends, 0 is the upper
     ):
-        for two, expect in ((False, one_sided), (True, two_sided)):
+        for two, expect, n in ((False, one_sided, n_ends[0]), (True, two_sided, n_ends[1])):
+            ends.clear()
             t = smallest_root(a * e2, e2, Y, L2, 0.5, two_sided=two).t
             assert t == pytest.approx(expect, abs=1e-15)
+            assert len(ends) == n
     with pytest.raises(ConstructionError, match="below attainable minimum"):
         smallest_root(np.eye(3)[:, 2], e2, Y, L2, 0.5)
 
@@ -402,13 +410,13 @@ def test_construct_prefix_records_bounds():
 def test_construct_prefix_solves_each_step_once(monkeypatch):
     # one unit step per level plus the first level's within-Y_1 direction
     calls = []
-    real = construct_module.normalize_step
+    real = construct_module._unit_step
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(construct_module, "normalize_step", counted)
+    monkeypatch.setattr(construct_module, "_unit_step", counted)
     chain = coordinate_chain(7, 6, NormSpec(1))
     construct_prefix(chain, TargetSequence((1.0,), "geometric", 1.0 / 3.0), 5)
     assert len(calls) == 6
@@ -498,18 +506,41 @@ def test_certificate_of_a_tiny_distance(p, seed):
     assert certified_levels(tr, chain) == 3
 
 
-def test_finite_construct_reuses_its_solves(monkeypatch):
-    # 4 unit steps, the top level's rho, and 2 level-set ends for each of the
-    # 3 roots; recentres, the trim and the measures reuse those certificates
+def counted_lps(monkeypatch) -> list:
+    """Every LP solved through distance.linprog from now on, one entry each."""
     import lethargy.distance as distance_module
 
     calls = []
     linprog = distance_module.linprog
     monkeypatch.setattr(distance_module, "linprog",
                         lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+    return calls
+
+
+def test_finite_construct_reuses_its_solves(monkeypatch):
+    # 4 unit steps and the upper end of each of the 3 one-sided roots; the
+    # top level scales its step's certificate, and recentres, the trim and
+    # the measures reuse the certificates
+    calls = counted_lps(monkeypatch)
     tr = finite_construct(coordinate_chain(6, 4, NormSpec(1)), TargetSequence((0.9, 0.5, 0.3, 0.1)))
     assert tr.max_residual <= 1e-12
-    assert len(calls) == 11
+    assert len(calls) == 7
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_schedule_modes_solve_counts(monkeypatch, p):
+    # steps: 5 unit steps out of Y_1..Y_5 (the direction in Y_1 leaves {0}
+    # with no LP) and one upper end per family root; each rung then solves
+    # both ends of each of its N - 1 two-sided roots, and none at its top
+    chain = coordinate_chain(7, 6, NormSpec(p))
+    d = TargetSequence((1.0,), "geometric", 1.0 / 3.0)
+    calls = counted_lps(monkeypatch)
+    construct_prefix(chain, d, 5)
+    assert len(calls) == 5 + 5 + 2 * 4
+    calls.clear()
+    _, table = construct_sequence(chain, d, 5)
+    assert not table.failures
+    assert len(calls) == 5 + 5 + 2 * (0 + 1 + 2 + 3 + 4)
 
 
 def test_all_zero_targets_measure_every_level():

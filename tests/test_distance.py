@@ -376,3 +376,15 @@ def test_linprog_matches_scipy_linprog(monkeypatch, family):
     assert 0 in statuses
     if family == "level sets":
         assert 2 in statuses  # the empty sets
+
+
+@pytest.mark.parametrize("path", ["highs core", "scipy linprog"])
+def test_linprog_without_columns_raises(monkeypatch, path):
+    # HiGHS alone reports an empty model as status 4; the entry point raises
+    # the same ValueError whether or not scipy ships the HiGHS core bindings
+    if path == "highs core" and distance_module._highs is None:
+        pytest.skip("this scipy has no HiGHS core bindings")
+    if path == "scipy linprog":
+        monkeypatch.setattr(distance_module, "_highs", None)
+    with pytest.raises(ValueError, match="at least one column"):
+        distance_module.linprog(np.zeros(0), A_ub=np.zeros((2, 0)), b_ub=np.ones(2))
