@@ -9,7 +9,8 @@ g(x - y) <= rho(x, Y) for every y in Y; the witness gives the upper bound.
 Solver routes:
 
   * p = 2        orthogonal projection (closed form)
-  * p in {1, inf} exact linear-program reduction (HiGHS)
+  * p = 1        the annihilator linear program (HiGHS), r equality rows
+  * p = inf      the primal linear program (HiGHS)
   * other p      smooth convex minimization over the coefficients
 
 level_endpoint gives the ends of the interval {t : rho(x + t q, Y) <= d}, the
@@ -44,16 +45,17 @@ else:
     }
 
 
-def linprog(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=(0, None)):
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
     """scipy.optimize.linprog(method="highs") on dense blocks, calling the
     HiGHS solver scipy ships without linprog's input checks and option
     handling, which cost most of a small LP.  The model, the options that
     differ from HiGHS's defaults (presolve on, output off) and the status
-    codes are linprog's, so x, fun and the row duals ineqlin.marginals
-    (the first len(b_ub)) are bit for bit the same.  linprog's residual
-    check afterwards, at 3.2e-4, lies far outside HiGHS's own 1e-7.  Without
-    the HiGHS core bindings it is scipy's linprog.  An LP with no columns
-    raises ValueError on both paths (HiGHS alone would call it "Empty")."""
+    codes are linprog's, so x, fun and the row duals, ineqlin.marginals
+    (the first len(b_ub)) and eqlin.marginals (the rest), are bit for bit
+    the same.  linprog's residual check afterwards, at 3.2e-4, lies far
+    outside HiGHS's own 1e-7.  Without the HiGHS core bindings it is scipy's
+    linprog.  An LP with no columns raises ValueError on both paths (HiGHS
+    alone would call it "Empty")."""
     c = np.asarray(c, dtype=float)
     n = c.size
     if n == 0:
@@ -61,6 +63,8 @@ def linprog(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=(0, None)):
     if _highs is None:
         return _scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
                               method="highs")
+    if A_ub is None:
+        A_ub, b_ub = np.zeros((0, n)), np.zeros(0)
     A = np.vstack([A_ub] if A_eq is None else [A_ub, A_eq]).astype(float, copy=False)
     b_ub = np.asarray(b_ub, dtype=float)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
@@ -90,12 +94,15 @@ def linprog(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=(0, None)):
     status = _STATUS.get(model_status, 4)
     out = OptimizeResult(x=None, fun=None, status=status, success=status == 0,
                          message=f"HiGHS: {solver.modelStatusToString(model_status)}",
-                         ineqlin=OptimizeResult(marginals=None))
+                         ineqlin=OptimizeResult(marginals=None),
+                         eqlin=OptimizeResult(marginals=None))
     if status == 0:  # the solution is read only at an optimum, as linprog does
         solution = solver.getSolution()
         out.x = np.array(solution.col_value)
         out.fun = solver.getInfo().objective_function_value
-        out.ineqlin.marginals = np.array(solution.row_dual)[: b_ub.size]
+        row_dual = np.array(solution.row_dual)
+        out.ineqlin.marginals = row_dual[: b_ub.size]
+        out.eqlin.marginals = row_dual[b_ub.size:]
     return out
 
 
@@ -121,7 +128,8 @@ class DistanceResult:
     achieved_tol: float
     solver: str
     # Raw direction of the certificate, as the route has it: the residual's
-    # norming direction, or the LP's row duals.  dual() projects and scales it.
+    # norming direction, the primal LP's row duals, or the annihilator LP's
+    # solution.  dual() projects and scales it.
     dual_direction: np.ndarray | None = None
 
     def witness(self, Y: Subspace) -> np.ndarray:
@@ -170,8 +178,8 @@ def _rho_l2(x: np.ndarray, Y: Subspace) -> DistanceResult:
 
 def _lp(x: np.ndarray, A: np.ndarray, norm: NormSpec, cost_v, d: float | None = None):
     """HiGHS LP over (v, s) with |x - A v| <= s entrywise (p = 1) or s
-    scalar (p = inf).  Minimizes the norm bound when d is None; otherwise
-    caps it at d and minimizes cost_v . v."""
+    scalar (p = inf).  Minimizes the norm bound when d is None (rho at
+    p = inf); otherwise caps it at d and minimizes cost_v . v (level sets)."""
     m, n = A.shape
     J = np.ones((m, 1)) if norm.is_sup else np.eye(m)
     k = J.shape[1]
@@ -202,13 +210,25 @@ def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
     c0 = Y.basis.T @ x
     xp = x - Y.basis @ c0
     scale = norm_eval(xp, norm) or 1.0
-    res = _lp(xp / scale, Y.basis, norm, np.zeros(Y.rank))
+    if norm.is_sup:
+        res = _lp(xp / scale, Y.basis, norm, np.zeros(Y.rank))
+    else:
+        # The annihilator LP rho = max{g . x : B^T g = 0, |g_i| <= 1}, r rows
+        # against the primal's 2m (Cheney, Introduction to Approximation
+        # Theory, ch. 2).  Its solution g is the certificate; the duals y of
+        # B^T g = 0 give the residual x - B(-y).  At optimum 0 (x in Y) g is
+        # an arbitrary vertex and certifies nothing.
+        res = linprog(-xp / scale, A_eq=Y.basis.T, b_eq=np.zeros(Y.rank), bounds=(-1.0, 1.0))
     if not res.success:
         raise SolverError(f"linear program failed: {res.message}")
-    c = c0 + res.x[: Y.rank] * scale
+    if norm.is_sup:
+        v, direction = res.x[: Y.rank], _lp_dual(res, x.size)
+    else:
+        v, direction = -res.eqlin.marginals, res.x if res.fun < 0.0 else None
+    c = c0 + v * scale
     value = norm_eval(x - Y.basis @ c, norm)
     return DistanceResult(value=value, witness_coeffs=c, achieved_tol=default_tol(norm),
-                          solver="linear_program", dual_direction=_lp_dual(res, x.size))
+                          solver="linear_program", dual_direction=direction)
 
 
 def _rho_convex(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:

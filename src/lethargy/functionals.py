@@ -112,8 +112,7 @@ def _face_minimizer(x1: np.ndarray, Q: Subspace, norm: NormSpec, x2):
         zero = size <= ACTIVE_TOL * size.max()
         lo, hi = np.where(zero, -1.0, s), np.where(zero, 1.0, s)
         A_eq, b_eq = Q.basis.T, np.zeros(Q.rank)
-    out = linprog(x2, A_ub=np.zeros((0, x2.size)), b_ub=np.zeros(0), A_eq=A_eq, b_eq=b_eq,
-                  bounds=np.column_stack([lo, hi]))
+    out = linprog(x2, A_eq=A_eq, b_eq=b_eq, bounds=np.column_stack([lo, hi]))
     if not out.success:
         raise SolverError(f"norming linear program failed: {out.message}")
     return rho1, Q.residual(out.x)

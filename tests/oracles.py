@@ -1,9 +1,11 @@
-"""Test oracles: brute-force distances, and the exact l2 model of a prefix."""
+"""Test oracles: brute-force and primal-LP distances, and the exact l2 model
+of a prefix."""
 
 import itertools
 import math
 
 import numpy as np
+import scipy.optimize
 
 from lethargy.spaces import NormSpec, Subspace, as_vector, norm_eval
 
@@ -83,6 +85,29 @@ def rho_vertex_oracle(x, Y: Subspace, norm: NormSpec) -> float:
     R = x[None, :] - C @ B.T
     vals = np.max(np.abs(R), axis=1) if norm.is_sup else np.sum(np.abs(R), axis=1)
     return float(np.min(vals))
+
+
+def rho_l1_primal_oracle(x, Y: Subspace) -> float:
+    """rho(x, Y) at p = 1 from the primal LP, through scipy's own linprog:
+    min sum s over (v, s) with -s <= x - B v <= s, 2m rows and r + m
+    columns, on the part of x orthogonal to Y scaled to l1 norm 1.  The
+    value is |x - B c| at the LP's coefficients c."""
+    x = as_vector(x, dim=Y.ambient_dim)
+    B = Y.basis
+    m, r = B.shape
+    c0 = B.T @ x
+    xp = x - B @ c0
+    scale = norm_eval(xp, NormSpec(1.0)) or 1.0
+    eye = np.eye(m)
+    res = scipy.optimize.linprog(
+        np.concatenate([np.zeros(r), np.ones(m)]),
+        A_ub=np.block([[-B, -eye], [B, -eye]]),
+        b_ub=np.concatenate([-xp, xp]) / scale,
+        bounds=[(None, None)] * r + [(0, None)] * m,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return norm_eval(x - B @ (c0 + res.x[:r] * scale), NormSpec(1.0))
 
 
 def l2_prefix_coefficients(d, u) -> list[float]:

@@ -18,7 +18,7 @@ from lethargy.distance import (
     rho,
 )
 from lethargy.spaces import NormSpec, Subspace, coordinate_chain, norm_eval
-from oracles import rho_oracle, rho_vertex_oracle
+from oracles import rho_l1_primal_oracle, rho_oracle, rho_vertex_oracle
 from test_acceptance import non_hilbert_instances
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
@@ -350,7 +350,19 @@ def norming_lps():
         functionals_module.norming_functional(x1, Q, norm, x2=x2)
 
 
-@pytest.mark.parametrize("family", ["criterion 2", "level sets", "norming"])
+def l1_sweep_instances():
+    # (Y, x) at the benchmark sweep's sizes: m in {16, 64, 256}, r in {1, 8, 32} below m
+    rng = np.random.default_rng(37)
+    return [(Subspace(rng.standard_normal((m, r))), rng.standard_normal(m))
+            for m in (16, 64, 256) for r in (1, 8, 32) if r < m for _ in range(2)]
+
+
+def l1_rho_lps():
+    for Y, x in l1_sweep_instances():
+        rho(x, Y, NormSpec(1.0))
+
+
+@pytest.mark.parametrize("family", ["criterion 2", "level sets", "norming", "p = 1 rho"])
 def test_linprog_matches_scipy_linprog(monkeypatch, family):
     # distance.linprog calls HiGHS directly: the same statuses, and at an
     # optimum the same x, objective and row duals as scipy's linprog, bit for bit
@@ -359,6 +371,7 @@ def test_linprog_matches_scipy_linprog(monkeypatch, family):
         "criterion 2": (distance_module, lambda: [finite_construct(c, d) for c, d, _ in instances]),
         "level sets": (distance_module, level_set_lps),
         "norming": (functionals_module, norming_lps),
+        "p = 1 rho": (distance_module, l1_rho_lps),
     }[family]
     calls = recorded_lps(monkeypatch, module, run)
     if family == "norming":  # bounds as an (n, 2) array, and as a list of pairs
@@ -373,9 +386,58 @@ def test_linprog_matches_scipy_linprog(monkeypatch, family):
             assert np.array_equal(ours.x, ref.x)
             assert ours.fun == ref.fun
             assert np.array_equal(ours.ineqlin.marginals, ref.ineqlin.marginals)
+            assert np.array_equal(ours.eqlin.marginals, ref.eqlin.marginals)
     assert 0 in statuses
     if family == "level sets":
         assert 2 in statuses  # the empty sets
+
+
+def test_rho_l1_solves_the_annihilator_lp(monkeypatch):
+    # rho(x, Y) = max{g . x : B^T g = 0, -1 <= g <= 1}: one LP with m
+    # columns, r equality rows and no inequality rows, whose solution g
+    # certifies the value of the witness from its equality-row duals
+    norm = NormSpec(1.0)
+    for Y, x in l1_sweep_instances():
+        out = []
+        calls = recorded_lps(monkeypatch, distance_module, lambda: out.append(rho(x, Y, norm)))
+        assert len(calls) == 1
+        (c,), kw = calls[0]
+        assert len(c) == Y.ambient_dim
+        assert kw["A_eq"].shape == (Y.rank, Y.ambient_dim)
+        assert kw.get("A_ub") is None
+        res = out[0]
+        assert res.value == pytest.approx(rho_l1_primal_oracle(x, Y), rel=1e-12)
+        g = res.dual(Y, norm)
+        assert abs(res.value - float(g @ (x - res.witness(Y)))) <= 1e-12 * res.value
+
+
+def test_certified_solves_on_the_scipy_linprog_path(monkeypatch):
+    # without the HiGHS core bindings every LP goes through scipy's linprog,
+    # whose own eqlin.marginals must give the same witness and certificate
+    rng = np.random.default_rng(38)
+    cases = [(Subspace(rng.standard_normal((m, r))), rng.standard_normal(m), rng.standard_normal(m))
+             for m, r in ((5, 2), (16, 8), (64, 8))]
+    l1, sup = NormSpec(1.0), NormSpec(math.inf)
+
+    def solve(Q, x1, x2):
+        return ([rho(x1, Q, norm) for norm in (l1, sup)],
+                [functionals_module.norming_functional(x1, Q, l1, x2=y) for y in (None, x2)])
+
+    core = [solve(*case) for case in cases]
+    monkeypatch.setattr(distance_module, "_highs", None)
+    for (Q, x1, x2), (core_rhos, core_fs) in zip(cases, core):
+        rhos, fs = solve(Q, x1, x2)
+        for norm, res, ref in zip((l1, sup), rhos, core_rhos):
+            assert res.value == pytest.approx(ref.value, rel=1e-12)
+            assert_certifies(res, x1, Q, norm, res.value, 1e-12 * res.value)
+        # f * rho(x1, Q) certifies rho(x1, Q) at rho's witness
+        res = rhos[0]
+        for f, ref in zip(fs, core_fs):
+            assert f.dual_norm_value == pytest.approx(ref.dual_norm_value, rel=1e-12)
+            assert f(x2) == pytest.approx(ref(x2), rel=1e-12, abs=1e-12)
+            cert = DistanceResult(value=res.value, witness_coeffs=res.witness_coeffs, achieved_tol=0.0,
+                                  solver=res.solver, dual_direction=f.dual_vector * res.value)
+            assert_certifies(cert, x1, Q, l1, res.value, 1e-12 * res.value)
 
 
 @pytest.mark.parametrize("path", ["highs core", "scipy linprog"])
