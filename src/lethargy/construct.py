@@ -30,7 +30,7 @@ import numpy as np
 
 from .distance import DistanceResult, Endpoint, SolverError, best_approximant, level_endpoint, rho
 from .functionals import norming_functional  # noqa: F401  (bench/tracing.py patches this binding)
-from .spaces import Chain, NormSpec, Subspace, as_vector, contains, norm_eval
+from .spaces import Chain, NormSpec, Subspace, as_vector, contains, norm_eval, validate_chain
 
 
 class TargetError(ValueError):
@@ -328,11 +328,9 @@ def interpolating_family(
     for um, vm in zip(u, v):
         if not (um >= vm >= 0.0):
             raise ValueError(f"targets must satisfy u_m >= v_m >= 0, got ({um}, {vm})")
-    if not (Q1.rank < Q2.rank < Q3.rank):
-        raise ValueError("need strictly nested Q1 c Q2 c Q3")
-    for small, big in ((Q1, Q2), (Q2, Q3)):
-        if small.rank and not all(contains(big, small.basis[:, j]) for j in range(small.rank)):
-            raise ValueError("nesting hypothesis violated")
+    nesting = validate_chain(Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q1, Q2, Q3)))
+    if not nesting.passes:
+        raise ValueError(f"nesting hypothesis violated: {nesting.failure}")
 
     chain23 = Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q2, Q3))
     y, y_cert = _unit_step(chain23, 1)
@@ -540,20 +538,16 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
     d_k - d_{k+1}(1 - 2^-k).
 
     Each root comes with the certificate of its solve.  The top level takes
-    q_Np's, scaled by d_Np, with no solve; for 1 < p < inf it keeps one rho
-    call.  Every later change to x lies in Y_k, so level k's certificate
-    serves the recentre in Y_k, the trim in Y_1 and the measure of level k
-    at the final x (see _measure), with no further solve.
+    q_Np's, scaled by d_Np, with no solve.  Every later change to x lies in
+    Y_k, so level k's certificate serves the recentre in Y_k, the trim in Y_1
+    and the measure of level k at the final x (see _measure), with no
+    further solve.
     At p = 2 the certificates go unused: the closed-form rho recentres and
     re-measures at no solve.  Levels 1..min(N, len(chain) + 1) are measured,
     and the 10 tol gate checks both ends of every certified bracket.
     """
     norm = chain.norm
     certify = norm.p != 2.0
-    # The convex route's step certificates are loose, so for 1 < p < inf the
-    # top level is measured afresh; exact distances there (ROADMAP item 1)
-    # remove this exception.
-    exact_route = norm.p == 1.0 or norm.is_sup
     Np = len(steps)
     qs = [q for q, _ in steps]
     lambdas = [0.0] * Np
@@ -563,8 +557,7 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
         lambdas[-1] = d.value(Np)
         x = d.value(Np) * qs[-1]
         if certify:
-            solved[Np] = (x, _scaled(steps[-1][1], d.value(Np)) if exact_route
-                          else rho(x, chain.level(Np), norm))
+            solved[Np] = (x, _scaled(steps[-1][1], d.value(Np)))
     for k in range(Np - 1, 0, -1):
         if recentre:
             x = x - _nearest(x, chain, k + 1, solved)

@@ -11,7 +11,7 @@ Solver routes:
   * p = 2        orthogonal projection (closed form)
   * p = 1        the annihilator linear program (HiGHS), r equality rows
   * p = inf      the primal linear program (HiGHS)
-  * other p      smooth convex minimization over the coefficients
+  * other p      damped Newton on one side of Fenchel duality, to a 1e-13 gap
 
 level_endpoint gives the ends of the interval {t : rho(x + t q, Y) <= d}, the
 exact root step of the backward constructions, each with the certificate of
@@ -21,11 +21,13 @@ rho at that end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
+from scipy.linalg.lapack import dgetrf, dlaswp
+from scipy.optimize import OptimizeResult
+from scipy.optimize import minimize  # noqa: F401  (bench/tracing.py patches this binding)
 from scipy.optimize import linprog as _scipy_linprog
 
 from .spaces import NormSpec, Subspace, as_vector, norm_eval
@@ -127,9 +129,8 @@ class DistanceResult:
     witness_coeffs: np.ndarray
     achieved_tol: float
     solver: str
-    # Raw direction of the certificate, as the route has it: the residual's
-    # norming direction, the primal LP's row duals, or the annihilator LP's
-    # solution.  dual() projects and scales it.
+    # Raw certificate direction: the residual or Newton's g, the primal LP's
+    # row duals, or the annihilator LP's solution; dual() projects, scales it.
     dual_direction: np.ndarray | None = None
 
     def witness(self, Y: Subspace) -> np.ndarray:
@@ -231,45 +232,73 @@ def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
                           solver="linear_program", dual_direction=direction)
 
 
+def _annihilator_step(grad: np.ndarray, s: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The d minimizing d . diag(s) d / 2 + grad . d subject to B^T d = 0.
+    Row-pivoted LU of [w B, w grad], w = s^(-1/2), puts e = d / w's r heaviest
+    rows P first: e_P = -M^T e_F, M = L_F L_P^-1, and Woodbury solves (I + M
+    M^T) e_F = the last column's elimination in O(m r^2), never dividing by s_P."""
+    r, w = B.shape[1], s**-0.5
+    lu, swaps, _ = dgetrf(w[:, None] * np.append(B, grad[:, None], axis=1))
+    M = lu[r:, :r] @ np.linalg.inv(np.where(np.tri(r, k=-1, dtype=bool), lu[:r, :r], np.eye(r)))
+    z = -lu[r, r] * np.append(1.0, lu[r + 1:, r])
+    e = z - M @ np.linalg.solve(np.eye(r) + M.T @ M, M.T @ z)
+    return w * dlaswp(np.append(-(M.T @ e), e)[:, None], swaps, inc=-1)[:, 0]
+
+
 def _rho_convex(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
-    p = norm.p
-    B = Y.basis
-    c0 = B.T @ x  # l2 projection is a good convex start
-
-    def objective(c):
-        r = x - B @ c
-        a = np.abs(r)
-        f = float(np.sum(a**p))
-        g = -p * (B.T @ (a ** (p - 1.0) * np.sign(r)))
-        return f, g
-
-    res = minimize(
-        objective,
-        c0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 10_000, "ftol": 1e-16, "gtol": 1e-12},
-    )
-    c = res.x
-    r = x - B @ c
-    value = norm_eval(r, norm)
-    if not res.success and res.status != 2:  # status 2: precision loss at optimum
-        raise SolverError(f"convex descent failed: {res.message}")
-    return DistanceResult(value=value, witness_coeffs=c, achieved_tol=default_tol(norm),
-                          solver="convex_descent", dual_direction=_norming_direction(r, norm))
+    """Damped Newton (Boyd & Vandenberghe, Convex Optimization, 9.5, 10.2) on
+    the side of min |u - B c|_p^p / p = max {g . u - |g|_q^q / q : B^T g = 0}
+    (Rockafellar, Convex Analysis, 31) with the bounded Hessian diag((k - 1)
+    |v|^(k-2)), k = max(p, q): v = u - B c for p >= 2, v = g for p < 2, with
+    r or g the other side's projection of |v|^(k-1) sign v, until |r|_p -
+    g . u / |g|_q <= 1e-13 (1 + rho).  u = xp / |xp|_p as in _rho_linprog."""
+    p, q, B = norm.p, norm.dual_p, Y.basis
+    c0 = B.T @ x
+    xp = Y.residual(x - B @ c0)  # twice: rounding leaves xp's own scale in Y
+    scale = norm_eval(xp, norm)
+    if scale == 0.0 or np.abs(B.T @ xp).max() > 1e-8 * scale:  # x in Y, up to rounding
+        return DistanceResult(0.0, c0, default_tol(norm), "convex_descent")
+    u, primal = xp / scale, p >= 2.0
+    k, lin, v = (p, 0.0 * u, u) if primal else (q, u, u)
+    if not primal:  # g: r after 3 reweighted l2 steps (Lawson; |r| floored at
+        for _ in range(3):  # 1e-3 max), its norming direction at its best multiple
+            a = np.maximum(np.abs(v), 1e-3 * np.abs(v).max()) ** (p - 2.0)
+            v = u - B @ np.linalg.solve(B.T @ (a[:, None] * B), B.T @ (a * u))
+        v = Y.residual(_norming_direction(v, norm))
+        v /= np.abs(v).max()
+        v *= (float(v @ u) / np.sum(np.abs(v) ** q)) ** (1.0 / (q - 1.0))
+    def objective(w):
+        return float(np.sum(np.abs(w) ** k)) / k - float(lin @ w)
+    f = objective(v)
+    for _ in range(100):
+        phi = np.abs(v) ** (k - 1.0) * np.sign(v)
+        toward_y = B @ (B.T @ phi)
+        g, r = (phi - toward_y, v) if primal else (v, u + toward_y)
+        value = np.linalg.norm(r, p)
+        gap = value - float(g @ u) / np.linalg.norm(g, q)
+        if gap <= 1e-13 * (1.0 + value):
+            break
+        s = (k - 1.0) * np.abs(v) ** (k - 2.0)
+        s = np.maximum(s, 1e-12 * s.max())
+        d = (B @ np.linalg.solve(B.T @ (s[:, None] * B), -(B.T @ phi)) if primal
+             else _annihilator_step(phi - lin, s, B))
+        slope, t = float((phi - lin) @ d), 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # a long trial step may overflow
+            while not (f_t := objective(v_t := v + t * d)) <= f + t * slope / 4 + 1e-15 * (1 + abs(f)):
+                t /= 2
+        f, v = f_t, v_t
+    if gap > default_tol(norm) * (1.0 + value):
+        raise SolverError(f"Newton iteration stopped at certificate gap {gap:.3e}")
+    c = c0 + scale * (B.T @ (u - r))
+    return DistanceResult(norm_eval(x - B @ c, norm), c, default_tol(norm), "convex_descent", g)
 
 
 def rho(x, Y: Subspace, norm: NormSpec) -> DistanceResult:
     """Distance rho(x, Y) with a best-approximant witness."""
     x = as_vector(x, dim=Y.ambient_dim)
     if Y.rank == 0:
-        return DistanceResult(
-            value=norm_eval(x, norm),
-            witness_coeffs=np.zeros(0),
-            achieved_tol=0.0,
-            solver="zero_subspace",
-            dual_direction=_norming_direction(x, norm),
-        )
+        return DistanceResult(norm_eval(x, norm), np.zeros(0), 0.0, "zero_subspace",
+                              _norming_direction(x, norm))
     if norm.p == 2.0:
         return _rho_l2(x, Y)
     if norm.p == 1.0 or norm.is_sup:
@@ -290,16 +319,17 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> 
 
       * p = 2        a quadratic on the orthogonal complement of Y
       * p in {1, inf} one linear program maximizing t
-      * other p      Newton on rho - d from the outer bound t_min + (d +
-                     rho_min) / rho(q, Y), where rho_min = rho(x, Y + span q)
-                     is the minimum over t, at t_min; the iterates stay outside
+      * other p      Newton on rho - d, slope g(q) for rho's certificate g,
+                     from the outer bound t_min + (d + rho_min) / rho(q, Y),
+                     rho_min = rho(x, Y + span q) the minimum, at t_min
 
     The end comes with rho(x + t q, Y) and its certificate, from the solve
     that found it (none from the quadratic).  The lower end is minus the
     upper end for -q.  A set that misses d by at most rho's accuracy,
     default_tol(norm) * (1 + d), is the point t_min: tied targets put d at
     that minimum, where rounding can leave it just out of reach.  q inside Y
-    (the set is empty or all of R) raises SolverError.
+    (the set is empty or all of R), or 100 Newton steps short of |rho - d|
+    <= 1e-13 (1 + d), raise SolverError.
     """
     x = as_vector(x, dim=Y.ambient_dim)
     q = as_vector(q, dim=Y.ambient_dim)
@@ -311,7 +341,6 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> 
     xp, qp = x - B @ cx, q - B @ (B.T @ q)
     if np.linalg.norm(qp) <= 1e-12 * np.linalg.norm(q):
         raise SolverError("level set of a direction inside the subspace is empty or unbounded")
-    exact_route = norm.p == 2.0 or norm.p == 1.0 or norm.is_sup
     if norm.p == 2.0:
         # |xp + t qp|^2 = d^2, roots in the cancellation-free form
         nx, ab, bb = float(np.linalg.norm(xp)), float(xp @ qp), float(qp @ qp)
@@ -322,7 +351,7 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> 
             if ab < 0.0:
                 return Endpoint((sq - ab) / bb, None)
             return Endpoint(-cc / (ab + sq) if ab + sq > 0.0 else 0.0, None)
-    elif exact_route:
+    elif norm.p == 1.0 or norm.is_sup:
         scale = max(norm_eval(xp, norm), d) or 1.0  # as in _rho_linprog
         cost = np.append(np.zeros(Y.rank), -1.0)  # maximize t
         res = _lp(xp / scale, np.column_stack([B, -q]), norm, cost, d / scale)
@@ -331,12 +360,8 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> 
                 raise SolverError(f"level-set linear program failed: {res.message}")
             t = float(res.x[Y.rank]) * scale
             c = cx + res.x[: Y.rank] * scale
-            cert = DistanceResult(
-                value=norm_eval(x + t * q - B @ c, norm), witness_coeffs=c,
-                achieved_tol=default_tol(norm), solver="linear_program",
-                dual_direction=_lp_dual(res, x.size),
-            )
-            return Endpoint(t, cert)
+            return Endpoint(t, DistanceResult(norm_eval(x + t * q - B @ c, norm), c, default_tol(norm),
+                                              "linear_program", _lp_dual(res, x.size)))
     # The exact routes found the set empty; other p start here.
     Z = Subspace(np.column_stack([B, qp / np.linalg.norm(qp)]))
     low = rho(x, Z, norm)
@@ -348,31 +373,14 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> 
     if low.value >= d - tangent_tol:
         # x + t_min q - (w + t_min q) = x - w, and w + t_min q lies in Y;
         # low's certificate annihilates Z, which holds Y.
-        return Endpoint(t_min, DistanceResult(
-            value=low.value, witness_coeffs=B.T @ (w + t_min * q), achieved_tol=low.achieved_tol,
-            solver=low.solver, dual_direction=low.dual_direction,
-        ))
-    if exact_route:
+        return Endpoint(t_min, replace(low, witness_coeffs=B.T @ (w + t_min * q)))
+    if norm.p in (1.0, 2.0) or norm.is_sup:
         raise SolverError(f"no end found, yet the level set holds t = {t_min:.9g}")
-    # An inexact slope (a near-optimal witness) can step inside, and the next
-    # step back out.  A |gap| that stops shrinking has met rho's noise.
-    p = norm.p
     t = t_min + (d + low.value) / rho(q, Y, norm).value
-    best, best_gap = None, math.inf
     for _ in range(100):
         res = rho(x + t * q, Y, norm)
         gap = res.value - d
         if abs(gap) <= 1e-13 * (1.0 + d):
             return Endpoint(t, res)
-        if abs(gap) >= best_gap:
-            break
-        best, best_gap = Endpoint(t, res), abs(gap)
-        # the derivative of rho along q, at the witness: g(q) for the
-        # normalized |r|^(p-1) sign(r)
-        slope = float(res.dual_direction @ q) / res.value ** (p - 1.0)
-        if slope <= 0.0:
-            break
-        t -= gap / slope
-    if best_gap > tangent_tol:
-        raise SolverError(f"level-set Newton iteration stalled at gap {best_gap:.3e}")
-    return best
+        t -= gap / float(res.dual(Y, norm) @ q)
+    raise SolverError(f"level-set Newton iteration stopped at gap {gap:.3e}")

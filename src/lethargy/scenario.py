@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -420,11 +420,9 @@ def run(scenario: Scenario) -> Report:
 
 
 def emit_machine(report: Report) -> str:
-    """Canonical JSON form: sorted keys, full float precision, no wall time
-    and no certificate gap."""
-    doc = asdict(report)
-    doc.pop("wall_time")
-    doc.pop("certificate_gap")
+    """Canonical JSON form of the compared fields (compare=False marks a
+    field for the text report only): sorted keys, full float precision."""
+    doc = {f.name: getattr(report, f.name) for f in fields(report) if f.compare}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 

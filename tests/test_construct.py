@@ -337,6 +337,30 @@ def test_finite_construct_non_hilbert(p):
     assert tr.max_residual <= 1e-5
 
 
+def baseline_corpus(p: float):
+    """The general-p corpus: per seed 0..39, levels spanned by the first
+    1..5 columns of one 8 x 5 standard normal draw and 5 descending targets
+    uniform in [0.05, 1]."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((8, 5))
+        d = TargetSequence(tuple(sorted(rng.uniform(0.05, 1.0, 5), reverse=True)))
+        yield seed, Chain(8, NormSpec(p), tuple(Subspace(M[:, :k]) for k in range(1, 6))), d
+
+
+@pytest.mark.parametrize("p", [1.05, 1.1])
+def test_baseline_corpus_builds_near_p_1(p):
+    # near p = 1 the lp norm is almost an l1 norm; exact certificates keep
+    # every level of every chain inside the 10 tol gate
+    failures = []
+    for seed, chain, d in baseline_corpus(p):
+        try:
+            finite_construct(chain, d)
+        except ConstructionError as err:
+            failures.append((seed, str(err)))
+    assert not failures
+
+
 # -- schedules ----------------------------------------------------------------
 
 

@@ -170,6 +170,36 @@ def test_rho_of_a_point_in_the_subspace_has_no_certificate(p):
     assert rho(np.zeros(3), Subspace.zero(3), norm).dual(Subspace.zero(3), norm) is None
 
 
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
+def test_rho_smooth_route_of_rounding_noise(p):
+    # x in Y leaves only rounding in its part outside Y, here all of it inside
+    # Y again, and Y may be the whole space: distance 0, no certificate
+    norm = NormSpec(p)
+    cases = ((Subspace(np.array([[0.0, 0.0], [0.0, -2.0], [-2.0, -1.0]])), [0.0, -3.0, -3.0]),
+             (Subspace.full(3), [1.0, 2.0, 3.0]))
+    for Y, x in cases:
+        res = rho(x, Y, norm)
+        assert res.value == 0.0
+        assert res.dual(Y, norm) is None
+
+
+@pytest.mark.parametrize("p", [1.05, 1.1, 1.5, 3.0, 6.0])
+def test_rho_smooth_route_certificate_gap(p):
+    # the damped Newton route stops on its own certificate gap, 1e-13 (1 +
+    # rho) on the normalized problem, near p = 1 as well as at larger p
+    rng = np.random.default_rng(1)
+    norm = NormSpec(p)
+    worst = 0.0
+    for _ in range(200):
+        Y = Subspace(rng.standard_normal((16, int(rng.integers(1, 5)))))
+        x = rng.standard_normal(16)
+        res = rho(x, Y, norm)
+        assert res.solver == "convex_descent"
+        g = res.dual(Y, norm)
+        worst = max(worst, (res.value - float(g @ (x - res.witness(Y)))) / res.value)
+    assert worst <= 1e-12
+
+
 small_vec = st.lists(st.floats(-5, 5, allow_nan=False), min_size=3, max_size=6)
 
 

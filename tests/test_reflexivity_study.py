@@ -26,3 +26,9 @@ def test_residuals_converge_on_l2():
     for m, step in zip(MS, steps):
         assert step <= 1.01 * 2.0**-m + 1e-14, (m, steps)
     assert steps[-1] <= 1e-12
+
+
+def test_residuals_converge_on_l1_5():
+    # l_1.5 is reflexive too: with exact witnesses the r_m settle as on l2
+    steps = study.residual_steps(1.5, MS)
+    assert max(steps[1:]) <= 1e-9, steps
