@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distance import DistanceResult, Endpoint, SolverError, best_approximant, level_endpoint, rho
+from .distance import (DistanceResult, Endpoint, SolverError, _l2_level_set, best_approximant,
+                       level_endpoint, rho)
 from .functionals import norming_functional  # noqa: F401  (bench/tracing.py patches this binding)
 from .spaces import Chain, NormSpec, Subspace, as_vector, contains, norm_eval, validate_chain
 
@@ -255,18 +256,21 @@ def smallest_root(
     (convexity).  When it misses 0 the nearer end is returned; when it holds
     0 the answer is b one-sided, else the end of smaller magnitude (b on
     ties).  One-sided with |x| < target, 0 lies inside the set, since
-    rho(x, Y) <= |x|, so b is returned without solving for a.  The
-    certificate is level_endpoint's, at x + t q.  Raises when the set is
-    empty.
+    rho(x, Y) <= |x|, so b is returned without solving for a.  At p = 2 one
+    quadratic gives both ends (no certificate); otherwise each end is a
+    level_endpoint solve, whose certificate at x + t q comes along.  Raises
+    when the set is empty.
     """
-    b = level_endpoint(x, q, Y, norm, target, upper=True)
+    x, q = as_vector(x, dim=Y.ambient_dim), as_vector(q, dim=Y.ambient_dim)
+    ends = _l2_level_set(x, q, Y, target) if norm.p == 2.0 else None
+    b = Endpoint(ends[1], None) if ends else level_endpoint(x, q, Y, norm, target, upper=True)
     if b is None:
         raise ConstructionError(
             f"target {target:.9g} below attainable minimum of rho(x + t q, Y)"
         )
     if b.t < 0.0 or (not two_sided and norm_eval(x, norm) < target):
         return b
-    a = level_endpoint(x, q, Y, norm, target, upper=False)
+    a = Endpoint(ends[0], None) if ends else level_endpoint(x, q, Y, norm, target, upper=False)
     if a is None:  # tangent within tolerance on one side only: a single point
         a = b
     if a.t > 0.0:

@@ -15,7 +15,8 @@ Solver routes:
 
 level_endpoint gives the ends of the interval {t : rho(x + t q, Y) <= d}, the
 exact root step of the backward constructions, each with the certificate of
-rho at that end.
+rho at that end.  At p = 2 both ends come from one projection of x and q
+and one quadratic, _l2_level_set, which smallest_root calls directly.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from scipy.optimize import OptimizeResult
 from scipy.optimize import minimize  # noqa: F401  (bench/tracing.py patches this binding)
 from scipy.optimize import linprog as _scipy_linprog
 
-from .spaces import NormSpec, Subspace, as_vector, norm_eval
+from .spaces import NormSpec, Subspace, _norm, as_vector, norm_eval
 
 try:
     from scipy.optimize._highspy import _core as _highs
@@ -171,8 +172,8 @@ def _norming_direction(r: np.ndarray, norm: NormSpec) -> np.ndarray:
 def _rho_l2(x: np.ndarray, Y: Subspace) -> DistanceResult:
     c = Y.basis.T @ x
     r = x - Y.basis @ c
-    value = float(np.linalg.norm(r))
-    eps = 1e-13 * max(1.0, float(np.linalg.norm(x)))
+    value = _norm(r, 2.0)
+    eps = 1e-13 * max(1.0, _norm(x, 2.0))
     return DistanceResult(value=value, witness_coeffs=c, achieved_tol=eps, solver="closed_form_l2",
                           dual_direction=r)
 
@@ -311,13 +312,45 @@ def best_approximant(x, Y: Subspace, norm: NormSpec) -> np.ndarray:
     return rho(x, Y, norm).witness(Y)
 
 
+def _split(x: np.ndarray, q: np.ndarray, Y: Subspace):
+    """x's coordinates in Y and the parts of x and q orthogonal to Y; q
+    inside Y (a level set that is empty or all of R) raises SolverError."""
+    B = Y.basis
+    cx = B.T @ x
+    xp, qp = x - B @ cx, q - B @ (B.T @ q)
+    if np.linalg.norm(qp) <= 1e-12 * np.linalg.norm(q):
+        raise SolverError("level set of a direction inside the subspace is empty or unbounded")
+    return cx, xp, qp
+
+
+def _l2_level_set(x: np.ndarray, q: np.ndarray, Y: Subspace, d: float) -> tuple[float, float] | None:
+    """Both ends (lower, upper) of {t : |xp + t qp|_2 <= d}, the roots of one
+    quadratic in the cancellation-free form; None when its discriminant is
+    negative.  The lower end is minus the upper end for -q, bit for bit:
+    -q flips the sign of xp . qp and nothing else."""
+    _, xp, qp = _split(x, q, Y)
+    nx, ab, bb = float(np.linalg.norm(xp)), float(xp @ qp), float(qp @ qp)
+    cc = (nx - d) * (nx + d)
+    disc = ab * ab - bb * cc
+    if not disc >= 0.0:
+        return None
+    sq = math.sqrt(disc)
+
+    def upper_end(ab):
+        if ab < 0.0:
+            return (sq - ab) / bb
+        return -cc / (ab + sq) if ab + sq > 0.0 else 0.0
+    return -upper_end(-ab), upper_end(ab)
+
+
 def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> Endpoint | None:
     """Upper (or lower) end of {t : rho(x + t q, Y) <= d}; None when empty.
 
     t -> rho(x + t q, Y) is convex, and coercive for q outside Y, so the set
     is a closed interval and each end is one exact solve:
 
-      * p = 2        a quadratic on the orthogonal complement of Y
+      * p = 2        a quadratic on the orthogonal complement of Y, which
+                     gives both ends at once (_l2_level_set)
       * p in {1, inf} one linear program maximizing t
       * other p      Newton on rho - d, slope g(q) for rho's certificate g,
                      from the outer bound t_min + (d + rho_min) / rho(q, Y),
@@ -333,25 +366,14 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> 
     """
     x = as_vector(x, dim=Y.ambient_dim)
     q = as_vector(q, dim=Y.ambient_dim)
+    if norm.p == 2.0 and (ends := _l2_level_set(x, q, Y, d)) is not None:
+        return Endpoint(ends[1] if upper else ends[0], None)
     if not upper:
         end = level_endpoint(x, -q, Y, norm, d, upper=True)
         return None if end is None else Endpoint(-end.t, end.certificate)
     B = Y.basis
-    cx = B.T @ x
-    xp, qp = x - B @ cx, q - B @ (B.T @ q)
-    if np.linalg.norm(qp) <= 1e-12 * np.linalg.norm(q):
-        raise SolverError("level set of a direction inside the subspace is empty or unbounded")
-    if norm.p == 2.0:
-        # |xp + t qp|^2 = d^2, roots in the cancellation-free form
-        nx, ab, bb = float(np.linalg.norm(xp)), float(xp @ qp), float(qp @ qp)
-        cc = (nx - d) * (nx + d)
-        disc = ab * ab - bb * cc
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            if ab < 0.0:
-                return Endpoint((sq - ab) / bb, None)
-            return Endpoint(-cc / (ab + sq) if ab + sq > 0.0 else 0.0, None)
-    elif norm.p == 1.0 or norm.is_sup:
+    cx, xp, qp = _split(x, q, Y)
+    if norm.p == 1.0 or norm.is_sup:
         scale = max(norm_eval(xp, norm), d) or 1.0  # as in _rho_linprog
         cost = np.append(np.zeros(Y.rank), -1.0)  # maximize t
         res = _lp(xp / scale, np.column_stack([B, -q]), norm, cost, d / scale)

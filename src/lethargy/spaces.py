@@ -9,12 +9,14 @@ solvers well conditioned.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 RANK_TOL = 1e-10
 NEST_TOL = 1e-10
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal range
 
 
 class DimensionMismatchError(ValueError):
@@ -61,14 +63,31 @@ class NormSpec:
 
 def norm_eval(x, norm: NormSpec) -> float:
     """(sum |x_i|^p)^(1/p), or max |x_i| for the sup norm."""
-    x = as_vector(x)
-    if norm.is_sup:
+    return _norm(as_vector(x), norm.p)
+
+
+def _norm(x: np.ndarray, p: float) -> float:
+    """norm_eval on a checked vector.  While sum |x_i|^p is a normal float
+    the value is np.linalg.norm's, bit for bit: at p = 2 the same BLAS dot,
+    through np.vdot, which raises no floating-point warning.  Where the sum
+    under- or overflows (|x_i| below about 1e-154 or above 1e154 at p = 2)
+    x is first divided by max |x_i|.  At p = 1 the sum is the norm, exact
+    on subnormals, and overflows only where the norm does."""
+    if math.isinf(p):
         return float(np.max(np.abs(x)))
-    if norm.p == 1.0:
+    if p == 1.0:
         return float(np.sum(np.abs(x)))
-    if norm.p == 2.0:
-        return float(np.linalg.norm(x))
-    return float(np.linalg.norm(x, ord=norm.p))
+    if p == 2.0:
+        s = float(np.vdot(x, x))
+    else:
+        with np.errstate(over="ignore"):
+            s = float(np.sum(np.abs(x) ** p))
+    if not _TINY <= s <= _HUGE:
+        if s == 0.0 and not x.any():
+            return 0.0
+        top = float(np.max(np.abs(x)))
+        return top * _norm(x / top, p)
+    return math.sqrt(s) if p == 2.0 else s ** (1.0 / p)
 
 
 class Subspace:

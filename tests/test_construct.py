@@ -159,28 +159,31 @@ def test_normalize_step_contract_random():
 
 
 def test_smallest_root_rules(monkeypatch):
-    # rho(a e2 + t e2, span{e1}) = |a + t|: level set [-a - 0.5, -a + 0.5]
+    # rho(a e2 + t e2, span{e1}) = |a + t| at every p: level set [-a - 0.5, -a + 0.5]
     Y, e2 = Subspace(np.eye(3)[:, :1]), np.eye(3)[:, 1]
     ends = []
     real = construct_module.level_endpoint
     monkeypatch.setattr(construct_module, "level_endpoint",
                         lambda *a, **kw: ends.append(1) or real(*a, **kw))
-    # one-sided with |x| < target, 0 lies in the set: the upper end alone
-    for a, one_sided, two_sided, n_ends in (
-        (0.3, 0.2, 0.2, (1, 2)),
-        (-0.3, 0.8, -0.2, (1, 2)),
-        (0.0, 0.5, 0.5, (1, 2)),  # tie: the upper end
-        (1.0, -0.5, -0.5, (1, 1)),  # set left of 0: its upper end
-        (-1.0, 0.5, 0.5, (2, 2)),  # set right of 0: its lower end
-        (0.5, 0.0, 0.0, (2, 2)),  # |x| == target: both ends, 0 is the upper
-    ):
-        for two, expect, n in ((False, one_sided, n_ends[0]), (True, two_sided, n_ends[1])):
-            ends.clear()
-            t = smallest_root(a * e2, e2, Y, L2, 0.5, two_sided=two).t
-            assert t == pytest.approx(expect, abs=1e-15)
-            assert len(ends) == n
-    with pytest.raises(ConstructionError, match="below attainable minimum"):
-        smallest_root(np.eye(3)[:, 2], e2, Y, L2, 0.5)
+    # one-sided with |x| < target, 0 lies in the set: the upper end alone.
+    # Each end is one solve (an LP at p in {1, inf}); p = 2 takes both ends
+    # from one quadratic and calls level_endpoint not at all.
+    for norm in (NormSpec(1), L2, NormSpec(math.inf)):
+        for a, one_sided, two_sided, n_ends in (
+            (0.3, 0.2, 0.2, (1, 2)),
+            (-0.3, 0.8, -0.2, (1, 2)),
+            (0.0, 0.5, 0.5, (1, 2)),  # tie: the upper end
+            (1.0, -0.5, -0.5, (1, 1)),  # set left of 0: its upper end
+            (-1.0, 0.5, 0.5, (2, 2)),  # set right of 0: its lower end
+            (0.5, 0.0, 0.0, (2, 2)),  # |x| == target: both ends, 0 is the upper
+        ):
+            for two, expect, n in ((False, one_sided, n_ends[0]), (True, two_sided, n_ends[1])):
+                ends.clear()
+                t = smallest_root(a * e2, e2, Y, norm, 0.5, two_sided=two).t
+                assert t == pytest.approx(expect, abs=1e-15)
+                assert len(ends) == (0 if norm == L2 else n)
+        with pytest.raises(ConstructionError, match="below attainable minimum"):
+            smallest_root(np.eye(3)[:, 2], e2, Y, norm, 0.5)
 
 
 # -- interpolating families --------------------------------------------------

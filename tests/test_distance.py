@@ -22,6 +22,7 @@ from oracles import rho_l1_primal_oracle, rho_oracle, rho_vertex_oracle
 from test_acceptance import non_hilbert_instances
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
+L2 = NormSpec(2)
 
 
 def assert_certifies(cert: DistanceResult, x, Y: Subspace, norm: NormSpec, value: float, tol: float):
@@ -183,6 +184,20 @@ def test_rho_smooth_route_of_rounding_noise(p):
         assert res.dual(Y, norm) is None
 
 
+@pytest.mark.parametrize("p", P_VALUES)
+def test_rho_outside_the_normal_range(p):
+    # at 1e-290 the power sums of p > 1 underflow: rho at p = 1.5 was 0 with
+    # no certificate.  rho scales with x, and its certificate holds.
+    norm = NormSpec(p)
+    Y = Subspace(np.array([[1.0, 0.5, 0.0, 0.0], [0.0, 1.0, 1.0, -1.0]]).T)
+    x = np.array([1.0, -2.0, 3.0, 0.5])
+    value = rho(x, Y, norm).value
+    for scale in (1e-290, 1e160):
+        res = rho(scale * x, Y, norm)
+        assert res.value == pytest.approx(scale * value, rel=1e-12)
+        assert_certifies(res, scale * x, Y, norm, scale * value, 1e-12 * scale * value)
+
+
 @pytest.mark.parametrize("p", [1.05, 1.1, 1.5, 3.0, 6.0])
 def test_rho_smooth_route_certificate_gap(p):
     # the damped Newton route stops on its own certificate gap, 1e-13 (1 +
@@ -292,6 +307,59 @@ def test_level_endpoint_l2_is_quadratic_root():
         hi = level_endpoint(x, q, Y, NormSpec(2), d, upper=True)
         assert lo.certificate is None and hi.certificate is None  # the quadratic solves for t only
         assert (lo.t, hi.t) == pytest.approx((roots.min(), roots.max()), rel=1e-12, abs=1e-12)
+
+
+def l2_level_draws(seed, n=200):
+    """(x, q, Y, d, tangent): m <= 12, rank 0 to m - 1, d inside, on and
+    below the range of t -> rho(x + t q, Y), whose minimum is floor, and
+    coordinate cases with signed zeros; tangent when d == floor."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        m = int(rng.integers(1, 13))
+        r = int(rng.integers(0, m))
+        Y = Subspace(rng.standard_normal((m, r))) if r else Subspace.zero(m)
+        x, q = rng.standard_normal(m), rng.standard_normal(m)
+        nx = rho(x, Y, L2).value
+        floor = rho(x, Subspace(np.column_stack([Y.basis, q])), L2).value if r < m - 1 else 0.0
+        for d in (nx, 1.5 * nx + 0.1, 0.5 * (nx + floor), floor, 0.5 * floor):
+            yield x, q, Y, d, d == floor
+    for m, r, d in ((3, 1, 1.0), (3, 1, 0.0), (2, 0, 2.0), (4, 2, 0.5)):
+        # x = c e_{r+1} and q = e_{r+2}: xp . qp = 0 exactly, floor = |c|
+        e = np.eye(m)
+        Y = Subspace(e[:, :r]) if r else Subspace.zero(m)
+        for c in (2.0, d, 0.0):
+            yield c * e[:, r], e[:, r + 1], Y, d, d == c
+
+
+def test_l2_level_set_ends():
+    # one projection, one quadratic: both ends, each equal to what the
+    # upper-end solve gives (for -q, negated, signed zeros included)
+    negative_zeros = 0
+    for x, q, Y, d, tangent in l2_level_draws(37):
+        ends = distance_module._l2_level_set(x, q, Y, d)
+        if ends is None:  # negative discriminant: empty, or tangent within tolerance
+            for upper in (True, False):
+                end = level_endpoint(x, q, Y, L2, d, upper)
+                assert end is None or abs(rho(x + end.t * q, Y, L2).value - d) <= default_tol(L2) * (1.0 + d)
+            continue
+        lower, upper = ends
+        flipped = -level_endpoint(x, -q, Y, L2, d, upper=True).t
+        assert lower == flipped and math.copysign(1.0, lower) == math.copysign(1.0, flipped)
+        negative_zeros += lower == 0.0 and math.copysign(1.0, lower) < 0.0
+        assert upper == level_endpoint(x, q, Y, L2, d, upper=True).t
+        assert lower <= upper + 1e-12 * (1.0 + abs(upper))  # tangent sets may cross by rounding
+        # a tangent end is fixed only to about sqrt(eps), where rho grows
+        # linearly off its minimum 0 (d = 0) and quadratically elsewhere
+        tol = 1e-7 if tangent else 1e-12
+        for t in ends:
+            assert abs(rho(x + t * q, Y, L2).value - d) <= tol * (1.0 + d)
+    assert negative_zeros > 0  # x on the level, |xp| = d, gives signed-zero ends
+
+
+def test_l2_level_set_direction_inside_subspace():
+    Y = Subspace(np.eye(4)[:, :2])
+    with pytest.raises(SolverError):
+        distance_module._l2_level_set(np.ones(4), Y.basis @ [1.0, -2.0], Y, 3.0)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -303,6 +304,29 @@ def test_bundled_scenario_exit_code(name, capsys):
     assert cli.main(["demo", name]) == expected
     capsys.readouterr()
 
+
+# sha256 of `lethargy demo NAME --format machine`, recorded with numpy 2.4.6
+# and scipy 1.17.1 (Python 3.11).  A change that moves a bundled report
+# updates its hash here and says why.
+BUNDLED_REPORT_SHA256 = {
+    "coordinate-hilbert-finite": "47ba0d95a464cf22fd4ed1e317212ce19eda2fdbd41fba19979df32d2d6b0653",
+    "geometric-half-check-xfail": "52f02c5b3ea569e7a8485c0c2b07e8a4c3d58034ca82076559447228d47c4696",
+    "geometric-third-prefix": "066962ca0d8169613e86191996a9bebba5f27bb22a7dfd0b39dba28b73924747",
+    "geometric-third-sequence": "6acaa734018c444d42bf3a587df7e2f58dfd736878944c594be142fea7bf0b15",
+    "geometric-twofifth-check": "affb55804b5be831fd792c366619bb7235b5756fa9afc25a440d2126b75a424f",
+    "polynomial-sup-degree15-finite": "0633259ef6072d4080ab8ddd5ecc67e87c133d76d981fdac6d269fdae363ce24",
+    "polynomial-sup-finite": "8bb30e11470c6972b00f681042497e8b6b7935a9add982f9ec1f9f1b2e64be96",
+    "random-l1-finite": "5dfed213394f6823b31b323d55b22c9d38d77f242fd20a22a2f7449ca8c6ab43",
+    "random-p1.1-finite": "4829ddb26bc5c6f477d92bc4251f9cd69c9f29d7a374dd0f4e9c3369aefefc9d",
+    "zero-tail-finite": "985aa700de8d6afe92ce8d3dc6526a777a2dc9158dd0a224cfc35dc215966de9",
+}
+
+
+def test_bundled_machine_reports_keep_their_bytes(capsys):
+    assert sorted(BUNDLED_REPORT_SHA256) == cli.list_bundled()
+    for name, digest in BUNDLED_REPORT_SHA256.items():
+        cli.main(["demo", name, "--format", "machine"])
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, name
 
 
 # -- scenario fuzz -------------------------------------------------------------

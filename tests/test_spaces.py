@@ -31,6 +31,28 @@ def test_norm_eval_zero_iff_zero():
     assert norm_eval([0.0, 1e-30], NormSpec(3)) > 0.0
 
 
+@pytest.mark.parametrize("p", P_VALUES)
+def test_norm_eval_outside_the_normal_range(p):
+    # sum |x_i|^p underflows (1e-290 at p = 1.5 and 1e-170 at p = 2 gave 0)
+    # or overflows (1e150 at p = 3, 1e160 at p = 2) while |x|_p is a normal
+    # number: the norm still scales with x, with no RuntimeWarning (an error
+    # under this suite's filter)
+    x = np.array([1.0, -2.0, 3.0, 0.5])
+    norm = NormSpec(p)
+    for scale in (1e-300, 1e-290, 1e-170, 1e150, 1e160, 1e300):
+        assert norm_eval(scale * x, norm) == pytest.approx(scale * norm_eval(x, norm), rel=1e-12)
+
+
+def test_norm_eval_in_range_is_numpys():
+    # the range guard leaves every value whose power sum is a normal number
+    # bit for bit np.linalg.norm's
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        x = rng.standard_normal(int(rng.integers(1, 40))) * 10.0 ** rng.uniform(-30, 30)
+        for p in (*P_VALUES, 1.1, 6.0):
+            assert norm_eval(x, NormSpec(p)) == float(np.linalg.norm(x, ord=None if p == 2.0 else p))
+
+
 def test_norm_spec_rejects_bad_exponent():
     with pytest.raises(ValueError):
         NormSpec(0.5)
