@@ -144,7 +144,7 @@ def main(argv=None) -> int:
     except (SolverError, ConstructionError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    print(emit(report, "text" if args.fmt == "text" else "machine"), end="")
+    print(emit(report, args.fmt), end="")
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(emit(report, "machine"))

@@ -5,7 +5,7 @@ d_1 >= d_2 >= ... >= 0, the routines here build an element x with
 rho(x, Y_k) = d_k:
 
   * finite_construct      finitely many targets (zero tail), over unit steps;
-  * build_schedule        the tau / u / v tables driving the prefix builder;
+  * build_schedule        the tau / u tables driving the prefix builder;
   * interpolating_family  elements q with rho(q, Q1) = u_m, rho(q, Q2) = v_m
                           for prescribed u_m >= v_m;
   * construct_prefix      schedule-driven prefix construction recording the
@@ -99,13 +99,6 @@ class TargetSequence:
             return self.value(n) * self.ratio / (1.0 - self.ratio)
         return stored + geo
 
-    def last_nonzero(self) -> int:
-        """Largest stored index with d_n > 0 (0 when all targets vanish)."""
-        for n in range(len(self.values), 0, -1):
-            if self.values[n - 1] > 0:
-                return n
-        return 0
-
     def is_strictly_decreasing(self) -> bool:
         return all(a > b for a, b in zip(self.values, self.values[1:]))
 
@@ -129,22 +122,16 @@ def check_borodin_condition(d: TargetSequence) -> BorodinReport:
     """
     margins = tuple(d.value(n) - d.tail_sum_after(n) for n in range(1, len(d) + 1))
     tail_factor = None
-    tail_ok = True
     if d.tail == "geometric":
         tail_factor = (1.0 - 2.0 * d.ratio) / (1.0 - d.ratio)
-        tail_ok = tail_factor > 0.0
     # smallest n0 with margin > 0 at every later positive target
     last_bad = 0
     for n in range(1, len(d) + 1):
         if d.value(n) > 0 and margins[n - 1] <= 0.0:
             last_bad = n
-    if not tail_ok:
-        return BorodinReport(passes=False, n0=None, margins=margins, tail_margin_factor=tail_factor)
-    n0 = last_bad + 1
-    if d.tail == "zero" and n0 > d.last_nonzero():
-        # no positive targets remain past n0: vacuously satisfied
-        return BorodinReport(passes=True, n0=n0, margins=margins, tail_margin_factor=None)
-    return BorodinReport(passes=True, n0=n0, margins=margins, tail_margin_factor=tail_factor)
+    passes = tail_factor is None or tail_factor > 0.0
+    return BorodinReport(passes=passes, n0=last_bad + 1 if passes else None, margins=margins,
+                         tail_margin_factor=tail_factor)
 
 
 @dataclass(frozen=True)
@@ -258,21 +245,23 @@ def smallest_root(
     ties).  One-sided with |x| < target, 0 lies inside the set, since
     rho(x, Y) <= |x|, so b is returned without solving for a.  At p = 2 one
     quadratic gives both ends (no certificate); otherwise each end is a
-    level_endpoint solve, whose certificate at x + t q comes along.  Raises
-    when the set is empty.
+    level_endpoint solve, the lower end as minus the upper end for -q, and
+    its certificate at x + t q comes along.  Raises when the set is empty.
     """
     x, q = as_vector(x, dim=Y.ambient_dim), as_vector(q, dim=Y.ambient_dim)
     ends = _l2_level_set(x, q, Y, target) if norm.p == 2.0 else None
-    b = Endpoint(ends[1], None) if ends else level_endpoint(x, q, Y, norm, target, upper=True)
+    b = Endpoint(ends[1], None) if ends else level_endpoint(x, q, Y, norm, target)
     if b is None:
         raise ConstructionError(
             f"target {target:.9g} below attainable minimum of rho(x + t q, Y)"
         )
     if b.t < 0.0 or (not two_sided and norm_eval(x, norm) < target):
         return b
-    a = Endpoint(ends[0], None) if ends else level_endpoint(x, q, Y, norm, target, upper=False)
+    a = Endpoint(ends[0], None) if ends else level_endpoint(x, -q, Y, norm, target)
     if a is None:  # tangent within tolerance on one side only: a single point
         a = b
+    elif not ends:  # the upper end for -q, negated
+        a = Endpoint(-a.t, a.certificate)
     if a.t > 0.0:
         return a
     return b if not two_sided or b.t <= -a.t else a
@@ -292,19 +281,9 @@ class FamilyMember:
 
 @dataclass(frozen=True)
 class InterpolationFamily:
-    z: np.ndarray
     members: tuple[FamilyMember, ...]
-    u_targets: tuple[float, ...]
-    v_targets: tuple[float, ...]
     step_outer: np.ndarray  # unit step out of Q2 (distance 1 to Q2 and Q1)
     step_inner: np.ndarray  # unit direction of Q2 outside Q1
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    passes: bool
-    worst_slack: float
-    pair_count: int
 
 
 def interpolating_family(
@@ -347,41 +326,13 @@ def interpolating_family(
         chain12 = Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q1, Q2))
         s = normalize_step(chain12, 1)
 
-    z = y + s
     s_coeffs = Q2.basis.T @ s
     members = []
     for um, vm in zip(u, v):
         lam = smallest_root(vm * y, s, Q1, norm, um, two_sided=False).t
         members.append(FamilyMember(q=vm * y + lam * s, mu=lam,
                                     certificate=_scaled(y_cert, vm, lam * s_coeffs)))
-    return InterpolationFamily(
-        z=z,
-        members=tuple(members),
-        u_targets=tuple(u),
-        v_targets=tuple(v),
-        step_outer=y,
-        step_inner=s,
-    )
-
-
-def lipschitz_check(family: InterpolationFamily, norm: NormSpec, tol: float = 1e-9) -> LipschitzReport:
-    """Verify |q_m - q_n| <= (|z| + 2)(max{u_m, u_n} - min{v_m, v_n}) pairwise."""
-    members = family.members
-    if len(members) < 2:
-        return LipschitzReport(passes=True, worst_slack=math.inf, pair_count=0)
-    factor = norm_eval(family.z, norm) + 2.0
-    worst = math.inf
-    count = 0
-    for m in range(len(members)):
-        for n in range(m + 1, len(members)):
-            lhs = norm_eval(members[m].q - members[n].q, norm)
-            rhs = factor * (
-                max(family.u_targets[m], family.u_targets[n])
-                - min(family.v_targets[m], family.v_targets[n])
-            )
-            worst = min(worst, rhs - lhs)
-            count += 1
-    return LipschitzReport(passes=worst >= -tol, worst_slack=worst, pair_count=count)
+    return InterpolationFamily(members=tuple(members), step_outer=y, step_inner=s)
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +342,16 @@ def lipschitz_check(family: InterpolationFamily, norm: NormSpec, tol: float = 1e
 
 @dataclass(frozen=True)
 class BorodinSchedule:
-    """tau_j together with the u/v tables, indexed u[j-1, n-1] for j <= n."""
+    """tau_j together with the u table, indexed u[j-1, n-1] for j <= n."""
 
     tau: np.ndarray
     u: np.ndarray
-    v: np.ndarray
 
 
 def build_schedule(d: TargetSequence, N: int) -> BorodinSchedule:
     """tau_1 = d_1, tau_j = min of the consecutive gaps d_{k-1} - d_k up to j;
-    u_n^(j) = 1 + tau_n / (2^j d_j), v_n^(j) = 1."""
+    u_n^(j) = 1 + tau_n / (2^j d_j).  The matching v_n^(j) is 1 throughout,
+    which _prefix_steps passes itself."""
     vals = [d.value(j) for j in range(1, N + 1)]
     if any(x <= 0 for x in vals):
         raise TargetError("build_schedule needs d_j > 0 for every j <= N")
@@ -411,12 +362,10 @@ def build_schedule(d: TargetSequence, N: int) -> BorodinSchedule:
         gap_min = min(gap_min, vals[j - 2] - vals[j - 1])
         tau[j - 1] = gap_min
     u = np.full((N, N), np.nan)
-    v = np.full((N, N), np.nan)
     for j in range(1, N + 1):
         for n in range(j, N + 1):
             u[j - 1, n - 1] = 1.0 + tau[n - 1] / (2.0**j * vals[j - 1])
-            v[j - 1, n - 1] = 1.0
-    return BorodinSchedule(tau=tau, u=u, v=v)
+    return BorodinSchedule(tau=tau, u=u)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +393,6 @@ class CoefficientBound:
 @dataclass(frozen=True)
 class ConstructionTrace:
     x: np.ndarray
-    step_vectors: tuple[np.ndarray, ...]
     coefficients: tuple[float, ...]
     achieved: tuple[DistanceResult, ...]
     targets: TargetSequence
@@ -517,7 +465,7 @@ def _measure(x, chain: Chain, k: int, Np: int, solved: dict):
     """
     Y, norm = chain.level(k), chain.norm
     if k > Np:  # x lies in Y_{Np+1}, inside Y_k
-        return DistanceResult(0.0, Y.basis.T @ x, 0.0, "contained"), 0.0
+        return DistanceResult(0.0, Y.basis.T @ x, "contained"), 0.0
     if k not in solved:
         return rho(x, Y, norm), None
     xk, res = solved[k]
@@ -583,7 +531,6 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
         raise ConstructionError(f"tolerance not met: max residual {worst:.3e} > {opts.tol:.1e}")
     return ConstructionTrace(
         x=x,
-        step_vectors=tuple(qs),
         coefficients=tuple(lambdas),
         achieved=achieved,
         targets=d,

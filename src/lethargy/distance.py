@@ -13,10 +13,11 @@ Solver routes:
   * p = inf      the primal linear program (HiGHS)
   * other p      damped Newton on one side of Fenchel duality, to a 1e-13 gap
 
-level_endpoint gives the ends of the interval {t : rho(x + t q, Y) <= d}, the
-exact root step of the backward constructions, each with the certificate of
-rho at that end.  At p = 2 both ends come from one projection of x and q
-and one quadratic, _l2_level_set, which smallest_root calls directly.
+level_endpoint gives the upper end of the interval {t : rho(x + t q, Y) <= d},
+the exact root step of the backward constructions, with the certificate of
+rho at that end; the lower end is minus the upper end for -q.  At p = 2 both
+ends come from one projection of x and q and one quadratic, _l2_level_set,
+which smallest_root calls directly.
 """
 
 from __future__ import annotations
@@ -109,26 +110,23 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
     return out
 
 
-DEFAULT_TOLS = {"l2": 1e-10, "lp_linear": 1e-8, "lp_general": 1e-7}
-
-
 class SolverError(RuntimeError):
     """A distance solver failed to converge."""
 
 
 def default_tol(norm: NormSpec) -> float:
+    """The accuracy a route states for its distances."""
     if norm.p == 2.0:
-        return DEFAULT_TOLS["l2"]
+        return 1e-10
     if norm.p == 1.0 or norm.is_sup:
-        return DEFAULT_TOLS["lp_linear"]
-    return DEFAULT_TOLS["lp_general"]
+        return 1e-8
+    return 1e-7
 
 
 @dataclass(frozen=True)
 class DistanceResult:
     value: float
     witness_coeffs: np.ndarray
-    achieved_tol: float
     solver: str
     # Raw certificate direction: the residual or Newton's g, the primal LP's
     # row duals, or the annihilator LP's solution; dual() projects, scales it.
@@ -172,9 +170,7 @@ def _norming_direction(r: np.ndarray, norm: NormSpec) -> np.ndarray:
 def _rho_l2(x: np.ndarray, Y: Subspace) -> DistanceResult:
     c = Y.basis.T @ x
     r = x - Y.basis @ c
-    value = _norm(r, 2.0)
-    eps = 1e-13 * max(1.0, _norm(x, 2.0))
-    return DistanceResult(value=value, witness_coeffs=c, achieved_tol=eps, solver="closed_form_l2",
+    return DistanceResult(value=_norm(r, 2.0), witness_coeffs=c, solver="closed_form_l2",
                           dual_direction=r)
 
 
@@ -229,8 +225,8 @@ def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
         v, direction = -res.eqlin.marginals, res.x if res.fun < 0.0 else None
     c = c0 + v * scale
     value = norm_eval(x - Y.basis @ c, norm)
-    return DistanceResult(value=value, witness_coeffs=c, achieved_tol=default_tol(norm),
-                          solver="linear_program", dual_direction=direction)
+    return DistanceResult(value=value, witness_coeffs=c, solver="linear_program",
+                          dual_direction=direction)
 
 
 def _annihilator_step(grad: np.ndarray, s: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -258,7 +254,7 @@ def _rho_convex(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
     xp = Y.residual(x - B @ c0)  # twice: rounding leaves xp's own scale in Y
     scale = norm_eval(xp, norm)
     if scale == 0.0 or np.abs(B.T @ xp).max() > 1e-8 * scale:  # x in Y, up to rounding
-        return DistanceResult(0.0, c0, default_tol(norm), "convex_descent")
+        return DistanceResult(0.0, c0, "convex_descent")
     u, primal = xp / scale, p >= 2.0
     k, lin, v = (p, 0.0 * u, u) if primal else (q, u, u)
     if not primal:  # g: r after 3 reweighted l2 steps (Lawson; |r| floored at
@@ -291,14 +287,14 @@ def _rho_convex(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
     if gap > default_tol(norm) * (1.0 + value):
         raise SolverError(f"Newton iteration stopped at certificate gap {gap:.3e}")
     c = c0 + scale * (B.T @ (u - r))
-    return DistanceResult(norm_eval(x - B @ c, norm), c, default_tol(norm), "convex_descent", g)
+    return DistanceResult(norm_eval(x - B @ c, norm), c, "convex_descent", g)
 
 
 def rho(x, Y: Subspace, norm: NormSpec) -> DistanceResult:
     """Distance rho(x, Y) with a best-approximant witness."""
     x = as_vector(x, dim=Y.ambient_dim)
     if Y.rank == 0:
-        return DistanceResult(norm_eval(x, norm), np.zeros(0), 0.0, "zero_subspace",
+        return DistanceResult(norm_eval(x, norm), np.zeros(0), "zero_subspace",
                               _norming_direction(x, norm))
     if norm.p == 2.0:
         return _rho_l2(x, Y)
@@ -313,23 +309,32 @@ def best_approximant(x, Y: Subspace, norm: NormSpec) -> np.ndarray:
 
 
 def _split(x: np.ndarray, q: np.ndarray, Y: Subspace):
-    """x's coordinates in Y and the parts of x and q orthogonal to Y; q
-    inside Y (a level set that is empty or all of R) raises SolverError."""
+    """x's coordinates in Y, the parts of x and q orthogonal to Y, and the
+    l2 norm of q's; q inside Y (a level set that is empty or all of R)
+    raises SolverError."""
     B = Y.basis
     cx = B.T @ x
     xp, qp = x - B @ cx, q - B @ (B.T @ q)
-    if np.linalg.norm(qp) <= 1e-12 * np.linalg.norm(q):
+    nq = _norm(qp, 2.0)
+    if nq <= 1e-12 * _norm(q, 2.0):
         raise SolverError("level set of a direction inside the subspace is empty or unbounded")
-    return cx, xp, qp
+    return cx, xp, qp, nq
 
 
 def _l2_level_set(x: np.ndarray, q: np.ndarray, Y: Subspace, d: float) -> tuple[float, float] | None:
     """Both ends (lower, upper) of {t : |xp + t qp|_2 <= d}, the roots of one
     quadratic in the cancellation-free form; None when its discriminant is
     negative.  The lower end is minus the upper end for -q, bit for bit:
-    -q flips the sign of xp . qp and nothing else."""
-    _, xp, qp = _split(x, q, Y)
-    nx, ab, bb = float(np.linalg.norm(xp)), float(xp @ qp), float(qp @ qp)
+    -q flips the sign of xp . qp and nothing else.  xp and d are divided by
+    2^ex and qp by 2^eq, so that max(|xp|_2, d) and |qp|_2 lie in [1/2, 1),
+    which keeps the products in range; the ends then scale back by
+    2^(ex - eq).  Powers of two are exact, so ends in the normal range keep
+    their bits."""
+    _, xp, qp, nq = _split(x, q, Y)
+    nx = _norm(xp, 2.0)
+    ex, eq = math.frexp(max(nx, d))[1], math.frexp(nq)[1]
+    v, w = np.ldexp(xp, -ex), np.ldexp(qp, -eq)
+    nx, d, ab, bb = math.ldexp(nx, -ex), math.ldexp(d, -ex), float(v @ w), float(w @ w)
     cc = (nx - d) * (nx + d)
     disc = ab * ab - bb * cc
     if not disc >= 0.0:
@@ -338,13 +343,15 @@ def _l2_level_set(x: np.ndarray, q: np.ndarray, Y: Subspace, d: float) -> tuple[
 
     def upper_end(ab):
         if ab < 0.0:
-            return (sq - ab) / bb
-        return -cc / (ab + sq) if ab + sq > 0.0 else 0.0
+            t = (sq - ab) / bb
+        else:
+            t = -cc / (ab + sq) if ab + sq > 0.0 else 0.0
+        return math.ldexp(t, ex - eq)
     return -upper_end(-ab), upper_end(ab)
 
 
-def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> Endpoint | None:
-    """Upper (or lower) end of {t : rho(x + t q, Y) <= d}; None when empty.
+def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | None:
+    """Upper end of {t : rho(x + t q, Y) <= d}; None when empty.
 
     t -> rho(x + t q, Y) is convex, and coercive for q outside Y, so the set
     is a closed interval and each end is one exact solve:
@@ -358,21 +365,18 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> 
 
     The end comes with rho(x + t q, Y) and its certificate, from the solve
     that found it (none from the quadratic).  The lower end is minus the
-    upper end for -q.  A set that misses d by at most rho's accuracy,
-    default_tol(norm) * (1 + d), is the point t_min: tied targets put d at
-    that minimum, where rounding can leave it just out of reach.  q inside Y
-    (the set is empty or all of R), or 100 Newton steps short of |rho - d|
-    <= 1e-13 (1 + d), raise SolverError.
+    upper end for -q, with the same certificate.  A set that misses d by at
+    most rho's accuracy, default_tol(norm) * (1 + d), is the point t_min:
+    tied targets put d at that minimum, where rounding can leave it just out
+    of reach.  q inside Y (the set is empty or all of R), or 100 Newton steps
+    short of |rho - d| <= 1e-13 (1 + d), raise SolverError.
     """
     x = as_vector(x, dim=Y.ambient_dim)
     q = as_vector(q, dim=Y.ambient_dim)
     if norm.p == 2.0 and (ends := _l2_level_set(x, q, Y, d)) is not None:
-        return Endpoint(ends[1] if upper else ends[0], None)
-    if not upper:
-        end = level_endpoint(x, -q, Y, norm, d, upper=True)
-        return None if end is None else Endpoint(-end.t, end.certificate)
+        return Endpoint(ends[1], None)
     B = Y.basis
-    cx, xp, qp = _split(x, q, Y)
+    cx, xp, qp, nq = _split(x, q, Y)
     if norm.p == 1.0 or norm.is_sup:
         scale = max(norm_eval(xp, norm), d) or 1.0  # as in _rho_linprog
         cost = np.append(np.zeros(Y.rank), -1.0)  # maximize t
@@ -382,10 +386,10 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float, upper: bool) -> 
                 raise SolverError(f"level-set linear program failed: {res.message}")
             t = float(res.x[Y.rank]) * scale
             c = cx + res.x[: Y.rank] * scale
-            return Endpoint(t, DistanceResult(norm_eval(x + t * q - B @ c, norm), c, default_tol(norm),
-                                              "linear_program", _lp_dual(res, x.size)))
+            return Endpoint(t, DistanceResult(norm_eval(x + t * q - B @ c, norm), c, "linear_program",
+                                              _lp_dual(res, x.size)))
     # The exact routes found the set empty; other p start here.
-    Z = Subspace(np.column_stack([B, qp / np.linalg.norm(qp)]))
+    Z = Subspace(np.column_stack([B, qp / nq]))
     low = rho(x, Z, norm)
     w = low.witness(Z)
     t_min = -float(qp @ w) / float(qp @ qp)

@@ -51,8 +51,6 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    ambient_dim: int
-    norm: NormSpec
     chain: Chain
     targets: TargetSequence
     mode: str
@@ -78,25 +76,24 @@ def _int_field(raw, name: str) -> int:
 def _number_field(raw, name: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ScenarioError(f"{name} must be a number, got {raw!r}")
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ScenarioError(f"{name} is out of range: {exc}") from exc
 
 
 def _parse_tolerance(raw) -> float:
-    try:
-        tol = float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"tolerance must be a number, got {raw!r}") from exc
+    tol = _number_field(raw, "tolerance")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ScenarioError(f"tolerance must be finite and positive, got {raw!r}")
     return tol
 
 
 def _parse_norm(raw) -> NormSpec:
-    if raw == "inf":
-        return NormSpec(math.inf)
+    p = math.inf if raw == "inf" else _number_field(raw, "norm_p")
     try:
-        return NormSpec(float(raw))
-    except (TypeError, ValueError) as exc:
+        return NormSpec(p)
+    except ValueError as exc:
         raise ScenarioError(f"invalid norm_p: {raw!r} ({exc})") from exc
 
 
@@ -139,6 +136,8 @@ def _parse_chain(raw, norm: NormSpec, ambient_dim: int) -> Chain:
         raise ScenarioError(f"unknown chain generator {gen!r}")
     if "levels" in raw:
         _reject_unknown(raw, ("levels",), "chain")
+        if not isinstance(raw["levels"], list):
+            raise ScenarioError(f"chain.levels must be a list of levels, got {raw['levels']!r}")
         levels = []
         for i, cols in enumerate(raw["levels"], start=1):
             try:
@@ -236,8 +235,6 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
         raise ScenarioError(f"seed must be >= 0, got {seed}")
     return Scenario(
         name=str(doc.get("name", name_hint)),
-        ambient_dim=ambient_dim,
-        norm=norm,
         chain=chain,
         targets=targets,
         mode=mode,
@@ -374,7 +371,7 @@ def run(scenario: Scenario) -> Report:
     if scenario.mode == "finite":
         trace = finite_construct(scenario.chain, scenario.targets, opts)
         _trace_fields(trace, report)
-        report.norm_x = _f(norm_eval(trace.x, scenario.norm))
+        report.norm_x = _f(norm_eval(trace.x, scenario.chain.norm))
         resid_ok = trace.max_residual <= scenario.tolerance
         report.checks["residuals_within_tolerance"] = resid_ok
         if scenario.targets.is_strictly_decreasing():
@@ -384,7 +381,7 @@ def run(scenario: Scenario) -> Report:
     elif scenario.mode == "prefix":
         trace = construct_prefix(scenario.chain, scenario.targets, scenario.N, opts)
         _trace_fields(trace, report)
-        report.norm_x = _f(norm_eval(trace.x, scenario.norm))
+        report.norm_x = _f(norm_eval(trace.x, scenario.chain.norm))
         report.checks["residuals_within_tolerance"] = trace.max_residual <= scenario.tolerance
         report.checks["coefficient_bounds"] = all(b.ok for b in trace.coefficient_bounds)
         report.verdict = "pass" if all(report.checks.values()) else "fail"
@@ -392,7 +389,7 @@ def run(scenario: Scenario) -> Report:
         traces, table = construct_sequence(scenario.chain, scenario.targets, scenario.N_max, opts)
         if traces:
             _trace_fields(traces[-1], report)
-            report.norm_x = _f(norm_eval(traces[-1].x, scenario.norm))
+            report.norm_x = _f(norm_eval(traces[-1].x, scenario.chain.norm))
             gaps = [t.certificate_gap for t in traces if t.certificate_gap is not None]
             report.certificate_gap = max(gaps, default=None)
         report.stabilization = {
@@ -488,10 +485,10 @@ def emit_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(report: Report, format: str = "text_table") -> str:
-    if format in ("text", "text_table"):
+def emit(report: Report, format: str = "text") -> str:
+    if format == "text":
         return emit_text(report)
-    if format in ("machine", "machine_json_like"):
+    if format == "machine":
         return emit_machine(report)
     raise ValueError(f"unknown report format {format!r}")
 

@@ -165,25 +165,9 @@ def contains(Y: Subspace, x, tol: float = NEST_TOL) -> bool:
 
 
 @dataclass(frozen=True)
-class PairNesting:
-    """Nesting diagnostics for one consecutive pair of chain levels."""
-
-    lower_index: int
-    nested: bool
-    strict: bool
-    rank_gap: int
-    max_residual: float
-
-    @property
-    def ok(self) -> bool:
-        return self.nested and self.strict
-
-
-@dataclass(frozen=True)
 class ChainValidation:
     passes: bool
-    pairs: tuple[PairNesting, ...]
-    failure: str | None = None
+    failure: str | None = None  # names the first pair that fails
 
 
 @dataclass(frozen=True)
@@ -225,25 +209,10 @@ def coordinate_chain(ambient_dim: int, n_levels: int, norm: NormSpec) -> Chain:
 
 def validate_chain(chain: Chain) -> ChainValidation:
     """Check strict nesting of consecutive levels; never raises."""
-    pairs = []
-    failure = None
     for k in range(len(chain.levels) - 1):
         lo, hi = chain.levels[k], chain.levels[k + 1]
-        if lo.rank == 0:
-            nested, max_res = True, 0.0
-        else:
-            max_res = float(np.max(np.linalg.norm(hi.residual(lo.basis), axis=0)))
-            nested = max_res <= NEST_TOL
-        strict = hi.rank > lo.rank
-        pair = PairNesting(
-            lower_index=k + 1,
-            nested=nested,
-            strict=strict,
-            rank_gap=hi.rank - lo.rank,
-            max_residual=max_res,
-        )
-        pairs.append(pair)
-        if failure is None and not pair.ok:
+        nested = lo.rank == 0 or np.max(np.linalg.norm(hi.residual(lo.basis), axis=0)) <= NEST_TOL
+        if not (nested and hi.rank > lo.rank):
             kind = "not nested" if not nested else "not strict"
-            failure = f"levels {k + 1} -> {k + 2}: {kind}"
-    return ChainValidation(passes=failure is None, pairs=tuple(pairs), failure=failure)
+            return ChainValidation(passes=False, failure=f"levels {k + 1} -> {k + 2}: {kind}")
+    return ChainValidation(passes=True)

@@ -1,12 +1,16 @@
-"""Test oracles: brute-force and primal-LP distances, and the exact l2 model
-of a prefix."""
+"""Test oracles: brute-force and primal-LP distances, the exact l2 model of a
+prefix, and independent checks of norming functionals and interpolating
+families."""
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
+from lethargy.distance import rho
 from lethargy.spaces import NormSpec, Subspace, as_vector, norm_eval
 
 
@@ -132,3 +136,50 @@ def l2_prefix_coefficients(d, u) -> list[float]:
         a = mu[k] * lam[k]
         lam[k - 1] = math.copysign(math.sqrt(d[k - 1] ** 2 - d[k] ** 2), a) - a
     return lam
+
+
+def norm_attainment_check(f, x, norm: NormSpec, tol: float = 1e-9) -> bool:
+    """True iff x witnesses |f(x)| = |f| * |x| up to the relative tolerance."""
+    x = as_vector(x, dim=f.dual_vector.size)
+    nx = norm_eval(x, norm)
+    if nx <= 0 or f.dual_norm_value <= 0:
+        raise ValueError("norm_attainment_check needs |x| > 0 and a non-zero functional")
+    return abs(f(x)) >= (1.0 - tol) * f.dual_norm_value * nx
+
+
+def kernel_distance_identity_check(f, x, norm: NormSpec, tol: float = 1e-6) -> bool:
+    """Check rho(x, ker f) = |f(x)| / |f| against the distance solver, with
+    ker f the full null space of f's dual vector."""
+    if float(np.linalg.norm(f.dual_vector)) == 0.0:
+        raise ValueError("functional must be non-zero")
+    x = as_vector(x, dim=f.dual_vector.size)
+    ker = Subspace(scipy.linalg.null_space(f.dual_vector[None, :]), ambient_dim=f.dual_vector.size)
+    lhs = rho(x, ker, norm).value
+    rhs = abs(f(x)) / f.dual_norm_value
+    return abs(lhs - rhs) <= tol
+
+
+@dataclass(frozen=True)
+class LipschitzReport:
+    passes: bool
+    worst_slack: float
+    pair_count: int
+
+
+def lipschitz_check(family, u, v, norm: NormSpec, tol: float = 1e-9) -> LipschitzReport:
+    """Verify |q_m - q_n| <= (|z| + 2)(max{u_m, u_n} - min{v_m, v_n}) pairwise
+    for the members q_m of an interpolating family built for targets u, v,
+    with z = step_outer + step_inner."""
+    members = family.members
+    if len(members) < 2:
+        return LipschitzReport(passes=True, worst_slack=math.inf, pair_count=0)
+    factor = norm_eval(family.step_outer + family.step_inner, norm) + 2.0
+    worst = math.inf
+    count = 0
+    for m in range(len(members)):
+        for n in range(m + 1, len(members)):
+            lhs = norm_eval(members[m].q - members[n].q, norm)
+            rhs = factor * (max(u[m], u[n]) - min(v[m], v[n]))
+            worst = min(worst, rhs - lhs)
+            count += 1
+    return LipschitzReport(passes=worst >= -tol, worst_slack=worst, pair_count=count)

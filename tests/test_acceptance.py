@@ -21,18 +21,12 @@ from lethargy.construct import (
     construct_sequence,
     finite_construct,
     interpolating_family,
-    lipschitz_check,
 )
 from lethargy.distance import default_tol, rho
-from lethargy.functionals import (
-    kernel_distance_identity_check,
-    limit_expression,
-    limit_value,
-    norming_functional,
-)
+from lethargy.functionals import limit_expression, limit_value, norming_functional
 from lethargy.scenario import emit_machine, load_scenario, parse_report, run
 from lethargy.spaces import NormSpec, Subspace, coordinate_chain, norm_eval
-from oracles import rho_vertex_oracle
+from oracles import kernel_distance_identity_check, lipschitz_check, rho_vertex_oracle
 
 
 def verdict(num, name, ok, detail=""):
@@ -248,13 +242,13 @@ def test_criterion_7_interpolating_family():
         v = rng.uniform(0.3, 1.0, n_m)
         u = v + rng.uniform(0.4, 1.2, n_m)
         fam = interpolating_family(Q1, Q2, Q3, norm, u=list(u), v=list(v))
-        for member, um, vm in zip(fam.members, fam.u_targets, fam.v_targets):
+        for member, um, vm in zip(fam.members, u, v):
             worst_resid = max(
                 worst_resid,
                 abs(rho(member.q, Q1, norm).value - um),
                 abs(rho(member.q, Q2, norm).value - vm),
             )
-        worst_slack = min(worst_slack, lipschitz_check(fam, norm).worst_slack)
+        worst_slack = min(worst_slack, lipschitz_check(fam, u, v, norm).worst_slack)
     ok = worst_resid <= 1e-5 and worst_slack >= 0.0
     assert verdict(
         7, "interpolating family", ok,

@@ -11,6 +11,7 @@ import lethargy.functionals as functionals_module
 from lethargy.construct import finite_construct
 from lethargy.distance import (
     DistanceResult,
+    Endpoint,
     SolverError,
     best_approximant,
     default_tol,
@@ -35,6 +36,22 @@ def assert_certifies(cert: DistanceResult, x, Y: Subspace, norm: NormSpec, value
     r = x - cert.witness(Y)
     assert float(g @ r) == pytest.approx(value, abs=tol)
     assert norm_eval(r, norm) == pytest.approx(value, abs=tol)
+
+
+def stated_tol(x, Y: Subspace, norm: NormSpec) -> float:
+    """The accuracy rho states for its value: 0 on the zero subspace,
+    1e-13 max(1, |x|_2) at p = 2 and default_tol(norm) otherwise."""
+    if Y.rank == 0:
+        return 0.0
+    if norm.p == 2.0:
+        return 1e-13 * max(1.0, float(np.linalg.norm(x)))
+    return default_tol(norm)
+
+
+def lower_end(x, q, Y: Subspace, norm: NormSpec, d: float):
+    """The lower end of {t : rho(x + t q, Y) <= d}: minus the upper end for -q."""
+    end = level_endpoint(x, -np.asarray(q, dtype=float), Y, norm, d)
+    return None if end is None else Endpoint(-end.t, end.certificate)
 
 
 def test_rho_l2_projection():
@@ -143,7 +160,7 @@ def test_witness_certifies_value():
             Y = Subspace(rng.standard_normal((dim, r)))
             x = rng.standard_normal(dim)
             res = rho(x, Y, norm)
-            assert norm_eval(x - res.witness(Y), norm) <= res.value + max(res.achieved_tol, 1e-9)
+            assert norm_eval(x - res.witness(Y), norm) <= res.value + max(stated_tol(x, Y, norm), 1e-9)
             assert res.value <= norm_eval(x, norm) + 1e-12
 
 
@@ -156,7 +173,7 @@ def test_rho_certificate_on_every_route(p):
         for scale in (1.0, 1e-6, 1e3):
             x = scale * rng.standard_normal(dim)
             res = rho(x, Y, norm)
-            tol = max(res.achieved_tol, 1e-12) * max(1.0, res.value)
+            tol = max(stated_tol(x, Y, norm), 1e-12) * max(1.0, res.value)
             assert_certifies(res, x, Y, norm, res.value, tol)
 
 
@@ -303,8 +320,8 @@ def test_level_endpoint_l2_is_quadratic_root():
         P = np.eye(5) - Y.basis @ Y.basis.T
         xp, qp = P @ x, P @ q
         roots = np.roots([qp @ qp, 2.0 * (xp @ qp), xp @ xp - d * d]).real
-        lo = level_endpoint(x, q, Y, NormSpec(2), d, upper=False)
-        hi = level_endpoint(x, q, Y, NormSpec(2), d, upper=True)
+        lo = lower_end(x, q, Y, NormSpec(2), d)
+        hi = level_endpoint(x, q, Y, NormSpec(2), d)
         assert lo.certificate is None and hi.certificate is None  # the quadratic solves for t only
         assert (lo.t, hi.t) == pytest.approx((roots.min(), roots.max()), rel=1e-12, abs=1e-12)
 
@@ -338,15 +355,14 @@ def test_l2_level_set_ends():
     for x, q, Y, d, tangent in l2_level_draws(37):
         ends = distance_module._l2_level_set(x, q, Y, d)
         if ends is None:  # negative discriminant: empty, or tangent within tolerance
-            for upper in (True, False):
-                end = level_endpoint(x, q, Y, L2, d, upper)
+            for end in (level_endpoint(x, q, Y, L2, d), lower_end(x, q, Y, L2, d)):
                 assert end is None or abs(rho(x + end.t * q, Y, L2).value - d) <= default_tol(L2) * (1.0 + d)
             continue
         lower, upper = ends
-        flipped = -level_endpoint(x, -q, Y, L2, d, upper=True).t
+        flipped = -level_endpoint(x, -q, Y, L2, d).t
         assert lower == flipped and math.copysign(1.0, lower) == math.copysign(1.0, flipped)
         negative_zeros += lower == 0.0 and math.copysign(1.0, lower) < 0.0
-        assert upper == level_endpoint(x, q, Y, L2, d, upper=True).t
+        assert upper == level_endpoint(x, q, Y, L2, d).t
         assert lower <= upper + 1e-12 * (1.0 + abs(upper))  # tangent sets may cross by rounding
         # a tangent end is fixed only to about sqrt(eps), where rho grows
         # linearly off its minimum 0 (d = 0) and quadratically elsewhere
@@ -362,14 +378,29 @@ def test_l2_level_set_direction_inside_subspace():
         distance_module._l2_level_set(np.ones(4), Y.basis @ [1.0, -2.0], Y, 3.0)
 
 
+@pytest.mark.parametrize("s", [1e-305, 1e-170, 1e-150, 1e150, 1e160, 1e300])
+def test_l2_level_set_is_scale_safe(s):
+    # x, q and d scaled together leave the ends where they are.  Unscaled,
+    # xp . qp, qp . qp and |xp|^2 - d^2 under- or overflow long before xp
+    # and qp do: (-0.142, 1.619) at 1e-150, (-inf, 0) at 1e150, an overflow
+    # at 1e160, and |qp| = 0 ("direction inside the subspace") at 1e-170.
+    Y, x, q, d = level_instance(np.random.default_rng(1), 2.0, dim=6, rank=2)
+    ends = distance_module._l2_level_set(x, q, Y, d)
+    assert ends == pytest.approx((-0.643, 0.358), abs=1e-3)
+    scaled = distance_module._l2_level_set(s * x, s * q, Y, s * d)
+    for t, t0 in zip(scaled, ends):
+        assert abs(t - t0) <= 2 * np.spacing(abs(t0))
+    assert level_endpoint(s * x, s * q, Y, L2, s * d).t == scaled[1]
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
 def test_level_endpoint_meets_level_and_is_extreme(p):
     rng = np.random.default_rng(32)
     norm = NormSpec(p)
     for _ in range(6):
         Y, x, q, d = level_instance(rng, p)
-        lo = level_endpoint(x, q, Y, norm, d, upper=False)
-        hi = level_endpoint(x, q, Y, norm, d, upper=True)
+        lo = lower_end(x, q, Y, norm, d)
+        hi = level_endpoint(x, q, Y, norm, d)
         assert lo.t < 0.0 < hi.t  # d > rho(x, Y): 0 lies inside the level set
         for end in (lo, hi):
             t = end.t
@@ -384,10 +415,10 @@ def test_level_endpoint_empty_and_degenerate(p):
     norm = NormSpec(p)
     Y, x, q, _ = level_instance(rng, p)
     floor = rho(x, Subspace(np.column_stack([Y.basis, q])), norm).value  # min over t
-    for upper in (True, False):
-        assert level_endpoint(x, q, Y, norm, 0.5 * floor, upper) is None
+    assert level_endpoint(x, q, Y, norm, 0.5 * floor) is None
+    assert lower_end(x, q, Y, norm, 0.5 * floor) is None
     with pytest.raises(SolverError):
-        level_endpoint(x, Y.basis @ [1.0, -2.0], Y, norm, 2.0 * floor, upper=True)
+        level_endpoint(x, Y.basis @ [1.0, -2.0], Y, norm, 2.0 * floor)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.2, 2.0, 3.0, math.inf])
@@ -400,15 +431,15 @@ def test_level_endpoint_tangent(p):
         Y, x, q, _ = level_instance(rng, p)
         floor = rho(x, Subspace(np.column_stack([Y.basis, q])), norm).value
         for d in (floor, floor * (1.0 - 1e-12)):
-            lo = level_endpoint(x, q, Y, norm, d, upper=False)
-            hi = level_endpoint(x, q, Y, norm, d, upper=True)
+            lo = lower_end(x, q, Y, norm, d)
+            hi = level_endpoint(x, q, Y, norm, d)
             assert lo is not None and hi is not None
             assert lo.t <= hi.t + 1e-6
             for end in (lo, hi):
                 assert rho(x + end.t * q, Y, norm).value == pytest.approx(floor, abs=1e-7)
                 if end.certificate is not None:
                     assert_certifies(end.certificate, x + end.t * q, Y, norm, floor, 1e-7)
-        assert level_endpoint(x, q, Y, norm, floor - 1e-4, upper=True) is None
+        assert level_endpoint(x, q, Y, norm, floor - 1e-4) is None
 
 
 # -- the LP entry point --------------------------------------------------------
@@ -432,8 +463,8 @@ def level_set_lps():
         Y, x, q, _ = level_instance(rng, norm.p, dim=int(rng.integers(3, 8)), rank=int(rng.integers(1, 3)))
         floor = rho(x, Subspace(np.column_stack([Y.basis, q])), norm).value
         for d in (0.5 * floor, floor, 1.5 * floor + 0.1):
-            for upper in (True, False):
-                level_endpoint(x, q, Y, norm, d, upper)
+            level_endpoint(x, q, Y, norm, d)
+            lower_end(x, q, Y, norm, d)
 
 
 def norming_lps():
@@ -533,7 +564,7 @@ def test_certified_solves_on_the_scipy_linprog_path(monkeypatch):
         for f, ref in zip(fs, core_fs):
             assert f.dual_norm_value == pytest.approx(ref.dual_norm_value, rel=1e-12)
             assert f(x2) == pytest.approx(ref(x2), rel=1e-12, abs=1e-12)
-            cert = DistanceResult(value=res.value, witness_coeffs=res.witness_coeffs, achieved_tol=0.0,
+            cert = DistanceResult(value=res.value, witness_coeffs=res.witness_coeffs,
                                   solver=res.solver, dual_direction=f.dual_vector * res.value)
             assert_certifies(cert, x1, Q, l1, res.value, 1e-12 * res.value)
 

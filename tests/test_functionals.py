@@ -6,14 +6,13 @@ import pytest
 
 from lethargy.functionals import (
     FunctionalError,
-    kernel_distance_identity_check,
     limit_expression,
     limit_value,
-    norm_attainment_check,
     norming_functional,
 )
 from lethargy.distance import rho
 from lethargy.spaces import NormSpec, Subspace
+from oracles import kernel_distance_identity_check, norm_attainment_check
 
 L2 = NormSpec(2)
 DATA = Path(__file__).parent / "data"

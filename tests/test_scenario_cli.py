@@ -52,7 +52,7 @@ def test_parse_polynomial_grid_generator():
         targets={"values": [0.5, 0.3, 0.2, 0.1], "tail": "zero"},
     )
     scn = parse_scenario(doc)
-    assert scn.norm.is_sup
+    assert scn.chain.norm.is_sup
     assert [Y.rank for Y in scn.chain.levels] == [1, 2, 3, 4]
 
 
@@ -140,11 +140,12 @@ def test_machine_report_deterministic():
 
 def test_emit_text_contains_table():
     rep = run(parse_scenario(base_doc()))
-    text = emit(rep, "text_table")
+    text = emit(rep, "text")
     assert "verdict  : pass" in text
     assert "wall time" in text
-    with pytest.raises(ValueError):
-        emit(rep, "xml")
+    for fmt in ("xml", "text_table", "machine_json_like"):
+        with pytest.raises(ValueError):
+            emit(rep, fmt)
 
 
 @pytest.mark.parametrize("norm_p, certified", [(1, True), ("inf", True), (2, False)])
@@ -282,12 +283,21 @@ def _exit_code(argv):
         ({"mode": "check_only", "subspace_condition": {"k": 2}}, ["--seed", "-1"]),
         ({"ambient_dim": 3, "chain": {"generator": "coordinate", "n_levels": 1},
           "targets": {"values": [0.5, 0.4, 0.3], "tail": "zero"}}, []),
+        ({"chain": {"levels": 5}}, []),
+        ({"chain": {"levels": None}}, []),
+        ({"norm_p": True}, []),
+        ({"norm_p": "2"}, []),
+        ({"tolerance": True}, []),
+        ({"tolerance": "1e-3"}, []),
+        ({"targets": {"values": [10**400]}}, []),
     ],
     ids=["N=0", "N_max=0", "N=x", "N=2.5", "tolerance=-1", "tolerance=nan",
          "--tolerance=-1", "--tolerance=nan", "--tolerance=x",
          "values=[a]", "values=3", "ratio=x", "k=x", "k=1", "k>levels", "d_k=0",
          "n_samples=x", "n_samples=-1", "N_max>chain", "N>chain",
-         "finite-geometric", "seed=-1", "--seed=-1", "targets>chain"],
+         "finite-geometric", "seed=-1", "--seed=-1", "targets>chain",
+         "levels=5", "levels=null", "norm_p=true", "norm_p=str", "tolerance=true",
+         "tolerance=str", "values=[10**400]"],
 )
 def test_cli_malformed_numbers_exit_2(tmp_path, capsys, over, extra):
     doc = base_doc(**over)
@@ -346,9 +356,9 @@ FUZZ_VALUE = st.one_of(
 FUZZ_FIELDS = [
     (None, key) for key in ("version", "ambient_dim", "norm_p", "chain", "targets", "mode",
                             "tolerance", "N", "N_max", "seed", "subspace_condition")
-] + [("chain", "generator"), ("chain", "n_levels"), ("targets", "values"),
-     ("targets", "tail"), ("targets", "ratio"), ("subspace_condition", "k"),
-     ("subspace_condition", "n_samples")]
+] + [("chain", "generator"), ("chain", "n_levels"), ("chain", "levels"),
+     ("targets", "values"), ("targets", "tail"), ("targets", "ratio"),
+     ("subspace_condition", "k"), ("subspace_condition", "n_samples")]
 FUZZ_BASES = [
     base_doc(),
     base_doc(norm_p=1, mode="prefix", N=2, targets={"values": [0.5, 0.2], "tail": "zero"}),
@@ -356,6 +366,7 @@ FUZZ_BASES = [
              chain={"generator": "coordinate", "n_levels": 3},
              targets={"values": [0.5], "tail": "geometric", "ratio": 0.3}),
     base_doc(mode="check_only", subspace_condition={"k": 2, "n_samples": 3}),
+    base_doc(chain={"levels": [[[1, 0, 0, 0]], [[1, 0, 0, 0], [0, 1, 0, 0]]]}),
 ]
 
 

@@ -141,7 +141,7 @@ def test_validate_chain_pass():
     chain = coordinate_chain(3, 2, NormSpec(2))
     rep = validate_chain(chain)
     assert rep.passes
-    assert all(pair.ok for pair in rep.pairs)
+    assert rep.failure is None
     assert [Y.rank for Y in chain.levels] == [1, 2]
 
 
@@ -151,6 +151,10 @@ def test_validate_chain_not_nested():
     rep = validate_chain(chain)
     assert not rep.passes
     assert "not nested" in rep.failure
+    # the message names the first pair that fails
+    e = np.eye(3)
+    chain = Chain(3, NormSpec(2), (Subspace(e[:, :1]), Subspace(e[:, :2]), Subspace(e[:, 2:])))
+    assert validate_chain(chain).failure == "levels 2 -> 3: not nested"
 
 
 def test_validate_chain_not_strict():
