@@ -8,6 +8,8 @@ in Normed Linear Spaces, 1970).  Any such g gives the lower bound
 g(x - y) <= rho(x, Y) for every y in Y; the witness gives the upper bound.
 Solver routes:
 
+  * coordinate   Y = span{e_i : i in S} ({0} included), any p: rho(x, Y) is
+                 the norm of x off S, attained at x_S (closed form)
   * p = 2        orthogonal projection (closed form)
   * p = 1        the annihilator linear program (HiGHS), r equality rows
   * p = inf      the primal linear program (HiGHS)
@@ -17,7 +19,9 @@ level_endpoint gives the upper end of the interval {t : rho(x + t q, Y) <= d},
 the exact root step of the backward constructions, with the certificate of
 rho at that end; the lower end is minus the upper end for -q.  At p = 2 both
 ends come from one projection of x and q and one quadratic, _l2_level_set,
-which smallest_root calls directly.
+which smallest_root calls directly.  On a coordinate subspace at p in
+{1, inf} the end is a closed form in the entries of x and q off S, so a
+construction over a coordinate chain solves no linear program.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from scipy.optimize import minimize  # noqa: F401  (bench/tracing.py patches thi
 from scipy.optimize import linprog as _scipy_linprog
 
 from .spaces import NormSpec, Subspace, _norm, as_vector, norm_eval
+
+_EPS = float(np.finfo(float).eps)
 
 try:
     from scipy.optimize._highspy import _core as _highs
@@ -157,14 +163,30 @@ class Endpoint(NamedTuple):
 
 
 def _norming_direction(r: np.ndarray, norm: NormSpec) -> np.ndarray:
-    """A direction g with g(r) = |r| |g|_*: |r|^(p-1) sign(r), or for the sup
-    norm the signed unit vector at the largest entry."""
+    """A direction g with g(r) = |r| |g|_*: |r|^(p-1) sign(r), which is r
+    itself at p = 2, or for the sup norm the signed unit vector at the
+    largest entry."""
     if norm.is_sup:
         g = np.zeros_like(r)
         i = int(np.argmax(np.abs(r)))
         g[i] = np.sign(r[i])
         return g
+    if norm.p == 2.0:
+        return r
     return np.abs(r) ** (norm.p - 1.0) * np.sign(r)
+
+
+def _rho_coordinate(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
+    """On Y = span{e_i : i in S} the nearest point at every p is x_S, and
+    rho(x, Y) is the norm of the residual r, x with its S entries set to 0;
+    r's norming direction vanishes on S.  {0} is the case S empty."""
+    r = x.copy()
+    r[Y.support] = 0.0
+    value = _norm(r, norm.p)
+    if value > 0.0 and norm.p not in (1.0, 2.0, math.inf):
+        r = r / value  # |r|^(p - 1) would over- or underflow long before the norm
+    return DistanceResult(value=value, witness_coeffs=Y.basis.T @ x, solver="coordinate",
+                          dual_direction=_norming_direction(r, norm))
 
 
 def _rho_l2(x: np.ndarray, Y: Subspace) -> DistanceResult:
@@ -293,9 +315,8 @@ def _rho_convex(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
 def rho(x, Y: Subspace, norm: NormSpec) -> DistanceResult:
     """Distance rho(x, Y) with a best-approximant witness."""
     x = as_vector(x, dim=Y.ambient_dim)
-    if Y.rank == 0:
-        return DistanceResult(norm_eval(x, norm), np.zeros(0), "zero_subspace",
-                              _norming_direction(x, norm))
+    if Y.support is not None:
+        return _rho_coordinate(x, Y, norm)
     if norm.p == 2.0:
         return _rho_l2(x, Y)
     if norm.p == 1.0 or norm.is_sup:
@@ -324,7 +345,8 @@ def _split(x: np.ndarray, q: np.ndarray, Y: Subspace):
 def _l2_level_set(x: np.ndarray, q: np.ndarray, Y: Subspace, d: float) -> tuple[float, float] | None:
     """Both ends (lower, upper) of {t : |xp + t qp|_2 <= d}, the roots of one
     quadratic in the cancellation-free form; None when its discriminant is
-    negative.  The lower end is minus the upper end for -q, bit for bit:
+    negative beyond rounding, and both t_min when it is 0 up to rounding.
+    The lower end is minus the upper end for -q, bit for bit:
     -q flips the sign of xp . qp and nothing else.  xp and d are divided by
     2^ex and qp by 2^eq, so that max(|xp|_2, d) and |qp|_2 lie in [1/2, 1),
     which keeps the products in range; the ends then scale back by
@@ -337,17 +359,56 @@ def _l2_level_set(x: np.ndarray, q: np.ndarray, Y: Subspace, d: float) -> tuple[
     nx, d, ab, bb = math.ldexp(nx, -ex), math.ldexp(d, -ex), float(v @ w), float(w @ w)
     cc = (nx - d) * (nx + d)
     disc = ab * ab - bb * cc
-    if not disc >= 0.0:
+    # d at the minimum over t, up to the rounding of ab, bb and cc (m eps
+    # each): the set is the point t_min = -ab / bb, which sqrt(disc) would
+    # move by about sqrt(eps)
+    point = abs(disc) <= 8 * x.size * _EPS * bb * max(nx, d) ** 2
+    if not (point or disc >= 0.0):
         return None
-    sq = math.sqrt(disc)
+    sq = 0.0 if point else math.sqrt(disc)
 
     def upper_end(ab):
-        if ab < 0.0:
+        if point:
+            t = 0.0 - ab / bb  # +0.0 at ab = 0, so the lower end is -0.0
+        elif ab < 0.0:
             t = (sq - ab) / bb
         else:
             t = -cc / (ab + sq) if ab + sq > 0.0 else 0.0
         return math.ldexp(t, ex - eq)
     return -upper_end(-ab), upper_end(ab)
+
+
+def _coordinate_level_end(a: np.ndarray, b: np.ndarray, norm: NormSpec, d: float) -> float | None:
+    """Upper end of {t : |a + t b| <= d} at p in {1, inf}, None when empty:
+    the level set of rho(x + t q, Y) for Y a coordinate subspace, with a and
+    b the entries of x and q off its support.
+
+      * p = inf   |a_i + t b_i| <= d ends at (d - sign(b_i) a_i) / |b_i|
+                  and starts at (-d - sign(b_i) a_i) / |b_i|; the set is the
+                  intersection, empty if some |a_i| > d has b_i = 0
+      * p = 1     f(t) = sum |a_i + t b_i| is convex and linear between the
+                  sorted breakpoints t_i = -a_i / b_i, where prefix sums give
+                  f and its right slope; the end lies right of the last
+                  breakpoint with f <= d, measured from there
+    """
+    fixed, a, b = np.abs(a[b == 0.0]), a[b != 0.0], b[b != 0.0]
+    sa, w = np.sign(b) * a, np.abs(b)  # |a_i + t b_i| = sa_i + t w_i right of t_i
+    if norm.is_sup:
+        upper = float(np.min((d - sa) / w))
+        if np.any(fixed > d) or np.max((-d - sa) / w) > upper:
+            return None
+        return upper
+    order = np.argsort(-a / b)
+    a, b, sa, w = a[order], b[order], sa[order], w[order]
+    t = -a / b
+    slope = 2.0 * np.cumsum(w) - np.sum(w)
+    f = np.sum(fixed) + 2.0 * np.cumsum(sa) - np.sum(sa) + t * slope
+    if not (below := np.flatnonzero(f <= d)).size:
+        return None
+    k = below[-1]
+    if slope[k] <= 0.0:  # f flat up to rounding: the end is t_k
+        return float(t[k])
+    return float(t[k] + (d - np.sum(fixed) - np.sum(np.abs(a + t[k] * b))) / slope[k])
 
 
 def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | None:
@@ -358,7 +419,9 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
 
       * p = 2        a quadratic on the orthogonal complement of Y, which
                      gives both ends at once (_l2_level_set)
-      * p in {1, inf} one linear program maximizing t
+      * p in {1, inf} on a coordinate subspace, a closed form in the entries
+                     of x and q off its support (_coordinate_level_end);
+                     otherwise one linear program maximizing t
       * other p      Newton on rho - d, slope g(q) for rho's certificate g,
                      from the outer bound t_min + (d + rho_min) / rho(q, Y),
                      rho_min = rho(x, Y + span q) the minimum, at t_min
@@ -377,7 +440,11 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
         return Endpoint(ends[1], None)
     B = Y.basis
     cx, xp, qp, nq = _split(x, q, Y)
-    if norm.p == 1.0 or norm.is_sup:
+    if Y.support is not None and (norm.p == 1.0 or norm.is_sup):
+        a, b = np.delete(xp, Y.support), np.delete(qp, Y.support)
+        if (t := _coordinate_level_end(a, b, norm, d)) is not None:
+            return Endpoint(t, _rho_coordinate(x + t * q, Y, norm))
+    elif norm.p == 1.0 or norm.is_sup:
         scale = max(norm_eval(xp, norm), d) or 1.0  # as in _rho_linprog
         cost = np.append(np.zeros(Y.rank), -1.0)  # maximize t
         res = _lp(xp / scale, np.column_stack([B, -q]), norm, cost, d / scale)
@@ -388,7 +455,8 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
             c = cx + res.x[: Y.rank] * scale
             return Endpoint(t, DistanceResult(norm_eval(x + t * q - B @ c, norm), c, "linear_program",
                                               _lp_dual(res, x.size)))
-    # The exact routes found the set empty; other p start here.
+    # The exact routes found the set empty, or missed it by rounding where d
+    # is the minimum; other p start here.
     Z = Subspace(np.column_stack([B, qp / nq]))
     low = rho(x, Z, norm)
     w = low.witness(Z)

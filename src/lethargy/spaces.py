@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -142,7 +143,19 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.eye(ambient_dim))
+        """R^ambient_dim with the identity basis, which is what the SVD of
+        np.eye would give, bit for bit."""
+        Y = cls.zero(ambient_dim)
+        Y.basis, Y.rank = np.eye(Y.ambient_dim), Y.ambient_dim
+        return Y
+
+    @cached_property
+    def support(self) -> np.ndarray | None:
+        """The indices S with Y = span{e_i : i in S}, or None when Y is no
+        coordinate subspace.  An orthonormal basis with exactly rank non-zero
+        rows spans the coordinates of those rows; {0} has S empty."""
+        rows = np.flatnonzero(self.basis.any(axis=1))
+        return rows if rows.size == self.rank else None
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Euclidean orthogonal projection onto the subspace."""

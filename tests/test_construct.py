@@ -545,27 +545,39 @@ def counted_lps(monkeypatch) -> list:
 def test_finite_construct_reuses_its_solves(monkeypatch):
     # 4 unit steps and the upper end of each of the 3 one-sided roots; the
     # top level scales its step's certificate, and recentres, the trim and
-    # the measures reuse the certificates
+    # the measures reuse the certificates.  A coordinate chain takes no LP.
+    d = TargetSequence((0.9, 0.5, 0.3, 0.1))
     calls = counted_lps(monkeypatch)
-    tr = finite_construct(coordinate_chain(6, 4, NormSpec(1)), TargetSequence((0.9, 0.5, 0.3, 0.1)))
+    tr = finite_construct(random_chain(0, 6, 4, NormSpec(1)), d)
     assert tr.max_residual <= 1e-12
     assert len(calls) == 7
+    calls.clear()
+    tr = finite_construct(coordinate_chain(6, 4, NormSpec(1)), d)
+    assert tr.max_residual <= 1e-12
+    assert not calls
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
 def test_schedule_modes_solve_counts(monkeypatch, p):
     # steps: 5 unit steps out of Y_1..Y_5 (the direction in Y_1 leaves {0}
-    # with no LP) and one upper end per family root; each rung then solves
-    # both ends of each of its N - 1 two-sided roots, and none at its top
-    chain = coordinate_chain(7, 6, NormSpec(p))
+    # with no LP, and so do the family roots, level sets on {0}); each rung
+    # then solves both ends of each of its N - 1 two-sided roots, and none
+    # at its top.  A coordinate chain takes no LP.
     d = TargetSequence((1.0,), "geometric", 1.0 / 3.0)
     calls = counted_lps(monkeypatch)
+    chain = random_chain(0, 7, 6, NormSpec(p))
     construct_prefix(chain, d, 5)
-    assert len(calls) == 5 + 5 + 2 * 4
+    assert len(calls) == 5 + 2 * 4
     calls.clear()
     _, table = construct_sequence(chain, d, 5)
     assert not table.failures
-    assert len(calls) == 5 + 5 + 2 * (0 + 1 + 2 + 3 + 4)
+    assert len(calls) == 5 + 2 * (0 + 1 + 2 + 3 + 4)
+    calls.clear()
+    chain = coordinate_chain(7, 6, NormSpec(p))
+    construct_prefix(chain, d, 5)
+    _, table = construct_sequence(chain, d, 5)
+    assert not table.failures
+    assert not calls
 
 
 def test_all_zero_targets_measure_every_level():

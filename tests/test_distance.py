@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from lethargy.distance import (
     level_endpoint,
     rho,
 )
-from lethargy.spaces import NormSpec, Subspace, coordinate_chain, norm_eval
+from lethargy.spaces import Chain, NormSpec, Subspace, coordinate_chain, norm_eval
 from oracles import rho_l1_primal_oracle, rho_oracle, rho_vertex_oracle
 from test_acceptance import non_hilbert_instances
 
@@ -59,7 +60,7 @@ def test_rho_l2_projection():
     res = rho([1.0, 1.0], Y, NormSpec(2))
     assert res.value == pytest.approx(1.0)
     assert res.witness(Y) == pytest.approx([1.0, 0.0])
-    assert res.solver == "closed_form_l2"
+    assert res.solver == "coordinate"
 
 
 def test_rho_sup_lp():
@@ -76,7 +77,7 @@ def test_rho_zero_subspace_is_norm():
         x = np.array([1.0, -2.0, 0.5])
         res = rho(x, Z, NormSpec(p))
         assert res.value == pytest.approx(norm_eval(x, NormSpec(p)))
-        assert res.solver == "zero_subspace"
+        assert res.solver == "coordinate"
         assert res.witness(Z) == pytest.approx([0.0, 0.0, 0.0])
 
 
@@ -327,9 +328,9 @@ def test_level_endpoint_l2_is_quadratic_root():
 
 
 def l2_level_draws(seed, n=200):
-    """(x, q, Y, d, tangent): m <= 12, rank 0 to m - 1, d inside, on and
-    below the range of t -> rho(x + t q, Y), whose minimum is floor, and
-    coordinate cases with signed zeros; tangent when d == floor."""
+    """(x, q, Y, d): m <= 12, rank 0 to m - 1, d inside, on and below the
+    range of t -> rho(x + t q, Y), whose minimum is floor, and coordinate
+    cases with signed zeros."""
     rng = np.random.default_rng(seed)
     for i in range(n):
         m = int(rng.integers(1, 13))
@@ -339,22 +340,22 @@ def l2_level_draws(seed, n=200):
         nx = rho(x, Y, L2).value
         floor = rho(x, Subspace(np.column_stack([Y.basis, q])), L2).value if r < m - 1 else 0.0
         for d in (nx, 1.5 * nx + 0.1, 0.5 * (nx + floor), floor, 0.5 * floor):
-            yield x, q, Y, d, d == floor
+            yield x, q, Y, d
     for m, r, d in ((3, 1, 1.0), (3, 1, 0.0), (2, 0, 2.0), (4, 2, 0.5)):
         # x = c e_{r+1} and q = e_{r+2}: xp . qp = 0 exactly, floor = |c|
         e = np.eye(m)
         Y = Subspace(e[:, :r]) if r else Subspace.zero(m)
         for c in (2.0, d, 0.0):
-            yield c * e[:, r], e[:, r + 1], Y, d, d == c
+            yield c * e[:, r], e[:, r + 1], Y, d
 
 
 def test_l2_level_set_ends():
     # one projection, one quadratic: both ends, each equal to what the
     # upper-end solve gives (for -q, negated, signed zeros included)
     negative_zeros = 0
-    for x, q, Y, d, tangent in l2_level_draws(37):
+    for x, q, Y, d in l2_level_draws(37):
         ends = distance_module._l2_level_set(x, q, Y, d)
-        if ends is None:  # negative discriminant: empty, or tangent within tolerance
+        if ends is None:  # negative discriminant beyond rounding: empty
             for end in (level_endpoint(x, q, Y, L2, d), lower_end(x, q, Y, L2, d)):
                 assert end is None or abs(rho(x + end.t * q, Y, L2).value - d) <= default_tol(L2) * (1.0 + d)
             continue
@@ -364,12 +365,28 @@ def test_l2_level_set_ends():
         negative_zeros += lower == 0.0 and math.copysign(1.0, lower) < 0.0
         assert upper == level_endpoint(x, q, Y, L2, d).t
         assert lower <= upper + 1e-12 * (1.0 + abs(upper))  # tangent sets may cross by rounding
-        # a tangent end is fixed only to about sqrt(eps), where rho grows
-        # linearly off its minimum 0 (d = 0) and quadratically elsewhere
-        tol = 1e-7 if tangent else 1e-12
         for t in ends:
-            assert abs(rho(x + t * q, Y, L2).value - d) <= tol * (1.0 + d)
+            assert abs(rho(x + t * q, Y, L2).value - d) <= 1e-12 * (1.0 + d)
     assert negative_zeros > 0  # x on the level, |xp| = d, gives signed-zero ends
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-150, 1e150])
+def test_l2_single_point_level_set(s):
+    # rank m - 1 leaves x and q one line off Y, so d = 0, the minimum over
+    # t, makes the level set the single point t_min, where rho grows
+    # linearly.  Both ends sit there to rounding, not to sqrt(eps) (4.1e-8).
+    rng = np.random.default_rng(3)
+    for i in range(300):
+        m = 1 + i % 4
+        Y = Subspace(rng.standard_normal((m, m - 1))) if m > 1 else Subspace.zero(1)
+        x, q = rng.standard_normal(m), rng.standard_normal(m)
+        d = rho(x, Subspace(np.column_stack([Y.basis, q])), L2).value
+        ends = distance_module._l2_level_set(s * x, s * q, Y, s * d)
+        assert ends is not None and ends[0] == ends[1]
+        assert level_endpoint(s * x, s * q, Y, L2, s * d).t == ends[1]
+        assert lower_end(s * x, s * q, Y, L2, s * d).t == ends[0]
+        gap = rho(s * x + ends[1] * (s * q), Y, L2).value - s * d
+        assert gap <= 1e-12 * (s + s * d)
 
 
 def test_l2_level_set_direction_inside_subspace():
@@ -442,6 +459,105 @@ def test_level_endpoint_tangent(p):
         assert level_endpoint(x, q, Y, norm, floor - 1e-4) is None
 
 
+def coordinate_cases(seed, n=60):
+    """(norm, Y, x, q) at p in {1, inf}: Y = span{e_i : i in S} from signed
+    columns in random order, rank 0 included, and q with zero entries."""
+    e = np.eye(4)  # span{e_3, e_1}, the second column sign-flipped
+    yield NormSpec(1.0), Subspace(np.column_stack([e[:, 2], -e[:, 0]])), np.arange(1.0, 5.0), e[:, 1] - e[:, 3]
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        m = int(rng.integers(2, 8))
+        S = rng.permutation(m)[: int(rng.integers(0, m))]
+        Y = Subspace(np.eye(m)[:, S] * rng.choice([-1.0, 1.0], S.size)) if S.size else Subspace.zero(m)
+        x, q = rng.standard_normal(m), rng.standard_normal(m)
+        q[rng.random(m) < 0.3] = 0.0
+        q[np.setdiff1d(np.arange(m), S)[0]] = 1.0  # q outside Y
+        yield NormSpec(1.0 if i % 2 == 0 else math.inf), Y, x, q
+
+
+def test_coordinate_level_end_on_a_flat_minimum():
+    # q = (w, -w) balances the slopes, so sum |x_i + t q_i| is flat at its
+    # minimum: with d at that level, rounding can leave the last breakpoint
+    # with f <= d on the flat piece, whose right slope is exactly 0
+    rng = np.random.default_rng(40)
+    zero, hidden = Subspace.zero(4), copy.copy(Subspace.zero(4))
+    hidden.support = None
+    for _ in range(100):
+        w = rng.uniform(0.1, 1.0, 2)
+        x, q = rng.standard_normal(4), np.concatenate([w, -w])
+        t = np.sort(-x / q)
+        d = min(norm_eval(x + s * q, NormSpec(1.0)) for s in (t[:-1] + t[1:]) / 2)
+        ends = [f(x, q, zero, NormSpec(1.0), d).t for f in (lower_end, level_endpoint)]
+        low, high = sorted(f(x, q, hidden, NormSpec(1.0), d).t for f in (lower_end, level_endpoint))
+        for end in ends:
+            assert low - 1e-9 <= end <= high + 1e-9
+            assert norm_eval(x + end * q, NormSpec(1.0)) <= d * (1.0 + 1e-15)
+
+
+@pytest.mark.parametrize("s", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+def test_coordinate_certificate_is_scale_safe(p, s):
+    # |r|^(p - 1) of the residual itself would overflow at 1e200 (p = 3).
+    # The sum^(1/p) of a norm far from 1 costs about ln(sum) ulp.
+    norm = NormSpec(p)
+    Y = coordinate_chain(5, 2, norm).level(2)
+    x = s * np.array([0.3, -1.0, 2.0, -0.5, 1.5])
+    res = rho(x, Y, norm)
+    assert res.value == pytest.approx(s * norm_eval([2.0, -0.5, 1.5], norm), rel=1e-13)
+    assert_certifies(res, x, Y, norm, res.value, 1e-13 * res.value)
+
+
+def test_coordinate_closed_form_matches_the_lp_route(monkeypatch):
+    # On a coordinate subspace rho and both level-set ends are closed forms;
+    # with the support hidden the same calls take the LP route
+    empty = []  # closed forms that found the set empty
+    tangent_fallbacks = 0
+    closed_form = distance_module._coordinate_level_end
+
+    def recorded(*args):
+        t = closed_form(*args)
+        if t is None:
+            empty.append(args)
+        return t
+    monkeypatch.setattr(distance_module, "_coordinate_level_end", recorded)
+    for norm, Y, x, q in coordinate_cases(39):
+        assert np.array_equal(np.sort(Y.support), np.flatnonzero(Y.basis.any(axis=1)))
+        hidden = copy.copy(Y)
+        hidden.support = None
+        res, ref = rho(x, Y, norm), distance_module._rho_linprog(x, Y, norm)
+        assert res.solver == "coordinate"
+        assert res.value == pytest.approx(ref.value, rel=1e-12)
+        assert_certifies(res, x, Y, norm, res.value, 1e-15 * (1.0 + res.value))
+        floor = rho(x, Subspace(np.column_stack([Y.basis, q])), norm).value  # min over t
+        for d in (0.5 * floor, floor, 0.5 * (floor + res.value), res.value, 1.5 * res.value + 0.1):
+            found_empty = len(empty)
+            ends = [f(x, q, Y, norm, d) for f in (lower_end, level_endpoint)]
+            found_empty = len(empty) > found_empty
+            lps = [f(x, q, hidden, norm, d) for f in (lower_end, level_endpoint)]
+            if d < floor * (1.0 - 1e-6):
+                assert ends == lps == [None, None]
+            elif d > floor * (1.0 + 1e-9):  # an interval, each end a closed form
+                for end, lp in zip(ends, lps):
+                    # an end is exact to rounding in rho, so in t to that
+                    # over rho's slope g(q), which a near-flat piece makes small
+                    slope = abs(float(end.certificate.dual(Y, norm) @ q))
+                    assert abs(end.t - lp.t) <= 1e-12 * (1.0 + abs(lp.t)) + 1e-14 * (1.0 + d) / slope
+                    cert = end.certificate
+                    assert cert.value == pytest.approx(d, rel=1e-14, abs=1e-14)
+                    assert_certifies(cert, x + end.t * q, Y, norm, cert.value, 1e-15 * (1.0 + d))
+            else:
+                # d at the minimum over t: the closed form may find the set
+                # empty by rounding and take the tangent fallback, which
+                # returns one minimizer; the LP, within its tolerance, the
+                # ends of a flat minimum.  The one lies within the other.
+                low, high = sorted(lp.t for lp in lps)
+                slack = 1e-9 * (1.0 + abs(low) + abs(high))
+                for end in ends:
+                    assert low - slack <= end.t <= high + slack
+                tangent_fallbacks += found_empty
+    assert len(empty) > 10 and tangent_fallbacks > 0
+
+
 # -- the LP entry point --------------------------------------------------------
 
 
@@ -491,13 +607,25 @@ def l1_rho_lps():
         rho(x, Y, NormSpec(1.0))
 
 
+def random_basis_criterion_2():
+    """Criterion 2's (chain, targets) pairs with each chain's shape and norm
+    kept and its basis drawn at random: its coordinate chains take no LP."""
+    rng = np.random.default_rng(0)
+    out = []
+    for chain, d, _ in non_hilbert_instances()[0]:
+        M = rng.standard_normal((chain.ambient_dim, len(chain)))
+        levels = tuple(Subspace(M[:, :k]) for k in range(1, len(chain) + 1))
+        out.append((Chain(chain.ambient_dim, chain.norm, levels), d))
+    return out
+
+
 @pytest.mark.parametrize("family", ["criterion 2", "level sets", "norming", "p = 1 rho"])
 def test_linprog_matches_scipy_linprog(monkeypatch, family):
     # distance.linprog calls HiGHS directly: the same statuses, and at an
     # optimum the same x, objective and row duals as scipy's linprog, bit for bit
-    instances, _ = non_hilbert_instances()  # built and cached outside the recording
+    instances = random_basis_criterion_2()  # built outside the recording
     module, run = {
-        "criterion 2": (distance_module, lambda: [finite_construct(c, d) for c, d, _ in instances]),
+        "criterion 2": (distance_module, lambda: [finite_construct(c, d) for c, d in instances]),
         "level sets": (distance_module, level_set_lps),
         "norming": (functionals_module, norming_lps),
         "p = 1 rho": (distance_module, l1_rho_lps),

@@ -206,10 +206,12 @@ def test_cli_input_error_exit_codes(tmp_path, capsys):
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
-    # a valid document whose construction misses its tolerance -> exit 3
+    # a valid document whose construction misses its tolerance -> exit 3.
+    # A random basis: on a coordinate chain the residuals are exactly 0.
+    rows = np.random.default_rng(0).standard_normal((3, 4)).tolist()
     doc = base_doc(
         norm_p=1,
-        chain={"generator": "coordinate", "n_levels": 3},
+        chain={"levels": [rows[:k] for k in range(1, 4)]},
         targets={"values": [0.7, 0.4, 0.1], "tail": "zero"},
         tolerance=1e-300,
     )
