@@ -146,8 +146,13 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     print(emit(report, args.fmt), end="")
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(emit(report, "machine"))
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(emit(report, "machine"))
+        except OSError as exc:
+            print(f"input error: cannot write report to {args.output}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_INPUT
     return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
 
 

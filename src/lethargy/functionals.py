@@ -97,8 +97,8 @@ def _face_minimizer(x1: np.ndarray, Q: Subspace, norm: NormSpec, x2):
         return rho1, res.dual(Q, norm)
     r = x1 - res.witness(Q)
     size, s = np.abs(r), np.sign(r)
-    # The face as bounds on g.  A fixed coordinate gets equal bounds, which
-    # presolve removes; the LP keeps a column even when none is free.
+    # The face as bounds on g.  A fixed coordinate gets equal bounds and
+    # stays a column, so the LP has columns even when none is free.
     if norm.is_sup:
         active = size >= (1.0 - ACTIVE_TOL) * size.max()
         lo = np.where(active & (s < 0), -np.inf, 0.0)

@@ -1,5 +1,7 @@
+import concurrent.futures
 import copy
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -619,10 +621,11 @@ def random_basis_criterion_2():
     return out
 
 
-@pytest.mark.parametrize("family", ["criterion 2", "level sets", "norming", "p = 1 rho"])
-def test_linprog_matches_scipy_linprog(monkeypatch, family):
-    # distance.linprog calls HiGHS directly: the same statuses, and at an
-    # optimum the same x, objective and row duals as scipy's linprog, bit for bit
+LP_FAMILIES = ["criterion 2", "level sets", "norming", "p = 1 rho"]
+
+
+def family_lps(monkeypatch, family) -> list:
+    """The (args, kwargs) of every LP that one family solves."""
     instances = random_basis_criterion_2()  # built outside the recording
     module, run = {
         "criterion 2": (distance_module, lambda: [finite_construct(c, d) for c, d in instances]),
@@ -633,20 +636,83 @@ def test_linprog_matches_scipy_linprog(monkeypatch, family):
     calls = recorded_lps(monkeypatch, module, run)
     if family == "norming":  # bounds as an (n, 2) array, and as a list of pairs
         calls += [(a, {**kw, "bounds": [tuple(b) for b in kw["bounds"]]}) for a, kw in calls]
+    return calls
+
+
+def assert_same_lp_result(ours, ref):
+    assert ours.status == ref.status
+    if ref.status == 0:
+        assert np.array_equal(ours.x, ref.x)
+        assert ours.fun == ref.fun
+        assert np.array_equal(ours.ineqlin.marginals, ref.ineqlin.marginals)
+        assert np.array_equal(ours.eqlin.marginals, ref.eqlin.marginals)
+
+
+@pytest.mark.parametrize("family", LP_FAMILIES)
+def test_linprog_matches_scipy_linprog(monkeypatch, family):
+    # distance.linprog calls HiGHS directly, presolve off: the same statuses,
+    # and at an optimum the same x, objective and row duals as scipy's
+    # linprog with presolve off, bit for bit
     statuses = []
-    for args, kwargs in calls:
+    for args, kwargs in family_lps(monkeypatch, family):
         ours = distance_module.linprog(*args, **kwargs)
-        ref = scipy.optimize.linprog(*args, method="highs", **kwargs)
-        assert ours.status == ref.status
+        ref = scipy.optimize.linprog(*args, method="highs", options={"presolve": False}, **kwargs)
+        assert_same_lp_result(ours, ref)
         statuses.append(ours.status)
-        if ref.status == 0:
-            assert np.array_equal(ours.x, ref.x)
-            assert ours.fun == ref.fun
-            assert np.array_equal(ours.ineqlin.marginals, ref.ineqlin.marginals)
-            assert np.array_equal(ours.eqlin.marginals, ref.eqlin.marginals)
     assert 0 in statuses
     if family == "level sets":
         assert 2 in statuses  # the empty sets
+
+
+@pytest.mark.parametrize("family", LP_FAMILIES)
+def test_linprog_reused_solver_matches_a_fresh_one(monkeypatch, family):
+    # one solver per thread serves every LP: whatever it solved before, in
+    # either order and after an infeasible LP, the answer is the one a new
+    # solver gives, bit for bit
+    if distance_module._highs is None:
+        pytest.skip("this scipy has no HiGHS core bindings")
+    calls = family_lps(monkeypatch, family)
+
+    def fresh(args, kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(distance_module, "_local", threading.local())  # no solver yet
+            return distance_module.linprog(*args, **kwargs)
+
+    refs = [fresh(args, kwargs) for args, kwargs in calls]
+    forward = [distance_module.linprog(*args, **kwargs) for args, kwargs in calls]
+    backward = [distance_module.linprog(*args, **kwargs) for args, kwargs in calls[::-1]][::-1]
+    for ref, ours, again in zip(refs, forward, backward):
+        assert_same_lp_result(ours, ref)
+        assert_same_lp_result(again, ref)
+    if family == "level sets":
+        assert 2 in [ref.status for ref in refs]
+
+
+def test_rho_in_two_threads_matches_serial():
+    # each thread solves on its own solver: two threads running rho over the
+    # same inputs in opposite orders give the serial results bit for bit
+    if distance_module._highs is None:
+        pytest.skip("this scipy has no HiGHS core bindings")
+    cases = [(x, Y, NormSpec(p)) for Y, x in l1_sweep_instances() for p in (1.0, math.inf)]
+    serial = [rho(x, Y, norm) for x, Y, norm in cases]
+    barrier = threading.Barrier(2)
+
+    def run(order):
+        barrier.wait()
+        results = {i: rho(*cases[i]) for i in order}
+        return results, distance_module._solver()
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(run, order) for order in (range(len(cases)), range(len(cases))[::-1])]
+        outcomes = [f.result() for f in futures]
+    assert outcomes[0][1] is not outcomes[1][1]
+    for results, _ in outcomes:
+        for i, ref in enumerate(serial):
+            res = results[i]
+            assert res.solver == ref.solver
+            assert res.value == ref.value
+            assert np.array_equal(res.witness_coeffs, ref.witness_coeffs)
+            assert np.array_equal(res.dual_direction, ref.dual_direction)
 
 
 def test_rho_l1_solves_the_annihilator_lp(monkeypatch):

@@ -203,6 +203,11 @@ def test_cli_input_error_exit_codes(tmp_path, capsys):
     wrong_mode.write_text(json.dumps(base_doc(mode="finite")))
     assert cli.main(["check", wrong_mode.as_posix()]) == 2
     capsys.readouterr()
+    # an --output that cannot be written: a missing directory, or a directory
+    for target in (tmp_path / "no-such-dir" / "r.json", tmp_path):
+        argv = ["demo", "zero-tail-finite", "--output", target.as_posix()]
+        assert cli.main(argv) == 2
+        assert "input error: cannot write report" in capsys.readouterr().err
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
@@ -326,8 +331,8 @@ BUNDLED_REPORT_SHA256 = {
     "geometric-third-prefix": "066962ca0d8169613e86191996a9bebba5f27bb22a7dfd0b39dba28b73924747",
     "geometric-third-sequence": "6acaa734018c444d42bf3a587df7e2f58dfd736878944c594be142fea7bf0b15",
     "geometric-twofifth-check": "affb55804b5be831fd792c366619bb7235b5756fa9afc25a440d2126b75a424f",
-    "polynomial-sup-degree15-finite": "0633259ef6072d4080ab8ddd5ecc67e87c133d76d981fdac6d269fdae363ce24",
-    "polynomial-sup-finite": "8bb30e11470c6972b00f681042497e8b6b7935a9add982f9ec1f9f1b2e64be96",
+    "polynomial-sup-degree15-finite": "4c30c8fbe8e401d708fbb382541207ad12aaab4a0a0e7d5f648bdbd4eb5f74d8",
+    "polynomial-sup-finite": "8765b6c7866995d2e1066794c3fe35df6eed06c33485714e87b42c7443ad4500",
     "random-l1-finite": "5dfed213394f6823b31b323d55b22c9d38d77f242fd20a22a2f7449ca8c6ab43",
     "random-p1.1-finite": "4829ddb26bc5c6f477d92bc4251f9cd69c9f29d7a374dd0f4e9c3369aefefc9d",
     "zero-tail-finite": "985aa700de8d6afe92ce8d3dc6526a777a2dc9158dd0a224cfc35dc215966de9",
