@@ -28,10 +28,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distance import (DistanceResult, Endpoint, SolverError, _l2_level_set, best_approximant,
-                       level_endpoint, rho)
+from .distance import (DistanceResult, Endpoint, SolverError, _l2_level_set, _rho, level_endpoint,
+                       rho)
 from .functionals import norming_functional  # noqa: F401  (bench/tracing.py patches this binding)
-from .spaces import Chain, NormSpec, Subspace, as_vector, contains, norm_eval, validate_chain
+from .spaces import Chain, NormSpec, Subspace, _norm, as_vector, contains, norm_eval, validate_chain
 
 
 class TargetError(ValueError):
@@ -215,9 +215,9 @@ def _unit_step(chain: Chain, n: int) -> tuple[np.ndarray, DistanceResult]:
     resid = Ynext.basis - (Yn.basis @ (Yn.basis.T @ Ynext.basis) if Yn.rank else 0.0)
     col = int(np.argmax(np.linalg.norm(np.atleast_2d(resid), axis=0)))
     z = Ynext.basis[:, col]
-    res = rho(z, Yn, chain.norm)
+    res = _rho(z, Yn, chain.norm)
     y = z - res.witness(Yn)
-    ny = norm_eval(y, chain.norm)
+    ny = _norm(y, chain.norm.p)
     if ny <= 1e-12:
         raise ConstructionError(f"degenerate step at level {n}: residual norm {ny:.3e}")
     y = y / ny
@@ -235,7 +235,7 @@ def _scaled(cert: DistanceResult, a: float, shift=0.0) -> DistanceResult:
 
 
 def smallest_root(
-    x, q, Y: Subspace, norm: NormSpec, target: float, two_sided: bool = True
+    x: np.ndarray, q: np.ndarray, Y: Subspace, norm: NormSpec, target: float, two_sided: bool = True
 ) -> Endpoint:
     """Root t of rho(x + t q, Y) = target nearest to 0, with its certificate.
 
@@ -248,14 +248,13 @@ def smallest_root(
     level_endpoint solve, the lower end as minus the upper end for -q, and
     its certificate at x + t q comes along.  Raises when the set is empty.
     """
-    x, q = as_vector(x, dim=Y.ambient_dim), as_vector(q, dim=Y.ambient_dim)
     ends = _l2_level_set(x, q, Y, target) if norm.p == 2.0 else None
     b = Endpoint(ends[1], None) if ends else level_endpoint(x, q, Y, norm, target)
     if b is None:
         raise ConstructionError(
             f"target {target:.9g} below attainable minimum of rho(x + t q, Y)"
         )
-    if b.t < 0.0 or (not two_sided and norm_eval(x, norm) < target):
+    if b.t < 0.0 or (not two_sided and _norm(x, norm.p) < target):
         return b
     a = Endpoint(ends[0], None) if ends else level_endpoint(x, -q, Y, norm, target)
     if a is None:  # tangent within tolerance on one side only: a single point
@@ -311,21 +310,30 @@ def interpolating_family(
     for um, vm in zip(u, v):
         if not (um >= vm >= 0.0):
             raise ValueError(f"targets must satisfy u_m >= v_m >= 0, got ({um}, {vm})")
-    nesting = validate_chain(Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q1, Q2, Q3)))
+    _nested(Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q1, Q2, Q3)))
+    s = None if within_direction is None else as_vector(within_direction, dim=Q3.ambient_dim)
+    if s is not None and (not contains(Q2, s, 1e-8) or contains(Q1, s, 1e-8)):
+        raise ValueError("within_direction must lie in Q2 outside Q1")
+    return _family(Q1, Q2, Q3, norm, u, v, s)
+
+
+def _nested(chain: Chain) -> None:
+    """The nesting check of every entry point; the core behind them trusts it."""
+    nesting = validate_chain(chain)
     if not nesting.passes:
         raise ValueError(f"nesting hypothesis violated: {nesting.failure}")
 
+
+def _family(Q1: Subspace, Q2: Subspace, Q3: Subspace, norm: NormSpec, u, v,
+            s: np.ndarray | None) -> InterpolationFamily:
+    """interpolating_family on checked input: Q1 c Q2 c Q3 strictly nested,
+    floats u_m >= v_m >= 0, and s None or a vector of Q2 outside Q1."""
     chain23 = Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q2, Q3))
     y, y_cert = _unit_step(chain23, 1)
-    if within_direction is not None:
-        s = as_vector(within_direction, dim=Q3.ambient_dim)
-        if not contains(Q2, s, 1e-8) or contains(Q1, s, 1e-8):
-            raise ValueError("within_direction must lie in Q2 outside Q1")
-        s = s / norm_eval(s, norm)
+    if s is None:
+        s = normalize_step(Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q1, Q2)), 1)
     else:
-        chain12 = Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q1, Q2))
-        s = normalize_step(chain12, 1)
-
+        s = s / _norm(s, norm.p)
     s_coeffs = Q2.basis.T @ s
     members = []
     for um, vm in zip(u, v):
@@ -450,9 +458,8 @@ def _coefficient_bounds(d: TargetSequence, lambdas, Np: int, tol: float):
 def _nearest(x, chain: Chain, k: int, solved: dict) -> np.ndarray:
     """Best approximant of x in Y_k: the witness of level k's solve when
     there is one (x has not moved since it), else a fresh solve."""
-    if k in solved:
-        return solved[k][1].witness(chain.level(k))
-    return best_approximant(x, chain.level(k), chain.norm)
+    Y = chain.level(k)
+    return (solved[k][1] if k in solved else _rho(x, Y, chain.norm)).witness(Y)
 
 
 def _measure(x, chain: Chain, k: int, Np: int, solved: dict):
@@ -467,13 +474,13 @@ def _measure(x, chain: Chain, k: int, Np: int, solved: dict):
     if k > Np:  # x lies in Y_{Np+1}, inside Y_k
         return DistanceResult(0.0, Y.basis.T @ x, "contained"), 0.0
     if k not in solved:
-        return rho(x, Y, norm), None
+        return _rho(x, Y, norm), None
     xk, res = solved[k]
     c = res.witness_coeffs + Y.basis.T @ (x - xk)
     r = x - Y.basis @ c
     g = res.dual(Y, norm)
     lower = 0.0 if g is None else float(g @ r)
-    return replace(res, value=norm_eval(r, norm), witness_coeffs=c), lower
+    return replace(res, value=_norm(r, norm.p), witness_coeffs=c), lower
 
 
 def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOptions,
@@ -557,6 +564,7 @@ def finite_construct(
     """
     if d.tail != "zero":
         raise TargetError("finite_construct needs a zero-tail target sequence")
+    _nested(chain)
     Np = _levels_to_build(chain, d, len(d))
     steps = [_unit_step(chain, k) for k in range(1, Np + 1)]
     return _realize(chain, d, len(d), steps, opts or ConstructOptions(), recentre=True)
@@ -572,8 +580,9 @@ def _prefix_steps(chain: Chain, d: TargetSequence, Np: int):
     each with its certificate of rho(q_j, Y_j) = 1.
 
     The within-Y_j search direction is chained to the previous level's step,
-    so each q_j pre-loads the distance one level down.  A rank-0 Y_j (the
-    chain starting at {0}) degenerates to a plain unit step.
+    so each q_j pre-loads the distance one level down; being in Y_j outside
+    Y_{j-1} by construction, it goes to the family unchecked.  A rank-0 Y_j
+    (the chain starting at {0}) degenerates to a plain unit step.
     """
     if Np == 0:
         return []
@@ -589,10 +598,8 @@ def _prefix_steps(chain: Chain, d: TargetSequence, Np: int):
             steps.append(_unit_step(chainj, 1))
             prev_y = steps[-1][0]
         else:
-            fam = interpolating_family(
-                zero, Yj, Yj1, chain.norm,
-                u=[float(schedule.u[j - 1, Np - 1])], v=[1.0], within_direction=prev_y,
-            )
+            fam = _family(zero, Yj, Yj1, chain.norm, [float(schedule.u[j - 1, Np - 1])], [1.0],
+                          prev_y)
             steps.append((fam.members[0].q, fam.members[0].certificate))
             prev_y = fam.step_outer
     return steps
@@ -613,6 +620,7 @@ def construct_prefix(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    _nested(chain)
     steps = _prefix_steps(chain, d, _levels_to_build(chain, d, N))
     return _realize(chain, d, N, steps, opts or ConstructOptions(), recentre=False)
 
@@ -643,6 +651,7 @@ def construct_sequence(
     opts = opts or ConstructOptions()
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
+    _nested(chain)
     Np_max = _levels_to_build(chain, d, N_max)
     steps = _prefix_steps(chain, d, Np_max)
     traces: list[ConstructionTrace] = []
@@ -658,7 +667,7 @@ def construct_sequence(
     diffs = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            diffs[i, j] = diffs[j, i] = norm_eval(traces[i].x - traces[j].x, chain.norm)
+            diffs[i, j] = diffs[j, i] = _norm(traces[i].x - traces[j].x, chain.norm.p)
     max_tail = tuple(
         float(np.max(diffs[i, i + 1 :])) if i + 1 < n else 0.0 for i in range(n)
     )

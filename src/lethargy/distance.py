@@ -37,7 +37,7 @@ from scipy.optimize import OptimizeResult
 from scipy.optimize import minimize  # noqa: F401  (bench/tracing.py patches this binding)
 from scipy.optimize import linprog as _scipy_linprog
 
-from .spaces import NormSpec, Subspace, _norm, as_vector, norm_eval
+from .spaces import NormSpec, Subspace, _norm, as_vector
 
 _EPS = float(np.finfo(float).eps)
 
@@ -161,7 +161,7 @@ class DistanceResult:
         if self.dual_direction is None:
             return None
         g = Y.residual(self.dual_direction)
-        size = norm_eval(g, NormSpec(norm.dual_p))
+        size = _norm(g, norm.dual_p)
         return g / size if size > 0.0 else None
 
 
@@ -240,7 +240,7 @@ def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
     # relative to rho, which keeps a small rho (tiny x, or x near Y) accurate.
     c0 = Y.basis.T @ x
     xp = x - Y.basis @ c0
-    scale = norm_eval(xp, norm) or 1.0
+    scale = _norm(xp, norm.p) or 1.0
     if norm.is_sup:
         res = _lp(xp / scale, Y.basis, norm, np.zeros(Y.rank))
     else:
@@ -257,7 +257,7 @@ def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
     else:
         v, direction = -res.eqlin.marginals, res.x if res.fun < 0.0 else None
     c = c0 + v * scale
-    value = norm_eval(x - Y.basis @ c, norm)
+    value = _norm(x - Y.basis @ c, norm.p)
     return DistanceResult(value=value, witness_coeffs=c, solver="linear_program",
                           dual_direction=direction)
 
@@ -285,7 +285,7 @@ def _rho_convex(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
     p, q, B = norm.p, norm.dual_p, Y.basis
     c0 = B.T @ x
     xp = Y.residual(x - B @ c0)  # twice: rounding leaves xp's own scale in Y
-    scale = norm_eval(xp, norm)
+    scale = _norm(xp, norm.p)
     if scale == 0.0 or np.abs(B.T @ xp).max() > 1e-8 * scale:  # x in Y, up to rounding
         return DistanceResult(0.0, c0, "convex_descent")
     u, primal = xp / scale, p >= 2.0
@@ -320,12 +320,16 @@ def _rho_convex(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
     if gap > default_tol(norm) * (1.0 + value):
         raise SolverError(f"Newton iteration stopped at certificate gap {gap:.3e}")
     c = c0 + scale * (B.T @ (u - r))
-    return DistanceResult(norm_eval(x - B @ c, norm), c, "convex_descent", g)
+    return DistanceResult(_norm(x - B @ c, norm.p), c, "convex_descent", g)
 
 
 def rho(x, Y: Subspace, norm: NormSpec) -> DistanceResult:
     """Distance rho(x, Y) with a best-approximant witness."""
-    x = as_vector(x, dim=Y.ambient_dim)
+    return _rho(as_vector(x, dim=Y.ambient_dim), Y, norm)
+
+
+def _rho(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
+    """rho on a checked vector: the route dispatch."""
     if Y.support is not None:
         return _rho_coordinate(x, Y, norm)
     if norm.p == 2.0:
@@ -456,7 +460,7 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
         if (t := _coordinate_level_end(a, b, norm, d)) is not None:
             return Endpoint(t, _rho_coordinate(x + t * q, Y, norm))
     elif norm.p == 1.0 or norm.is_sup:
-        scale = max(norm_eval(xp, norm), d) or 1.0  # as in _rho_linprog
+        scale = max(_norm(xp, norm.p), d) or 1.0  # as in _rho_linprog
         cost = np.append(np.zeros(Y.rank), -1.0)  # maximize t
         res = _lp(xp / scale, np.column_stack([B, -q]), norm, cost, d / scale)
         if res.status != 2:  # 2: infeasible
@@ -464,12 +468,12 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
                 raise SolverError(f"level-set linear program failed: {res.message}")
             t = float(res.x[Y.rank]) * scale
             c = cx + res.x[: Y.rank] * scale
-            return Endpoint(t, DistanceResult(norm_eval(x + t * q - B @ c, norm), c, "linear_program",
+            return Endpoint(t, DistanceResult(_norm(x + t * q - B @ c, norm.p), c, "linear_program",
                                               _lp_dual(res, x.size)))
     # The exact routes found the set empty, or missed it by rounding where d
     # is the minimum; other p start here.
     Z = Subspace(np.column_stack([B, qp / nq]))
-    low = rho(x, Z, norm)
+    low = _rho(x, Z, norm)
     w = low.witness(Z)
     t_min = -float(qp @ w) / float(qp @ qp)
     tangent_tol = default_tol(norm) * (1.0 + d)
@@ -481,9 +485,9 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
         return Endpoint(t_min, replace(low, witness_coeffs=B.T @ (w + t_min * q)))
     if norm.p in (1.0, 2.0) or norm.is_sup:
         raise SolverError(f"no end found, yet the level set holds t = {t_min:.9g}")
-    t = t_min + (d + low.value) / rho(q, Y, norm).value
+    t = t_min + (d + low.value) / _rho(q, Y, norm).value
     for _ in range(100):
-        res = rho(x + t * q, Y, norm)
+        res = _rho(x + t * q, Y, norm)
         gap = res.value - d
         if abs(gap) <= 1e-13 * (1.0 + d):
             return Endpoint(t, res)

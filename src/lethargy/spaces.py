@@ -202,6 +202,16 @@ class Chain:
     def __len__(self):
         return len(self.levels)
 
+    @cached_property
+    def _validation(self) -> ChainValidation:  # validate_chain's verdict
+        for k in range(len(self.levels) - 1):
+            lo, hi = self.levels[k], self.levels[k + 1]
+            nested = lo.rank == 0 or np.linalg.norm(hi.residual(lo.basis), axis=0).max() <= NEST_TOL
+            if not (nested and hi.rank > lo.rank):
+                kind = "not nested" if not nested else "not strict"
+                return ChainValidation(passes=False, failure=f"levels {k + 1} -> {k + 2}: {kind}")
+        return ChainValidation(passes=True)
+
     def level(self, n: int) -> Subspace:
         """1-based level Y_n; n = len(levels)+1 yields the full ambient space."""
         if 1 <= n <= len(self.levels):
@@ -212,20 +222,17 @@ class Chain:
 
 
 def coordinate_chain(ambient_dim: int, n_levels: int, norm: NormSpec) -> Chain:
-    """Y_k = span{e_1, ..., e_k}."""
+    """Y_k = span{e_1, ..., e_k}, with basis the first k identity columns,
+    which is what the SVD would give, bit for bit (see Subspace.full)."""
     if n_levels >= ambient_dim:
         raise ValueError("coordinate chain needs n_levels < ambient_dim")
     eye = np.eye(ambient_dim)
-    levels = [Subspace(eye[:, : k + 1]) for k in range(n_levels)]
+    levels = [Subspace.zero(ambient_dim) for _ in range(n_levels)]
+    for k, Y in enumerate(levels, start=1):
+        Y.basis, Y.rank = eye[:, :k], k
     return Chain(ambient_dim=ambient_dim, norm=norm, levels=tuple(levels))
 
 
 def validate_chain(chain: Chain) -> ChainValidation:
-    """Check strict nesting of consecutive levels; never raises."""
-    for k in range(len(chain.levels) - 1):
-        lo, hi = chain.levels[k], chain.levels[k + 1]
-        nested = lo.rank == 0 or np.max(np.linalg.norm(hi.residual(lo.basis), axis=0)) <= NEST_TOL
-        if not (nested and hi.rank > lo.rank):
-            kind = "not nested" if not nested else "not strict"
-            return ChainValidation(passes=False, failure=f"levels {k + 1} -> {k + 2}: {kind}")
-    return ChainValidation(passes=True)
+    """Check strict nesting of consecutive levels; never raises.  Cached on the chain."""
+    return chain._validation

@@ -21,7 +21,8 @@ from lethargy.construct import (
     smallest_root,
 )
 from lethargy.distance import default_tol, rho
-from lethargy.spaces import Chain, NormSpec, Subspace, contains, coordinate_chain, norm_eval
+from lethargy.spaces import (Chain, DimensionMismatchError, NormSpec, Subspace, contains,
+                             coordinate_chain, norm_eval, validate_chain)
 from oracles import l2_prefix_coefficients, lipschitz_check
 
 L2 = NormSpec(2)
@@ -235,6 +236,30 @@ def test_family_validation():
         interpolating_family(Q1, Q2, Q3, L2, u=[0.5], v=[1.0])  # u < v
     with pytest.raises(ValueError):
         interpolating_family(Q2, Q1, Q3, L2, u=[1.0], v=[1.0])  # not nested
+    # within_direction: in Q1, outside Q2, NaN, of the wrong dimension, not 1-D
+    e = np.eye(4)
+    for s, error in ((e[:, 0], ValueError), (e[:, 2], ValueError),
+                     ([0.0, math.nan, 0.0, 0.0], ValueError),
+                     (e[:3, 1], DimensionMismatchError), ([e[:, 1]], ValueError)):
+        with pytest.raises(error):
+            interpolating_family(Q1, Q2, Q3, L2, u=[1.0], v=[1.0], within_direction=s)
+    interpolating_family(Q1, Q2, Q3, L2, u=[1.0], v=[1.0], within_direction=e[:, 1])
+
+
+@pytest.mark.parametrize("build", [
+    lambda chain, d: finite_construct(chain, d),
+    lambda chain, d: construct_prefix(chain, d, 2),
+    lambda chain, d: construct_sequence(chain, d, 2),
+], ids=["finite", "prefix", "sequence"])
+def test_construction_entries_check_the_chains_nesting(build):
+    # one check at the entry, naming the chain's own levels (the families
+    # inside take the chain as checked); the verdict is cached on the chain
+    e = np.eye(4)
+    chain = Chain(4, L2, (Subspace(e[:, :1]), Subspace(e[:, 1:3])))
+    with pytest.raises(ValueError) as info:
+        build(chain, TargetSequence((0.5, 0.2)))
+    assert str(info.value) == "nesting hypothesis violated: levels 1 -> 2: not nested"
+    assert validate_chain(chain) is validate_chain(chain)
 
 
 def test_lipschitz_check_pairs_and_vacuous():

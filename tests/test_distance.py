@@ -21,7 +21,8 @@ from lethargy.distance import (
     level_endpoint,
     rho,
 )
-from lethargy.spaces import Chain, NormSpec, Subspace, coordinate_chain, norm_eval
+from lethargy.spaces import (Chain, DimensionMismatchError, NormSpec, Subspace, coordinate_chain,
+                             norm_eval)
 from oracles import rho_l1_primal_oracle, rho_oracle, rho_vertex_oracle
 from test_acceptance import non_hilbert_instances
 
@@ -438,6 +439,31 @@ def test_level_endpoint_empty_and_degenerate(p):
     assert lower_end(x, q, Y, norm, 0.5 * floor) is None
     with pytest.raises(SolverError):
         level_endpoint(x, Y.basis @ [1.0, -2.0], Y, norm, 2.0 * floor)
+
+
+# Inputs are checked at the public entry points only; the private core takes
+# the checked arrays.  Each entry against NaN, a wrong dimension (norm_eval
+# takes any) and a list that is not 1-D.
+BAD_VECTORS = {"nan": ([1.0, math.nan, 0.5], ValueError),
+               "wrong-dim": ([1.0, 0.5], DimensionMismatchError),
+               "not-1d": ([[1.0, 0.0, 0.5]], ValueError)}
+ENTRY_POINTS = {
+    "rho": rho,
+    "best_approximant": best_approximant,
+    "level_endpoint-x": lambda v, Y, norm: level_endpoint(v, np.eye(3)[:, 2], Y, norm, 0.5),
+    "level_endpoint-q": lambda v, Y, norm: level_endpoint(np.eye(3)[:, 2], v, Y, norm, 0.5),
+    "norm_eval": lambda v, Y, norm: norm_eval(v, norm),
+}
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("entry, bad", [(e, b) for e in ENTRY_POINTS for b in BAD_VECTORS
+                                        if (e, b) != ("norm_eval", "wrong-dim")])
+def test_entry_points_reject_bad_vectors(entry, bad, p):
+    vector, error = BAD_VECTORS[bad]
+    for Y in (Subspace(np.eye(3)[:, :1]), Subspace(np.array([1.0, 1.0, 0.0]))):
+        with pytest.raises(error):
+            ENTRY_POINTS[entry](vector, Y, NormSpec(p))
 
 
 @pytest.mark.parametrize("p", [1.0, 1.2, 2.0, 3.0, math.inf])

@@ -346,6 +346,23 @@ def test_bundled_machine_reports_keep_their_bytes(capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, name
 
 
+def test_explicit_basis_ladder_keeps_its_bytes(tmp_path, capsys):
+    # a p = 2 ladder on a random basis, built like the benchmark's explicit
+    # ladders: projections there round, unlike on the coordinate chain of
+    # the bundled sequence scenario, so any reordering of the arithmetic shows
+    # (hash recorded like BUNDLED_REPORT_SHA256's)
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((14, 12))
+    doc = base_doc(ambient_dim=14, mode="sequence", N_max=12, tolerance=1e-8,
+                   chain={"levels": [A[:, : k + 1].T.tolist() for k in range(12)]},
+                   targets={"values": [1.0], "tail": "geometric", "ratio": 0.3})
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["sequence", path.as_posix(), "--format", "machine"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "8499d86d07f57ee51e156b40b2f2d099fa3b7576ea0a935b7456008e17fb7354"
+
+
 # -- scenario fuzz -------------------------------------------------------------
 
 FUZZ_VALUE = st.one_of(

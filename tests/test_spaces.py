@@ -165,6 +165,16 @@ def test_validate_chain_not_strict():
     assert "not strict" in rep.failure
 
 
+def test_coordinate_chain_bases_are_the_svds():
+    # coordinate_chain takes the identity columns with no SVD: they are what
+    # Subspace's SVD and sign convention give, bit for bit
+    for m in range(2, 41):
+        for k, Y in enumerate(coordinate_chain(m, m - 1, NormSpec(2)).levels, start=1):
+            ref = Subspace(np.eye(m)[:, :k])
+            assert (Y.rank, Y.basis.shape) == (ref.rank, ref.basis.shape) == (k, (m, k))
+            assert Y.basis.tobytes() == ref.basis.tobytes(), (m, k)
+
+
 def test_chain_level_indexing():
     chain = coordinate_chain(4, 2, NormSpec(2))
     assert chain.level(1).rank == 1
