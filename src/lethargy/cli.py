@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from importlib import resources
@@ -67,18 +68,19 @@ def _seed(text: str) -> int:
     return value
 
 
-def _add_common(sub):
-    sub.add_argument("--tolerance", type=_positive_float, default=None,
-                     help="override scenario tolerance")
-    sub.add_argument("--seed", type=_seed, default=None, help="override scenario seed")
-    sub.add_argument(
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state in it."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tolerance", type=_positive_float, default=None,
+                        help="override scenario tolerance")
+    common.add_argument("--seed", type=_seed, default=None, help="override scenario seed")
+    common.add_argument(
         "--format", choices=("text", "machine"), default="text", dest="fmt",
         help="report format on stdout",
     )
-    sub.add_argument("--output", default=None, help="also write the machine report to this path")
-
-
-def build_parser() -> argparse.ArgumentParser:
+    common.add_argument("--output", default=None,
+                        help="also write the machine report to this path")
     parser = argparse.ArgumentParser(
         prog="lethargy",
         description="Best-approximation distance constructions over nested subspace chains.",
@@ -89,12 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("construct", "run a finite or prefix construction"),
         ("sequence", "run the stabilization ladder"),
     ):
-        sp = subs.add_parser(cmd, help=help_text)
+        sp = subs.add_parser(cmd, help=help_text, parents=[common])
         sp.add_argument("scenario", help="path to a scenario JSON file")
-        _add_common(sp)
-    demo = subs.add_parser("demo", help="run a bundled scenario by name (no name: list)")
+    demo = subs.add_parser("demo", help="run a bundled scenario by name (no name: list)",
+                           parents=[common])
     demo.add_argument("name", nargs="?", default=None)
-    _add_common(demo)
     return parser
 
 
@@ -132,12 +133,7 @@ def main(argv=None) -> int:
             print(f"  {name}")
         return EXIT_PASS
     try:
-        scenario = _resolve_scenario(args)
-    except ScenarioError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = run(scenario)
+        report = run(_resolve_scenario(args))
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

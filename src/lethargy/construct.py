@@ -202,24 +202,25 @@ def normalize_step(chain: Chain, n: int) -> np.ndarray:
     Built by subtracting a best approximant: pick a basis direction of
     Y_{n+1} outside Y_n, remove its nearest point of Y_n, normalize.
     """
-    return _unit_step(chain, n)[0]
-
-
-def _unit_step(chain: Chain, n: int) -> tuple[np.ndarray, DistanceResult]:
-    """normalize_step's y with the certificate of rho(y, Y_n) = 1, from the
-    one solve that builds y: witness 0, and the solve's dual, oriented as y."""
-    Yn = chain.level(n)
-    Ynext = chain.level(n + 1)
+    Yn, Ynext = chain.level(n), chain.level(n + 1)
     if Ynext.rank <= Yn.rank:
         raise ConstructionError(f"no direction available above level {n}")
-    resid = Ynext.basis - (Yn.basis @ (Yn.basis.T @ Ynext.basis) if Yn.rank else 0.0)
-    col = int(np.argmax(np.linalg.norm(np.atleast_2d(resid), axis=0)))
+    return _unit_step(Yn, Ynext, chain.norm)[0]
+
+
+def _unit_step(Yn: Subspace, Ynext: Subspace, norm: NormSpec
+               ) -> tuple[np.ndarray, DistanceResult]:
+    """normalize_step's y for Yn of lower rank than Ynext, with the
+    certificate of rho(y, Yn) = 1, from the one solve that builds y: witness
+    0, and the solve's dual, oriented as y."""
+    col = int(np.argmax(np.linalg.norm(Yn.residual(Ynext.basis), axis=0)))
     z = Ynext.basis[:, col]
-    res = _rho(z, Yn, chain.norm)
+    res = _rho(z, Yn, norm)
     y = z - res.witness(Yn)
-    ny = _norm(y, chain.norm.p)
+    ny = _norm(y, norm.p)
     if ny <= 1e-12:
-        raise ConstructionError(f"degenerate step at level {n}: residual norm {ny:.3e}")
+        raise ConstructionError(f"degenerate step out of a rank-{Yn.rank} subspace: "
+                                f"residual norm {ny:.3e}")
     y = y / ny
     # deterministic orientation
     sign = 1.0 if y[int(np.argmax(np.abs(y)))] >= 0 else -1.0
@@ -328,10 +329,9 @@ def _family(Q1: Subspace, Q2: Subspace, Q3: Subspace, norm: NormSpec, u, v,
             s: np.ndarray | None) -> InterpolationFamily:
     """interpolating_family on checked input: Q1 c Q2 c Q3 strictly nested,
     floats u_m >= v_m >= 0, and s None or a vector of Q2 outside Q1."""
-    chain23 = Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q2, Q3))
-    y, y_cert = _unit_step(chain23, 1)
+    y, y_cert = _unit_step(Q2, Q3, norm)
     if s is None:
-        s = normalize_step(Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q1, Q2)), 1)
+        s = _unit_step(Q1, Q2, norm)[0]
     else:
         s = s / _norm(s, norm.p)
     s_coeffs = Q2.basis.T @ s
@@ -443,13 +443,14 @@ def _levels_to_build(chain: Chain, d: TargetSequence, N: int) -> int:
     return Np
 
 
-def _coefficient_bounds(d: TargetSequence, lambdas, Np: int, tol: float):
+def _coefficient_bounds(ds, lambdas, Np: int, tol: float):
+    """lambda_k against d_k - d_{k+1}(1 - 2^-k), lambda_Np against d_Np; ds = [d_1, d_2, ...]."""
     out = []
     for k in range(1, Np + 1):
         if k == Np:
-            bound = d.value(k) + tol
+            bound = ds[k - 1] + tol
         else:
-            bound = d.value(k) - d.value(k + 1) * (1.0 - 2.0**-k) + tol
+            bound = ds[k - 1] - ds[k] * (1.0 - 2.0**-k) + tol
         out.append(CoefficientBound(level=k, value=lambdas[k - 1], bound=bound,
                                     ok=abs(lambdas[k - 1]) <= bound))
     return tuple(out)
@@ -508,19 +509,21 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
     norm = chain.norm
     certify = norm.p != 2.0
     Np = len(steps)
+    top = min(N, len(chain.levels) + 1)
+    ds = [d.value(k) for k in range(1, top + 1)]  # d_1..d_top, Np <= top
     qs = [q for q, _ in steps]
     lambdas = [0.0] * Np
     x = np.zeros(chain.ambient_dim)
     solved = {}  # level -> (x after its solve, rho there with its certificate)
     if Np:
-        lambdas[-1] = d.value(Np)
-        x = d.value(Np) * qs[-1]
+        lambdas[-1] = ds[Np - 1]
+        x = ds[Np - 1] * qs[-1]
         if certify:
-            solved[Np] = (x, _scaled(steps[-1][1], d.value(Np)))
+            solved[Np] = (x, _scaled(steps[-1][1], ds[Np - 1]))
     for k in range(Np - 1, 0, -1):
         if recentre:
             x = x - _nearest(x, chain, k + 1, solved)
-        root = smallest_root(x, qs[k - 1], chain.level(k), norm, d.value(k),
+        root = smallest_root(x, qs[k - 1], chain.level(k), norm, ds[k - 1],
                              two_sided=not recentre)
         lambdas[k - 1] = root.t
         x = x + root.t * qs[k - 1]
@@ -528,11 +531,9 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
             solved[k] = (x, root.certificate)
     if recentre and Np:
         x = x - _nearest(x, chain, 1, solved)
-    top = min(N, len(chain.levels) + 1)
     achieved, lower_bounds = zip(*(_measure(x, chain, k, Np, solved) for k in range(1, top + 1)))
-    residuals = tuple(abs(r.value - d.value(k)) for k, r in enumerate(achieved, start=1))
-    lower_ends = (abs(lo - d.value(k)) for k, lo in enumerate(lower_bounds[:Np], start=1)
-                  if lo is not None)
+    residuals = tuple(abs(r.value - dk) for r, dk in zip(achieved, ds))
+    lower_ends = (abs(lo - dk) for lo, dk in zip(lower_bounds[:Np], ds) if lo is not None)
     worst = max([*residuals[:Np], *lower_ends], default=0.0)
     if worst > opts.tol * 10:
         raise ConstructionError(f"tolerance not met: max residual {worst:.3e} > {opts.tol:.1e}")
@@ -542,7 +543,7 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
         achieved=achieved,
         targets=d,
         residuals=residuals,
-        coefficient_bounds=() if recentre else _coefficient_bounds(d, lambdas, Np, opts.tol),
+        coefficient_bounds=() if recentre else _coefficient_bounds(ds, lambdas, Np, opts.tol),
         lower_bounds=lower_bounds,
     )
 
@@ -566,7 +567,8 @@ def finite_construct(
         raise TargetError("finite_construct needs a zero-tail target sequence")
     _nested(chain)
     Np = _levels_to_build(chain, d, len(d))
-    steps = [_unit_step(chain, k) for k in range(1, Np + 1)]
+    steps = [_unit_step(chain.level(k), chain.level(k + 1), chain.norm)
+             for k in range(1, Np + 1)]
     return _realize(chain, d, len(d), steps, opts or ConstructOptions(), recentre=True)
 
 
@@ -594,8 +596,7 @@ def _prefix_steps(chain: Chain, d: TargetSequence, Np: int):
         Yj = chain.level(j)
         Yj1 = chain.level(j + 1)
         if Yj.rank == 0:
-            chainj = Chain(ambient_dim=chain.ambient_dim, norm=chain.norm, levels=(Yj, Yj1))
-            steps.append(_unit_step(chainj, 1))
+            steps.append(_unit_step(Yj, Yj1, chain.norm))
             prev_y = steps[-1][0]
         else:
             fam = _family(zero, Yj, Yj1, chain.norm, [float(schedule.u[j - 1, Np - 1])], [1.0],

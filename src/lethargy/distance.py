@@ -150,8 +150,6 @@ class DistanceResult:
     dual_direction: np.ndarray | None = None
 
     def witness(self, Y: Subspace) -> np.ndarray:
-        if Y.rank == 0:
-            return np.zeros(Y.ambient_dim)
         return Y.basis @ self.witness_coeffs
 
     def dual(self, Y: Subspace, norm: NormSpec) -> np.ndarray | None:

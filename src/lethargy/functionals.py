@@ -134,10 +134,7 @@ def norming_functional(x1, Q: Subspace, norm: NormSpec, x2=None) -> Functional:
     x1 = as_vector(x1, dim=Q.ambient_dim)
     if x2 is not None:
         x2 = as_vector(x2, dim=Q.ambient_dim)
-        span = Subspace(
-            np.column_stack([Q.basis, x1]) if Q.rank else x1[:, None],
-            ambient_dim=Q.ambient_dim,
-        )
+        span = Subspace(np.column_stack([Q.basis, x1]))
         res = float(np.linalg.norm(span.residual(x2)))
         if res <= FUNC_TOL * max(1.0, float(np.linalg.norm(x2))):
             raise FunctionalError(

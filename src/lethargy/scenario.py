@@ -284,38 +284,30 @@ class Report:
     certificate_gap: float | None = field(default=None, compare=False)
 
 
-def _f(x):
-    """Canonical float for serialization (shortest lossless repr via json)."""
-    return float(x)
-
-
-def _trace_fields(trace, report: Report):
-    report.levels = [
-        {
-            "k": k,
-            "target": _f(trace.targets.value(k)),
-            "achieved": _f(res.value),
-            "residual": _f(abs(res.value - trace.targets.value(k))),
-        }
-        for k, res in enumerate(trace.achieved, start=1)
-    ]
-    report.x = [_f(v) for v in trace.x]
-    report.coefficients = [_f(c) for c in trace.coefficients]
-    report.certificate_gap = trace.certificate_gap
-    if trace.coefficient_bounds:
-        report.coefficient_bounds = [
-            {"k": b.level, "value": _f(b.value), "bound": _f(b.bound), "ok": b.ok}
-            for b in trace.coefficient_bounds
+def _measured(report: Report, traces, scenario: Scenario):
+    """The measured part of a construction report: the last trace's levels,
+    x and coefficients, the worst certificate gap and the residual check
+    over every trace."""
+    if traces:
+        trace = traces[-1]
+        report.levels = [
+            {"k": k, "target": trace.targets.value(k), "achieved": float(res.value),
+             "residual": float(resid)}
+            for k, (res, resid) in enumerate(zip(trace.achieved, trace.residuals), start=1)
         ]
-
-
-def _condition_dict(rep) -> dict:
-    return {
-        "passes": rep.passes,
-        "n0": rep.n0,
-        "margins": [_f(m) for m in rep.margins],
-        "tail_margin_factor": None if rep.tail_margin_factor is None else _f(rep.tail_margin_factor),
-    }
+        report.x = trace.x.tolist()
+        report.norm_x = norm_eval(trace.x, scenario.chain.norm)
+        report.coefficients = [float(c) for c in trace.coefficients]
+        if trace.coefficient_bounds:
+            report.coefficient_bounds = [
+                {"k": b.level, "value": float(b.value), "bound": b.bound, "ok": b.ok}
+                for b in trace.coefficient_bounds
+            ]
+    gaps = [t.certificate_gap for t in traces if t.certificate_gap is not None]
+    report.certificate_gap = max(gaps, default=None)
+    report.checks["residuals_within_tolerance"] = all(
+        t.max_residual <= scenario.tolerance for t in traces
+    )
 
 
 def _subspace_samples(scn: Scenario, k: int, n_samples: int):
@@ -344,69 +336,59 @@ def run(scenario: Scenario) -> Report:
     )
     opts = ConstructOptions(tol=scenario.tolerance)
     cond = check_borodin_condition(scenario.targets)
-    report.condition = _condition_dict(cond)
+    report.condition = {
+        "passes": cond.passes,
+        "n0": cond.n0,
+        "margins": [float(m) for m in cond.margins],
+        "tail_margin_factor": cond.tail_margin_factor,
+    }
 
+    # the text report prints the checks in the order they are set here
+    ok = True  # the sampled subspace condition, which is no check of its own
+    traces = []
     if scenario.mode == "check_only":
-        ok = cond.passes
+        report.checks["borodin_condition"] = cond.passes
         if scenario.subspace_condition is not None:
             k = scenario.subspace_condition["k"]
             samples = _subspace_samples(scenario, k, scenario.subspace_condition["n_samples"])
             sub = check_subspace_condition(scenario.chain, scenario.targets, samples, k)
             report.subspace_condition = {
                 "level": sub.level,
-                "ratio": _f(sub.ratio),
+                "ratio": sub.ratio,
                 "counterexample_found": sub.counterexample_found,
                 "verdict": sub.verdict,
                 "samples": [
-                    {"norm_q": _f(s.norm_q), "rho_q": _f(s.rho_q), "bound": _f(s.bound), "holds": s.holds}
+                    {"norm_q": float(s.norm_q), "rho_q": float(s.rho_q), "bound": float(s.bound),
+                     "holds": s.holds}
                     for s in sub.samples
                 ],
             }
-            ok = ok and not sub.counterexample_found
-        report.checks["borodin_condition"] = cond.passes
-        report.verdict = "pass" if ok else "fail"
-        report.wall_time = time.perf_counter() - start
-        return report
-
-    if scenario.mode == "finite":
-        trace = finite_construct(scenario.chain, scenario.targets, opts)
-        _trace_fields(trace, report)
-        report.norm_x = _f(norm_eval(trace.x, scenario.chain.norm))
-        resid_ok = trace.max_residual <= scenario.tolerance
-        report.checks["residuals_within_tolerance"] = resid_ok
-        if scenario.targets.is_strictly_decreasing():
-            bound_ok = report.norm_x <= scenario.targets.value(1) + 1.0 + scenario.tolerance
-            report.checks["norm_bound"] = bound_ok
-        report.verdict = "pass" if all(report.checks.values()) else "fail"
+            ok = not sub.counterexample_found
+    elif scenario.mode == "finite":
+        traces = [finite_construct(scenario.chain, scenario.targets, opts)]
     elif scenario.mode == "prefix":
-        trace = construct_prefix(scenario.chain, scenario.targets, scenario.N, opts)
-        _trace_fields(trace, report)
-        report.norm_x = _f(norm_eval(trace.x, scenario.chain.norm))
-        report.checks["residuals_within_tolerance"] = trace.max_residual <= scenario.tolerance
-        report.checks["coefficient_bounds"] = all(b.ok for b in trace.coefficient_bounds)
-        report.verdict = "pass" if all(report.checks.values()) else "fail"
+        traces = [construct_prefix(scenario.chain, scenario.targets, scenario.N, opts)]
     else:  # sequence
         traces, table = construct_sequence(scenario.chain, scenario.targets, scenario.N_max, opts)
-        if traces:
-            _trace_fields(traces[-1], report)
-            report.norm_x = _f(norm_eval(traces[-1].x, scenario.chain.norm))
-            gaps = [t.certificate_gap for t in traces if t.certificate_gap is not None]
-            report.certificate_gap = max(gaps, default=None)
         report.stabilization = {
             "prefixes": list(table.prefixes),
-            "differences": [[_f(v) for v in row] for row in table.differences],
-            "max_tail": [_f(v) for v in table.max_tail],
+            "differences": table.differences.tolist(),
+            "max_tail": list(table.max_tail),
             "tail_non_increasing": table.tail_non_increasing,
             "failures": [{"N": n, "error": msg} for n, msg in table.failures],
         }
         report.checks["all_prefixes_succeeded"] = not table.failures
-        report.checks["residuals_within_tolerance"] = all(
-            t.max_residual <= scenario.tolerance for t in traces
+    if scenario.mode != "check_only":
+        _measured(report, traces, scenario)
+    if scenario.mode == "finite" and scenario.targets.is_strictly_decreasing():
+        report.checks["norm_bound"] = (
+            report.norm_x <= scenario.targets.value(1) + 1.0 + scenario.tolerance
         )
-        if cond.passes:
-            report.checks["stabilization_non_increasing"] = table.tail_non_increasing
-        report.verdict = "pass" if all(report.checks.values()) else "fail"
-
+    elif scenario.mode == "prefix":
+        report.checks["coefficient_bounds"] = all(b.ok for b in traces[0].coefficient_bounds)
+    elif scenario.mode == "sequence" and cond.passes:
+        report.checks["stabilization_non_increasing"] = table.tail_non_increasing
+    report.verdict = "pass" if ok and all(report.checks.values()) else "fail"
     report.wall_time = time.perf_counter() - start
     return report
 

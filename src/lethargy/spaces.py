@@ -126,8 +126,6 @@ class Subspace:
                 f"basis columns are linearly dependent (numerical rank "
                 f"{numerical_rank} < {B.shape[1]})"
             )
-        if B.shape[1] > self.ambient_dim:
-            raise ValueError("rank cannot exceed ambient dimension")
         q = u[:, :numerical_rank]
         # Deterministic sign convention: first entry of largest magnitude >= 0.
         for j in range(q.shape[1]):
@@ -159,8 +157,6 @@ class Subspace:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Euclidean orthogonal projection onto the subspace."""
-        if self.rank == 0:
-            return np.zeros(self.ambient_dim)
         return self.basis @ (self.basis.T @ x)
 
     def residual(self, x: np.ndarray) -> np.ndarray:

@@ -184,6 +184,13 @@ def test_smallest_root_rules(monkeypatch):
                 assert len(ends) == (0 if norm == L2 else n)
         with pytest.raises(ConstructionError, match="below attainable minimum"):
             smallest_root(np.eye(3)[:, 2], e2, Y, norm, 0.5)
+    # no end for -q (tangent within tolerance on that side): the set is taken
+    # as its upper end alone, here instead of the lower ends -0.2 and 0.5
+    monkeypatch.setattr(construct_module, "level_endpoint",
+                        lambda x, q, *a, **kw: None if q[1] < 0 else real(x, q, *a, **kw))
+    for norm in (NormSpec(1), NormSpec(math.inf)):
+        for a, upper in ((-0.3, 0.8), (-1.0, 1.5)):
+            assert smallest_root(a * e2, e2, Y, norm, 0.5).t == pytest.approx(upper, abs=1e-15)
 
 
 # -- interpolating families --------------------------------------------------
@@ -470,6 +477,22 @@ def test_construct_prefix_solves_each_step_once(monkeypatch):
     chain = coordinate_chain(7, 6, NormSpec(1))
     construct_prefix(chain, TargetSequence((1.0,), "geometric", 1.0 / 3.0), 5)
     assert len(calls) == 6
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_prefix_over_a_zero_first_level(p):
+    # Y_1 = {0}: level 1 takes a plain unit step, and rho(x, Y_1) = |x|
+    norm = NormSpec(p)
+    A = np.random.default_rng(1).standard_normal((6, 3))
+    chain = Chain(6, norm, (Subspace.zero(6), *(Subspace(A[:, :k]) for k in (1, 2, 3))))
+    d = TargetSequence((1.0,), "geometric", 0.3)
+    tr = construct_prefix(chain, d, 4)
+    assert tr.max_residual <= 1e-13
+    assert norm_eval(tr.x, norm) == pytest.approx(d.value(1), abs=1e-13)
+    traces, table = construct_sequence(chain, d, 4)
+    assert table.prefixes == (1, 2, 3, 4) and not table.failures
+    assert max(t.max_residual for t in traces) <= 1e-13
+    assert np.array_equal(traces[-1].x, tr.x)
 
 
 def test_construct_sequence_zero_tail_stabilizes_exactly():

@@ -363,6 +363,56 @@ def test_explicit_basis_ladder_keeps_its_bytes(tmp_path, capsys):
     assert digest == "8499d86d07f57ee51e156b40b2f2d099fa3b7576ea0a935b7456008e17fb7354"
 
 
+def partial_ladder_doc(norm_p, tolerance):
+    # an explicit-basis ladder whose tolerance sits at the rounding level, so
+    # that some rungs miss it (hashes recorded like BUNDLED_REPORT_SHA256's)
+    A = np.random.default_rng(0).standard_normal((8, 6))
+    return base_doc(name="partial-ladder", ambient_dim=8, norm_p=norm_p, mode="sequence",
+                    N_max=5, tolerance=tolerance,
+                    chain={"levels": [A[:, :k].T.tolist() for k in range(1, 6)]},
+                    targets={"values": [1.0], "tail": "geometric", "ratio": 0.3})
+
+
+def test_partly_failing_ladder_keeps_its_bytes(tmp_path, capsys):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(partial_ladder_doc(1.5, 1e-16)))
+    assert cli.main(["sequence", path.as_posix(), "--format", "machine"]) == 1
+    machine = capsys.readouterr().out
+    assert hashlib.sha256(machine.encode()).hexdigest() == (
+        "92e123243440a461b0d5d40f708ceaa79cc4bd90be92f3327fe8ab8e5a728d7d")
+    rep = parse_report(machine)
+    assert [f["N"] for f in rep.stabilization["failures"]] == [2, 4]
+    assert rep.stabilization["prefixes"] == [1, 3, 5]
+    assert cli.main(["sequence", path.as_posix()]) == 1
+    text = capsys.readouterr().out
+    assert "prefix 2 FAILED: tolerance not met" in text
+    assert "prefix 4 FAILED: tolerance not met" in text
+    assert "<-- first failing level" in text
+    # the machine report sorts its keys; the text report keeps the checks' order
+    assert [line for line in text.splitlines() if line.startswith("check ")] == [
+        "check all_prefixes_succeeded: FAIL",
+        "check residuals_within_tolerance: FAIL",
+        "check stabilization_non_increasing: pass",
+    ]
+
+
+def test_ladder_with_every_rung_failing(tmp_path, capsys):
+    path = tmp_path / "failing.json"
+    path.write_text(json.dumps(partial_ladder_doc(1, 1e-17)))
+    assert cli.main(["sequence", path.as_posix(), "--format", "machine"]) == 1
+    machine = capsys.readouterr().out
+    assert hashlib.sha256(machine.encode()).hexdigest() == (
+        "d4dc4279be2ddc9cd3f67339e2d1181a248d8d40e2152dead3787354cea3e332")
+    rep = parse_report(machine)
+    assert rep.levels == [] and rep.x is None and rep.norm_x is None
+    assert rep.checks["all_prefixes_succeeded"] is False
+    assert [f["N"] for f in rep.stabilization["failures"]] == [1, 2, 3, 4, 5]
+
+
+def test_cli_builds_its_parser_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 # -- scenario fuzz -------------------------------------------------------------
 
 FUZZ_VALUE = st.one_of(

@@ -103,6 +103,9 @@ def test_as_vector_validation():
 def test_subspace_rejects_dependent_columns():
     with pytest.raises(ValueError, match="dependent"):
         Subspace(np.array([[1.0, 2.0], [0.0, 0.0]]))
+    # more columns than rows: at most 2 of the 3 are independent
+    with pytest.raises(ValueError, match=r"dependent \(numerical rank 2 < 3\)"):
+        Subspace(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
 
 
 def test_zero_subspace():
