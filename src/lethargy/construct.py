@@ -31,7 +31,7 @@ import numpy as np
 from .distance import (DistanceResult, Endpoint, SolverError, _l2_level_set, _rho, level_endpoint,
                        rho)
 from .functionals import norming_functional  # noqa: F401  (bench/tracing.py patches this binding)
-from .spaces import Chain, NormSpec, Subspace, _norm, as_vector, contains, norm_eval, validate_chain
+from .spaces import Chain, NormSpec, Subspace, _norm, as_vector, norm_eval, validate_chain
 
 
 class TargetError(ValueError):
@@ -167,7 +167,6 @@ def check_subspace_condition(
     d: TargetSequence,
     q_samples,
     k: int,
-    tol: float = 1e-9,
 ) -> SubspaceConditionReport:
     if k < 2:
         raise ValueError("the subspace condition needs k >= 2 (d_{k-1} must exist)")
@@ -183,7 +182,7 @@ def check_subspace_condition(
         nq = norm_eval(q, chain.norm)
         rq = rho(q, Yk, chain.norm).value
         bound = ratio * rq
-        holds = nq <= bound + tol
+        holds = nq <= bound + 1e-9
         bad = bad or not holds
         samples.append(SubspaceSample(norm_q=nq, rho_q=rq, bound=bound, holds=holds))
     return SubspaceConditionReport(
@@ -293,7 +292,6 @@ def interpolating_family(
     norm: NormSpec,
     u,
     v,
-    within_direction=None,
 ) -> InterpolationFamily:
     """Members q_m with rho(q_m, Q1) = u_m and rho(q_m, Q2) = v_m.
 
@@ -312,10 +310,7 @@ def interpolating_family(
         if not (um >= vm >= 0.0):
             raise ValueError(f"targets must satisfy u_m >= v_m >= 0, got ({um}, {vm})")
     _nested(Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q1, Q2, Q3)))
-    s = None if within_direction is None else as_vector(within_direction, dim=Q3.ambient_dim)
-    if s is not None and (not contains(Q2, s, 1e-8) or contains(Q1, s, 1e-8)):
-        raise ValueError("within_direction must lie in Q2 outside Q1")
-    return _family(Q1, Q2, Q3, norm, u, v, s)
+    return _family(Q1, Q2, Q3, norm, u, v, None)
 
 
 def _nested(chain: Chain) -> None:

@@ -8,9 +8,9 @@ in Normed Linear Spaces, 1970).  Any such g gives the lower bound
 g(x - y) <= rho(x, Y) for every y in Y; the witness gives the upper bound.
 Solver routes:
 
-  * coordinate   Y = span{e_i : i in S} ({0} included), any p: rho(x, Y) is
-                 the norm of x off S, attained at x_S (closed form)
-  * p = 2        orthogonal projection (closed form)
+  * p = 2        orthogonal projection (closed form), on every subspace
+  * coordinate   Y = span{e_i : i in S} ({0} included), p != 2: rho(x, Y)
+                 is the norm of x off S, attained at x_S (closed form)
   * p = 1        the annihilator linear program (HiGHS), r equality rows
   * p = inf      the primal linear program (HiGHS)
   * other p      damped Newton on one side of Fenchel duality, to a 1e-13 gap
@@ -21,7 +21,9 @@ rho at that end; the lower end is minus the upper end for -q.  At p = 2 both
 ends come from one projection of x and q and one quadratic, _l2_level_set,
 which smallest_root calls directly.  On a coordinate subspace at p in
 {1, inf} the end is a closed form in the entries of x and q off S, so a
-construction over a coordinate chain solves no linear program.
+construction over a coordinate chain solves no linear program.  The other
+routes run on x, q and d rescaled by powers of two, so every end moves
+with x, q and d scaled together.
 """
 
 from __future__ import annotations
@@ -172,16 +174,13 @@ class Endpoint(NamedTuple):
 
 
 def _norming_direction(r: np.ndarray, norm: NormSpec) -> np.ndarray:
-    """A direction g with g(r) = |r| |g|_*: |r|^(p-1) sign(r), which is r
-    itself at p = 2, or for the sup norm the signed unit vector at the
-    largest entry."""
+    """A direction g with g(r) = |r| |g|_*: |r|^(p-1) sign(r), or for the
+    sup norm the signed unit vector at the largest entry."""
     if norm.is_sup:
         g = np.zeros_like(r)
         i = int(np.argmax(np.abs(r)))
         g[i] = np.sign(r[i])
         return g
-    if norm.p == 2.0:
-        return r
     return np.abs(r) ** (norm.p - 1.0) * np.sign(r)
 
 
@@ -192,7 +191,7 @@ def _rho_coordinate(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResul
     r = x.copy()
     r[Y.support] = 0.0
     value = _norm(r, norm.p)
-    if value > 0.0 and norm.p not in (1.0, 2.0, math.inf):
+    if value > 0.0 and norm.p not in (1.0, math.inf):
         r = r / value  # |r|^(p - 1) would over- or underflow long before the norm
     return DistanceResult(value=value, witness_coeffs=Y.basis.T @ x, solver="coordinate",
                           dual_direction=_norming_direction(r, norm))
@@ -328,10 +327,10 @@ def rho(x, Y: Subspace, norm: NormSpec) -> DistanceResult:
 
 def _rho(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
     """rho on a checked vector: the route dispatch."""
-    if Y.support is not None:
-        return _rho_coordinate(x, Y, norm)
     if norm.p == 2.0:
         return _rho_l2(x, Y)
+    if Y.support is not None:
+        return _rho_coordinate(x, Y, norm)
     if norm.p == 1.0 or norm.is_sup:
         return _rho_linprog(x, Y, norm)
     return _rho_convex(x, Y, norm)
@@ -441,11 +440,15 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
 
     The end comes with rho(x + t q, Y) and its certificate, from the solve
     that found it (none from the quadratic).  The lower end is minus the
-    upper end for -q, with the same certificate.  A set that misses d by at
-    most rho's accuracy, default_tol(norm) * (1 + d), is the point t_min:
-    tied targets put d at that minimum, where rounding can leave it just out
-    of reach.  q inside Y (the set is empty or all of R), or 100 Newton steps
-    short of |rho - d| <= 1e-13 (1 + d), raise SolverError.
+    upper end for -q, with the same certificate.  The two closed forms are
+    scale-free; the linear program, the tangent rule and Newton run on x and
+    d divided by 2^ex and q by 2^eq, the quadratic's exponents, so that
+    max(|xp|_2, d) and |qp|_2 lie in [1/2, 1), and the tolerances below are
+    in those units.  A set that misses d by at most rho's accuracy,
+    default_tol(norm) * (1 + d), is the point t_min: tied targets put d at
+    that minimum, where rounding can leave it just out of reach.  q inside Y
+    (the set is empty or all of R), or 100 Newton steps short of
+    |rho - d| <= 1e-13 (1 + d), raise SolverError.
     """
     x = as_vector(x, dim=Y.ambient_dim)
     q = as_vector(q, dim=Y.ambient_dim)
@@ -453,11 +456,21 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
         return Endpoint(ends[1], None)
     B = Y.basis
     cx, xp, qp, nq = _split(x, q, Y)
-    if Y.support is not None and (norm.p == 1.0 or norm.is_sup):
+    linear = norm.p == 1.0 or norm.is_sup
+    if linear and Y.support is not None:
         a, b = np.delete(xp, Y.support), np.delete(qp, Y.support)
         if (t := _coordinate_level_end(a, b, norm, d)) is not None:
             return Endpoint(t, _rho_coordinate(x + t * q, Y, norm))
-    elif norm.p == 1.0 or norm.is_sup:
+    # The rules below are absolute, so they run in _l2_level_set's units;
+    # end() scales back (rho's dual direction has no scale).
+    ex, eq = math.frexp(max(_norm(xp, 2.0), d))[1], math.frexp(nq)[1]
+    x, cx, xp, d = np.ldexp(x, -ex), np.ldexp(cx, -ex), np.ldexp(xp, -ex), math.ldexp(d, -ex)
+    q, qp = np.ldexp(q, -eq), np.ldexp(qp, -eq)
+
+    def end(t: float, res: DistanceResult) -> Endpoint:
+        return Endpoint(math.ldexp(t, ex - eq), replace(
+            res, value=math.ldexp(res.value, ex), witness_coeffs=np.ldexp(res.witness_coeffs, ex)))
+    if linear and Y.support is None:
         scale = max(_norm(xp, norm.p), d) or 1.0  # as in _rho_linprog
         cost = np.append(np.zeros(Y.rank), -1.0)  # maximize t
         res = _lp(xp / scale, np.column_stack([B, -q]), norm, cost, d / scale)
@@ -466,11 +479,11 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
                 raise SolverError(f"level-set linear program failed: {res.message}")
             t = float(res.x[Y.rank]) * scale
             c = cx + res.x[: Y.rank] * scale
-            return Endpoint(t, DistanceResult(_norm(x + t * q - B @ c, norm.p), c, "linear_program",
-                                              _lp_dual(res, x.size)))
+            return end(t, DistanceResult(_norm(x + t * q - B @ c, norm.p), c, "linear_program",
+                                         _lp_dual(res, x.size)))
     # The exact routes found the set empty, or missed it by rounding where d
     # is the minimum; other p start here.
-    Z = Subspace(np.column_stack([B, qp / nq]))
+    Z = Subspace(np.column_stack([B, qp / math.ldexp(nq, -eq)]))
     low = _rho(x, Z, norm)
     w = low.witness(Z)
     t_min = -float(qp @ w) / float(qp @ qp)
@@ -480,14 +493,15 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
     if low.value >= d - tangent_tol:
         # x + t_min q - (w + t_min q) = x - w, and w + t_min q lies in Y;
         # low's certificate annihilates Z, which holds Y.
-        return Endpoint(t_min, replace(low, witness_coeffs=B.T @ (w + t_min * q)))
-    if norm.p in (1.0, 2.0) or norm.is_sup:
+        return end(t_min, replace(low, witness_coeffs=B.T @ (w + t_min * q)))
+    if linear or norm.p == 2.0:
+        t_min = math.ldexp(t_min, ex - eq)
         raise SolverError(f"no end found, yet the level set holds t = {t_min:.9g}")
     t = t_min + (d + low.value) / _rho(q, Y, norm).value
     for _ in range(100):
         res = _rho(x + t * q, Y, norm)
         gap = res.value - d
         if abs(gap) <= 1e-13 * (1.0 + d):
-            return Endpoint(t, res)
+            return end(t, res)
         t -= gap / float(res.dual(Y, norm) @ q)
     raise SolverError(f"level-set Newton iteration stopped at gap {gap:.3e}")

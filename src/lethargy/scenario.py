@@ -287,7 +287,7 @@ class Report:
 def _measured(report: Report, traces, scenario: Scenario):
     """The measured part of a construction report: the last trace's levels,
     x and coefficients, the worst certificate gap and the residual check
-    over every trace."""
+    over every trace, which no trace at all fails."""
     if traces:
         trace = traces[-1]
         report.levels = [
@@ -305,7 +305,7 @@ def _measured(report: Report, traces, scenario: Scenario):
             ]
     gaps = [t.certificate_gap for t in traces if t.certificate_gap is not None]
     report.certificate_gap = max(gaps, default=None)
-    report.checks["residuals_within_tolerance"] = all(
+    report.checks["residuals_within_tolerance"] = bool(traces) and all(
         t.max_residual <= scenario.tolerance for t in traces
     )
 
@@ -387,7 +387,8 @@ def run(scenario: Scenario) -> Report:
     elif scenario.mode == "prefix":
         report.checks["coefficient_bounds"] = all(b.ok for b in traces[0].coefficient_bounds)
     elif scenario.mode == "sequence" and cond.passes:
-        report.checks["stabilization_non_increasing"] = table.tail_non_increasing
+        # an empty table is no evidence of stabilization
+        report.checks["stabilization_non_increasing"] = bool(traces) and table.tail_non_increasing
     report.verdict = "pass" if ok and all(report.checks.values()) else "fail"
     report.wall_time = time.perf_counter() - start
     return report

@@ -155,12 +155,9 @@ class Subspace:
         rows = np.flatnonzero(self.basis.any(axis=1))
         return rows if rows.size == self.rank else None
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean orthogonal projection onto the subspace."""
-        return self.basis @ (self.basis.T @ x)
-
     def residual(self, x: np.ndarray) -> np.ndarray:
-        return x - self.project(x)
+        """x minus its Euclidean orthogonal projection onto the subspace."""
+        return x - self.basis @ (self.basis.T @ x)
 
     def __repr__(self):
         return f"Subspace(ambient_dim={self.ambient_dim}, rank={self.rank})"

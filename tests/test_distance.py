@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import lethargy.distance as distance_module
 import lethargy.functionals as functionals_module
-from lethargy.construct import finite_construct
+from lethargy.construct import ConstructOptions, TargetSequence, finite_construct
 from lethargy.distance import (
     DistanceResult,
     Endpoint,
@@ -63,7 +63,7 @@ def test_rho_l2_projection():
     res = rho([1.0, 1.0], Y, NormSpec(2))
     assert res.value == pytest.approx(1.0)
     assert res.witness(Y) == pytest.approx([1.0, 0.0])
-    assert res.solver == "coordinate"
+    assert res.solver == "closed_form_l2"
 
 
 def test_rho_sup_lp():
@@ -80,7 +80,7 @@ def test_rho_zero_subspace_is_norm():
         x = np.array([1.0, -2.0, 0.5])
         res = rho(x, Z, NormSpec(p))
         assert res.value == pytest.approx(norm_eval(x, NormSpec(p)))
-        assert res.solver == "coordinate"
+        assert res.solver == ("closed_form_l2" if p == 2 else "coordinate")
         assert res.witness(Z) == pytest.approx([0.0, 0.0, 0.0])
 
 
@@ -411,6 +411,29 @@ def test_l2_level_set_is_scale_safe(s):
     for t, t0 in zip(scaled, ends):
         assert abs(t - t0) <= 2 * np.spacing(abs(t0))
     assert level_endpoint(s * x, s * q, Y, L2, s * d).t == scaled[1]
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+def test_level_sets_are_scale_invariant(p):
+    # x, q and d scaled together leave the end where it is, and targets
+    # scaled together build to the same relative residual.  With absolute
+    # tangent and Newton rules and an unscaled LP column, p = 1.5 missed its
+    # tolerance at s = 1e-6, the LPs failed at s = 1e-160, Newton ended at
+    # t_min there and a ZeroDivisionError escaped at s = 1e-300.
+    norm = NormSpec(p)
+    Y, x, q, d = level_instance(np.random.default_rng(1), p, dim=6, rank=2)
+    end = level_endpoint(x, q, Y, norm, d)
+    for s in (1e-160, 1e-300, 1e200):
+        scaled = level_endpoint(s * x, s * q, Y, norm, s * d)
+        assert scaled.t == pytest.approx(end.t, rel=1e-13)
+        if end.certificate is not None:
+            assert scaled.certificate.value == pytest.approx(s * end.certificate.value, rel=1e-13)
+    A = np.random.default_rng(0).standard_normal((6, 4))
+    chain = Chain(6, norm, [Subspace(A[:, :k]) for k in range(1, 5)])
+    for s in (1e-6, 1e-9):
+        targets = TargetSequence(tuple(s * v for v in (1.0, 0.6, 0.35, 0.2)))
+        trace = finite_construct(chain, targets, ConstructOptions(tol=1e-9 * s))
+        assert trace.max_residual <= 1e-13 * s
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])

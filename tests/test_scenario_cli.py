@@ -2,8 +2,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,6 +319,65 @@ def test_cli_malformed_numbers_exit_2(tmp_path, capsys, over, extra):
     capsys.readouterr()
 
 
+# one document per input error of the parser, each with its message
+MALFORMED = {
+    "norm_p<1": (base_doc(norm_p=0.5),
+                 "invalid norm_p: 0.5 (norm exponent must satisfy p >= 1, got 0.5)"),
+    "grid-n_levels=0": (base_doc(norm_p="inf", chain={"generator": "polynomial_grid",
+                                                       "n_levels": 0}),
+                        "polynomial_grid needs 1 <= n_levels < grid_points"),
+    "coordinate-n_levels=dim": (base_doc(chain={"generator": "coordinate", "n_levels": 4}),
+                                "coordinate generator needs 1 <= n_levels < ambient_dim"),
+    "grid_points!=dim": (base_doc(norm_p="inf", chain={"generator": "polynomial_grid",
+                                                        "n_levels": 2, "grid_points": 5}),
+                         "polynomial_grid grid_points must equal ambient_dim"),
+    "level-wrong-dim": (base_doc(chain={"levels": [[[1.0, 0.0, 0.0]]]}),
+                        "chain level 1: basis rows 3 do not match ambient_dim 4"),
+    "chain={}": (base_doc(chain={}), "chain needs either a generator tag or explicit levels"),
+    "not-an-object": ([base_doc()], "scenario must be a JSON object"),
+    "no-mode": ({k: v for k, v in base_doc().items() if k != "mode"},
+                "missing required field 'mode'"),
+    "sequence-no-N_max": (base_doc(mode="sequence"), "sequence mode needs N_max"),
+    "subspace-no-k": (base_doc(mode="check_only", subspace_condition={}),
+                      "subspace_condition needs k"),
+    "values=[]": (base_doc(targets={"values": []}),
+                  "invalid targets: target sequence must have at least one value"),
+    "values<0": (base_doc(targets={"values": [-0.5]}),
+                 "invalid targets: targets must be finite and non-negative"),
+    "top-level-fills": (base_doc(ambient_dim=2, chain={"levels": [[[1, 0]], [[1, 0], [0, 1]]]}),
+                        "targets = 2: top chain level already fills the ambient space"),
+}
+
+
+def _command(doc):
+    mode = doc.get("mode") if isinstance(doc, dict) else None
+    return {"sequence": "sequence", "check_only": "check"}.get(mode, "construct")
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_scenario_exits_2_with_its_message(case, tmp_path, capsys):
+    doc, message = MALFORMED[case]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([_command(doc), path.as_posix()]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("case", ["not-an-object", "top-level-fills"])
+def test_malformed_scenario_from_the_command_line(case, tmp_path):
+    doc, message = MALFORMED[case]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "lethargy.cli", _command(doc), path.as_posix()],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": pythonpath})
+    assert out.returncode == 2
+    assert out.stderr == f"input error: {message}\n"
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("name", cli.list_bundled())
 def test_bundled_scenario_exit_code(name, capsys):
     expected = 1 if name.endswith("-xfail") else 0
@@ -379,7 +442,7 @@ def test_partly_failing_ladder_keeps_its_bytes(tmp_path, capsys):
     assert cli.main(["sequence", path.as_posix(), "--format", "machine"]) == 1
     machine = capsys.readouterr().out
     assert hashlib.sha256(machine.encode()).hexdigest() == (
-        "92e123243440a461b0d5d40f708ceaa79cc4bd90be92f3327fe8ab8e5a728d7d")
+        "5f081a3722cb179c1a0b0e3b93736ac649e3a31e8c4098203a0cd267c6df627e")
     rep = parse_report(machine)
     assert [f["N"] for f in rep.stabilization["failures"]] == [2, 4]
     assert rep.stabilization["prefixes"] == [1, 3, 5]
@@ -402,10 +465,12 @@ def test_ladder_with_every_rung_failing(tmp_path, capsys):
     assert cli.main(["sequence", path.as_posix(), "--format", "machine"]) == 1
     machine = capsys.readouterr().out
     assert hashlib.sha256(machine.encode()).hexdigest() == (
-        "d4dc4279be2ddc9cd3f67339e2d1181a248d8d40e2152dead3787354cea3e332")
+        "46a0063951b6cdd0aae975c3b79743b5eb5b5732ff24dce5cc41d71fced8417e")
     rep = parse_report(machine)
     assert rep.levels == [] and rep.x is None and rep.norm_x is None
-    assert rep.checks["all_prefixes_succeeded"] is False
+    # no rung built: no check over the rungs passes
+    assert rep.checks == {"all_prefixes_succeeded": False, "residuals_within_tolerance": False,
+                          "stabilization_non_increasing": False}
     assert [f["N"] for f in rep.stabilization["failures"]] == [1, 2, 3, 4, 5]
 
 
