@@ -35,28 +35,22 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dlaswp
-from scipy.optimize import OptimizeResult
 from scipy.optimize import minimize  # noqa: F401  (bench/tracing.py patches this binding)
-from scipy.optimize import linprog as _scipy_linprog
+from scipy.optimize._highspy import _core as _highs
 
-from .spaces import NormSpec, Subspace, _norm, as_vector
+from .spaces import _TINY, NormSpec, Subspace, _norm, as_vector
 
 _EPS = float(np.finfo(float).eps)
 
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:  # scipy releases without the HiGHS core bindings
-    _highs = None
-else:
-    _STATUS = {
-        _highs.HighsModelStatus.kOptimal: 0,
-        _highs.HighsModelStatus.kTimeLimit: 1,
-        _highs.HighsModelStatus.kIterationLimit: 1,
-        _highs.HighsModelStatus.kInfeasible: 2,
-        _highs.HighsModelStatus.kModelError: 2,
-        _highs.HighsModelStatus.kUnbounded: 3,
-    }
-    _local = threading.local()  # one solver per thread, see _solver
+_STATUS = {
+    _highs.HighsModelStatus.kOptimal: 0,
+    _highs.HighsModelStatus.kTimeLimit: 1,
+    _highs.HighsModelStatus.kIterationLimit: 1,
+    _highs.HighsModelStatus.kInfeasible: 2,
+    _highs.HighsModelStatus.kModelError: 2,
+    _highs.HighsModelStatus.kUnbounded: 3,
+}
+_local = threading.local()  # one solver per thread, see _solver
 
 
 def _solver():
@@ -70,35 +64,29 @@ def _solver():
     return solver
 
 
-def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
-    """scipy.optimize.linprog(method="highs", options={"presolve": False})
-    on dense blocks, calling the HiGHS solver scipy ships without linprog's
-    input checks and option handling, which cost most of a small LP.  Each
-    thread keeps one solver, and the model goes to it through passModel's
-    array overload, by pointer.  Presolve is off: on these dense LPs it
-    removes nothing and costs more than the dual simplex itself.  The model,
-    the options (presolve off, output off) and the status codes are
-    linprog's, so x, fun and the row duals, ineqlin.marginals (the first
-    len(b_ub)) and eqlin.marginals (the rest), are bit for bit the same.
-    On rho's LPs a call costs about 0.3-0.5 ms at m = 16-64 and 0.6 ms
-    (p = 1) to 1.4 ms (p = inf) at m = 256, on a 2-core x86-64 host.
-    linprog's residual check afterwards, at 3.2e-4, lies far outside
-    HiGHS's own 1e-7.  Without the HiGHS core bindings it is scipy's
-    linprog.  An LP with no columns raises ValueError on both paths (HiGHS
-    alone would call it "Empty")."""
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    if n == 0:
-        raise ValueError("a linear program needs at least one column")
-    if _highs is None:
-        return _scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                              method="highs", options={"presolve": False})
-    if A_ub is None:
-        A_ub, b_ub = np.zeros((0, n)), np.zeros(0)
-    A = np.vstack([A_ub] if A_eq is None else [A_ub, A_eq]).astype(float, copy=False)
-    b_ub = np.asarray(b_ub, dtype=float)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-    lo, hi = np.broadcast_to(np.array(bounds, dtype=float), (n, 2)).T  # None -> nan
+class LPResult(NamedTuple):
+    """linprog's answer: x, fun and row_dual are None unless status is 0."""
+
+    status: int  # 0 optimal, 1 limit reached, 2 infeasible, 3 unbounded, 4 other
+    message: str
+    x: np.ndarray | None
+    fun: float | None
+    row_dual: np.ndarray | None
+
+
+def linprog(c, A, row_lo, row_hi, col_lo, col_hi) -> LPResult:
+    """min c . x subject to row_lo <= A x <= row_hi and col_lo <= x <= col_hi,
+    A dense, a missing bound +-inf, solved by the HiGHS solver scipy ships
+    (scipy.optimize._highspy).  Each thread keeps one solver, and the model
+    goes to it through passModel's array overload, by pointer.  Presolve is
+    off: on these dense LPs it removes nothing and costs more than the dual
+    simplex itself.  The model and options are those scipy.optimize.linprog
+    (method="highs", options={"presolve": False}) passes for the same rows,
+    so x, fun and the row duals are its x, fun and ineqlin/eqlin.marginals,
+    bit for bit, and the status codes are its codes.  On rho's LPs a call
+    costs about 0.3-0.5 ms at m = 16-64 and 0.6 ms (p = 1) to 1.4 ms
+    (p = inf) at m = 256, on a 2-core x86-64 host."""
+    n = len(c)
     nonzero = A.T != 0.0  # column-wise, rows ascending, as scipy's CSC
     start = np.zeros(n, dtype=np.int32)  # n entries: HiGHS rejects the closing one
     np.cumsum(nonzero[:-1].sum(axis=1), out=start[1:])
@@ -106,8 +94,7 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
     solver = _solver()
     passed = solver.passModel(
         n, A.shape[0], index.size, 1, 1, 0.0,  # column-wise, minimize, no offset
-        c, np.where(np.isnan(lo), -np.inf, lo), np.where(np.isnan(hi), np.inf, hi),
-        np.concatenate([np.full(b_ub.size, -np.inf), b_eq]), np.concatenate([b_ub, b_eq]),
+        c, col_lo, col_hi, row_lo, row_hi,
         start, index, A.T[nonzero], np.zeros(n, dtype=np.int32))  # all columns continuous
     if passed == _highs.HighsStatus.kError:
         model_status = _highs.HighsModelStatus.kModelError
@@ -115,18 +102,12 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
         solver.run()
         model_status = solver.getModelStatus()
     status = _STATUS.get(model_status, 4)
-    out = OptimizeResult(x=None, fun=None, status=status, success=status == 0,
-                         message=f"HiGHS: {solver.modelStatusToString(model_status)}",
-                         ineqlin=OptimizeResult(marginals=None),
-                         eqlin=OptimizeResult(marginals=None))
-    if status == 0:  # the solution is read only at an optimum, as linprog does
-        solution = solver.getSolution()
-        out.x = np.array(solution.col_value)
-        out.fun = solver.getInfo().objective_function_value
-        row_dual = np.array(solution.row_dual)
-        out.ineqlin.marginals = row_dual[: b_ub.size]
-        out.eqlin.marginals = row_dual[b_ub.size:]
-    return out
+    message = f"HiGHS: {solver.modelStatusToString(model_status)}"
+    if status != 0:  # the solution is read only at an optimum, as scipy's linprog does
+        return LPResult(status, message, None, None, None)
+    solution = solver.getSolution()
+    return LPResult(status, message, np.array(solution.col_value),
+                    solver.getInfo().objective_function_value, np.array(solution.row_dual))
 
 
 class SolverError(RuntimeError):
@@ -211,24 +192,24 @@ def _lp(x: np.ndarray, A: np.ndarray, norm: NormSpec, cost_v, d: float | None = 
     m, n = A.shape
     J = np.ones((m, 1)) if norm.is_sup else np.eye(m)
     k = J.shape[1]
-    A_ub = np.block([[-A, -J], [A, -J]])
-    b_ub = np.concatenate([-x, x])
+    rows = np.block([[-A, -J], [A, -J]])
+    row_hi = np.concatenate([-x, x])
     if d is None:
         cost = np.concatenate([cost_v, np.ones(k)])
     else:
         cost = np.concatenate([cost_v, np.zeros(k)])
-        A_ub = np.vstack([A_ub, np.concatenate([np.zeros(n), np.ones(k)])])
-        b_ub = np.append(b_ub, d)
-    bounds = [(None, None)] * n + [(0, None)] * k
-    return linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
+        rows = np.vstack([rows, np.concatenate([np.zeros(n), np.ones(k)])])
+        row_hi = np.append(row_hi, d)
+    col_lo = np.concatenate([np.full(n, -np.inf), np.zeros(k)])
+    return linprog(cost, rows, np.full(row_hi.size, -np.inf), row_hi,
+                   col_lo, np.full(n + k, np.inf))
 
 
 def _lp_dual(res, m: int) -> np.ndarray:
     """Certificate direction of an _lp solve: the duals of its rows
     x - A v <= s minus those of A v - x <= s.  They annihilate A's columns
     that are free and cost nothing, and take the sign of the residual."""
-    lam = -res.ineqlin.marginals
-    return lam[:m] - lam[m:2 * m]
+    return res.row_dual[m:2 * m] - res.row_dual[:m]
 
 
 def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
@@ -246,13 +227,14 @@ def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
         # Theory, ch. 2).  Its solution g is the certificate; the duals y of
         # B^T g = 0 give the residual x - B(-y).  At optimum 0 (x in Y) g is
         # an arbitrary vertex and certifies nothing.
-        res = linprog(-xp / scale, A_eq=Y.basis.T, b_eq=np.zeros(Y.rank), bounds=(-1.0, 1.0))
-    if not res.success:
+        zero, one = np.zeros(Y.rank), np.ones(x.size)
+        res = linprog(-xp / scale, Y.basis.T, zero, zero, -one, one)
+    if res.status != 0:
         raise SolverError(f"linear program failed: {res.message}")
     if norm.is_sup:
         v, direction = res.x[: Y.rank], _lp_dual(res, x.size)
     else:
-        v, direction = -res.eqlin.marginals, res.x if res.fun < 0.0 else None
+        v, direction = -res.row_dual, res.x if res.fun < 0.0 else None
     c = c0 + v * scale
     value = _norm(x - Y.basis @ c, norm.p)
     return DistanceResult(value=value, witness_coeffs=c, solver="linear_program",
@@ -278,7 +260,16 @@ def _rho_convex(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
     (Rockafellar, Convex Analysis, 31) with the bounded Hessian diag((k - 1)
     |v|^(k-2)), k = max(p, q): v = u - B c for p >= 2, v = g for p < 2, with
     r or g the other side's projection of |v|^(k-1) sign v, until |r|_p -
-    g . u / |g|_q <= 1e-13 (1 + rho).  u = xp / |xp|_p as in _rho_linprog."""
+    g . u / |g|_q <= 1e-13 (1 + rho).  u = xp / |xp|_p as in _rho_linprog.
+    A subnormal x, where xp would lose its direction to underflow, runs
+    divided by the power of two 2^e that puts max |x| in [1/2, 1), and the
+    value and witness scale back; an x with a normal entry keeps its bits."""
+    top = float(np.abs(x).max())
+    if 0.0 < top < _TINY:
+        e = math.frexp(top)[1]
+        res = _rho_convex(np.ldexp(x, -e), Y, norm)
+        return replace(res, value=math.ldexp(res.value, e),
+                       witness_coeffs=np.ldexp(res.witness_coeffs, e))
     p, q, B = norm.p, norm.dual_p, Y.basis
     c0 = B.T @ x
     xp = Y.residual(x - B @ c0)  # twice: rounding leaves xp's own scale in Y
@@ -475,7 +466,7 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
         cost = np.append(np.zeros(Y.rank), -1.0)  # maximize t
         res = _lp(xp / scale, np.column_stack([B, -q]), norm, cost, d / scale)
         if res.status != 2:  # 2: infeasible
-            if not res.success:
+            if res.status != 0:
                 raise SolverError(f"level-set linear program failed: {res.message}")
             t = float(res.x[Y.rank]) * scale
             c = cx + res.x[: Y.rank] * scale

@@ -59,9 +59,7 @@ def limit_expression(x2, x1, Q: Subspace, norm: NormSpec, a: float) -> float:
     binding."""
     x1 = as_vector(x1, dim=Q.ambient_dim)
     x2 = as_vector(x2, dim=Q.ambient_dim)
-    rho1 = rho(x1, Q, norm).value
-    if rho1 <= FUNC_TOL:
-        raise FunctionalError(f"x1 lies in the subspace within tolerance (rho = {rho1:.3e})")
+    rho1 = _rho_outside(x1, Q, norm).value
     if a > 1.0:
         # Homogeneity keeps the solve well scaled for large a.
         val = a * rho(x2 / a - x1, Q, norm).value
@@ -70,9 +68,20 @@ def limit_expression(x2, x1, Q: Subspace, norm: NormSpec, a: float) -> float:
     return a - val / rho1
 
 
-def _face_minimizer(x1: np.ndarray, Q: Subspace, norm: NormSpec, x2):
-    """rho(x1, Q) and a g in the face {|g|_* <= 1, g|Q = 0, g(x1) = rho} of
-    the dual ball, minimizing g(x2) over the face when x2 is given.
+def _rho_outside(x1: np.ndarray, Q: Subspace, norm: NormSpec):
+    """rho(x1, Q), which FunctionalError rejects when x1 lies in Q."""
+    res = rho(x1, Q, norm)
+    if res.value <= FUNC_TOL:
+        raise FunctionalError(
+            f"x1 lies in the subspace within tolerance (rho = {res.value:.3e}); "
+            "no norming functional exists"
+        )
+    return res
+
+
+def _face_minimizer(res, x1: np.ndarray, Q: Subspace, norm: NormSpec, x2) -> np.ndarray:
+    """A g in the face {|g|_* <= 1, g|Q = 0, g(x1) = rho} of the dual ball,
+    minimizing g(x2) over the face when x2 is given; res is rho(x1, Q).
 
     Without x2, or for 1 < p < inf (where the face is one point), g is
     rho's own certificate.  For p in {1, inf} with x2, complementary
@@ -86,15 +95,8 @@ def _face_minimizer(x1: np.ndarray, Q: Subspace, norm: NormSpec, x2):
     "= max" and "= 0" are decided to ACTIVE_TOL relative to max |r|.  The
     projection onto Q's annihilator removes the solver's error in g|Q = 0.
     """
-    res = rho(x1, Q, norm)
-    rho1 = res.value
-    if rho1 <= FUNC_TOL:
-        raise FunctionalError(
-            f"x1 lies in the subspace within tolerance (rho = {rho1:.3e}); "
-            "no norming functional exists"
-        )
     if x2 is None or not (norm.p == 1.0 or norm.is_sup):
-        return rho1, res.dual(Q, norm)
+        return res.dual(Q, norm)
     r = x1 - res.witness(Q)
     size, s = np.abs(r), np.sign(r)
     # The face as bounds on g.  A fixed coordinate gets equal bounds and
@@ -103,15 +105,15 @@ def _face_minimizer(x1: np.ndarray, Q: Subspace, norm: NormSpec, x2):
         active = size >= (1.0 - ACTIVE_TOL) * size.max()
         lo = np.where(active & (s < 0), -np.inf, 0.0)
         hi = np.where(active & (s > 0), np.inf, 0.0)
-        A_eq, b_eq = np.vstack([Q.basis.T, s]), np.append(np.zeros(Q.rank), 1.0)
+        A, b = np.vstack([Q.basis.T, s]), np.append(np.zeros(Q.rank), 1.0)
     else:
         zero = size <= ACTIVE_TOL * size.max()
         lo, hi = np.where(zero, -1.0, s), np.where(zero, 1.0, s)
-        A_eq, b_eq = Q.basis.T, np.zeros(Q.rank)
-    out = linprog(x2, A_eq=A_eq, b_eq=b_eq, bounds=np.column_stack([lo, hi]))
-    if not out.success:
+        A, b = Q.basis.T, np.zeros(Q.rank)
+    out = linprog(x2, A, b, b, lo, hi)
+    if out.status != 0:
         raise SolverError(f"norming linear program failed: {out.message}")
-    return rho1, Q.residual(out.x)
+    return Q.residual(out.x)
 
 
 def limit_value(x2, x1, Q: Subspace, norm: NormSpec) -> float:
@@ -119,7 +121,7 @@ def limit_value(x2, x1, Q: Subspace, norm: NormSpec) -> float:
     exactly: min{g(x2) : g in the subdifferential at x1} / rho(x1, Q)."""
     x1 = as_vector(x1, dim=Q.ambient_dim)
     x2 = as_vector(x2, dim=Q.ambient_dim)
-    _, g = _face_minimizer(x1, Q, norm, x2)
+    g = _face_minimizer(_rho_outside(x1, Q, norm), x1, Q, norm, x2)
     return float(g @ x2) / float(g @ x1)
 
 
@@ -132,20 +134,22 @@ def norming_functional(x1, Q: Subspace, norm: NormSpec, x2=None) -> Functional:
     1/rho(x1, Q) is verified, not assumed.
     """
     x1 = as_vector(x1, dim=Q.ambient_dim)
+    res = _rho_outside(x1, Q, norm)
     if x2 is not None:
         x2 = as_vector(x2, dim=Q.ambient_dim)
-        span = Subspace(np.column_stack([Q.basis, x1]))
-        res = float(np.linalg.norm(span.residual(x2)))
-        if res <= FUNC_TOL * max(1.0, float(np.linalg.norm(x2))):
+        # x2's residual off span[{x1} + Q]: off Q, then off x1's residual r1
+        r1, r2 = Q.residual(x1), Q.residual(x2)
+        off = float(np.linalg.norm(r2 - r1 * (float(r1 @ r2) / float(r1 @ r1))))
+        if off <= FUNC_TOL * max(1.0, float(np.linalg.norm(x2))):
             raise FunctionalError(
-                f"x2 lies in span[{{x1}} + Q] within tolerance (residual = {res:.3e})"
+                f"x2 lies in span[{{x1}} + Q] within tolerance (residual = {off:.3e})"
             )
-    rho1, g = _face_minimizer(x1, Q, norm, x2)
+    g = _face_minimizer(res, x1, Q, norm, x2)
     d = g / float(g @ x1)
     dn = dual_norm(d, norm)
-    if abs(dn * rho1 - 1.0) > NORMING_TOL:
+    if abs(dn * res.value - 1.0) > NORMING_TOL:
         raise SolverError(
-            f"norming identity violated: |f| * rho(x1, Q) = {dn * rho1!r}, expected 1"
+            f"norming identity violated: |f| * rho(x1, Q) = {dn * res.value!r}, expected 1"
         )
     return Functional(dual_vector=d, dual_norm_value=dn)
 

@@ -87,6 +87,8 @@ def _norm(x: np.ndarray, p: float) -> float:
         if s == 0.0 and not x.any():
             return 0.0
         top = float(np.max(np.abs(x)))
+        if not math.isfinite(top):  # an inf or nan entry: the norm is inf or nan
+            return top
         return top * _norm(x / top, p)
     return math.sqrt(s) if p == 2.0 else s ** (1.0 / p)
 

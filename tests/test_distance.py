@@ -236,6 +236,25 @@ def test_rho_smooth_route_certificate_gap(p):
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
+def test_rho_on_subnormal_input_scales_from_the_normal_range(p):
+    # x with no normal entry: the smooth route solves at x / 2^e, max |x|
+    # in [1/2, 1), so rho and the witness are those of a normal-range x
+    # scaled back, to the rounding of the subnormal result
+    norm = NormSpec(p)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        Y = Subspace(rng.standard_normal((3, 2)))
+        for x in (np.array([1.0, 0.0, 0.0]), rng.standard_normal(3)):
+            ref = rho(x, Y, norm)
+            for e in (-1074, -1050, -1030):
+                res = rho(np.ldexp(x, e), Y, norm)
+                assert res.value == pytest.approx(math.ldexp(ref.value, e), rel=1e-12,
+                                                  abs=math.ldexp(1.0, -1074))
+                assert np.allclose(res.witness_coeffs, np.ldexp(ref.witness_coeffs, e),
+                                   rtol=1e-12, atol=math.ldexp(1.0, -1074))
+
+
 small_vec = st.lists(st.floats(-5, 5, allow_nan=False), min_size=3, max_size=6)
 
 
@@ -243,6 +262,8 @@ small_vec = st.lists(st.floats(-5, 5, allow_nan=False), min_size=3, max_size=6)
 @given(small_vec, st.floats(-10, 10), st.sampled_from(P_VALUES), st.integers(0, 10_000))
 # tiny x: the LP route must not answer "witness 0" within HiGHS's absolute tolerances
 @example(entries=[0.0, 0.0, 5.960464477539063e-08], lam=2.0, p=1.0, seed=0)
+# subnormal x: the smooth route must not lose xp's direction to underflow
+@example(entries=[5e-324, 0.0, 0.0], lam=0.0, p=1.5, seed=0)
 def test_property_homogeneity(entries, lam, p, seed):
     x = np.array(entries)
     dim = x.size
@@ -682,10 +703,7 @@ def family_lps(monkeypatch, family) -> list:
         "norming": (functionals_module, norming_lps),
         "p = 1 rho": (distance_module, l1_rho_lps),
     }[family]
-    calls = recorded_lps(monkeypatch, module, run)
-    if family == "norming":  # bounds as an (n, 2) array, and as a list of pairs
-        calls += [(a, {**kw, "bounds": [tuple(b) for b in kw["bounds"]]}) for a, kw in calls]
-    return calls
+    return recorded_lps(monkeypatch, module, run)
 
 
 def assert_same_lp_result(ours, ref):
@@ -693,8 +711,22 @@ def assert_same_lp_result(ours, ref):
     if ref.status == 0:
         assert np.array_equal(ours.x, ref.x)
         assert ours.fun == ref.fun
-        assert np.array_equal(ours.ineqlin.marginals, ref.ineqlin.marginals)
-        assert np.array_equal(ours.eqlin.marginals, ref.eqlin.marginals)
+        assert np.array_equal(ours.row_dual, ref.row_dual)
+
+
+def scipy_linprog(c, A, row_lo, row_hi, col_lo, col_hi):
+    """The same LP through scipy.optimize.linprog, presolve off: rows
+    row_lo = -inf become A_ub, rows row_lo = row_hi become A_eq.  scipy puts
+    A_ub's rows first, so every A_ub row must come before every A_eq row."""
+    eq = row_lo == row_hi
+    assert np.all(eq | ((row_lo == -np.inf) & (row_hi < np.inf)))
+    assert not np.any(eq[:-1] & ~eq[1:])
+    res = scipy.optimize.linprog(c, A_ub=A[~eq], b_ub=row_hi[~eq], A_eq=A[eq], b_eq=row_hi[eq],
+                                 bounds=np.column_stack([col_lo, col_hi]),
+                                 method="highs", options={"presolve": False})
+    row_dual = (np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
+                if res.status == 0 else None)
+    return distance_module.LPResult(res.status, res.message, res.x, res.fun, row_dual)
 
 
 @pytest.mark.parametrize("family", LP_FAMILIES)
@@ -705,8 +737,7 @@ def test_linprog_matches_scipy_linprog(monkeypatch, family):
     statuses = []
     for args, kwargs in family_lps(monkeypatch, family):
         ours = distance_module.linprog(*args, **kwargs)
-        ref = scipy.optimize.linprog(*args, method="highs", options={"presolve": False}, **kwargs)
-        assert_same_lp_result(ours, ref)
+        assert_same_lp_result(ours, scipy_linprog(*args, **kwargs))
         statuses.append(ours.status)
     assert 0 in statuses
     if family == "level sets":
@@ -718,8 +749,6 @@ def test_linprog_reused_solver_matches_a_fresh_one(monkeypatch, family):
     # one solver per thread serves every LP: whatever it solved before, in
     # either order and after an infeasible LP, the answer is the one a new
     # solver gives, bit for bit
-    if distance_module._highs is None:
-        pytest.skip("this scipy has no HiGHS core bindings")
     calls = family_lps(monkeypatch, family)
 
     def fresh(args, kwargs):
@@ -740,8 +769,6 @@ def test_linprog_reused_solver_matches_a_fresh_one(monkeypatch, family):
 def test_rho_in_two_threads_matches_serial():
     # each thread solves on its own solver: two threads running rho over the
     # same inputs in opposite orders give the serial results bit for bit
-    if distance_module._highs is None:
-        pytest.skip("this scipy has no HiGHS core bindings")
     cases = [(x, Y, NormSpec(p)) for Y, x in l1_sweep_instances() for p in (1.0, math.inf)]
     serial = [rho(x, Y, norm) for x, Y, norm in cases]
     barrier = threading.Barrier(2)
@@ -773,52 +800,13 @@ def test_rho_l1_solves_the_annihilator_lp(monkeypatch):
         out = []
         calls = recorded_lps(monkeypatch, distance_module, lambda: out.append(rho(x, Y, norm)))
         assert len(calls) == 1
-        (c,), kw = calls[0]
+        (c, A, row_lo, row_hi, col_lo, col_hi), _ = calls[0]
         assert len(c) == Y.ambient_dim
-        assert kw["A_eq"].shape == (Y.rank, Y.ambient_dim)
-        assert kw.get("A_ub") is None
+        assert A.shape == (Y.rank, Y.ambient_dim)
+        assert np.array_equal(row_lo, np.zeros(Y.rank)) and np.array_equal(row_hi, row_lo)
+        assert np.array_equal(col_lo, -np.ones(Y.ambient_dim))
+        assert np.array_equal(col_hi, np.ones(Y.ambient_dim))
         res = out[0]
         assert res.value == pytest.approx(rho_l1_primal_oracle(x, Y), rel=1e-12)
         g = res.dual(Y, norm)
         assert abs(res.value - float(g @ (x - res.witness(Y)))) <= 1e-12 * res.value
-
-
-def test_certified_solves_on_the_scipy_linprog_path(monkeypatch):
-    # without the HiGHS core bindings every LP goes through scipy's linprog,
-    # whose own eqlin.marginals must give the same witness and certificate
-    rng = np.random.default_rng(38)
-    cases = [(Subspace(rng.standard_normal((m, r))), rng.standard_normal(m), rng.standard_normal(m))
-             for m, r in ((5, 2), (16, 8), (64, 8))]
-    l1, sup = NormSpec(1.0), NormSpec(math.inf)
-
-    def solve(Q, x1, x2):
-        return ([rho(x1, Q, norm) for norm in (l1, sup)],
-                [functionals_module.norming_functional(x1, Q, l1, x2=y) for y in (None, x2)])
-
-    core = [solve(*case) for case in cases]
-    monkeypatch.setattr(distance_module, "_highs", None)
-    for (Q, x1, x2), (core_rhos, core_fs) in zip(cases, core):
-        rhos, fs = solve(Q, x1, x2)
-        for norm, res, ref in zip((l1, sup), rhos, core_rhos):
-            assert res.value == pytest.approx(ref.value, rel=1e-12)
-            assert_certifies(res, x1, Q, norm, res.value, 1e-12 * res.value)
-        # f * rho(x1, Q) certifies rho(x1, Q) at rho's witness
-        res = rhos[0]
-        for f, ref in zip(fs, core_fs):
-            assert f.dual_norm_value == pytest.approx(ref.dual_norm_value, rel=1e-12)
-            assert f(x2) == pytest.approx(ref(x2), rel=1e-12, abs=1e-12)
-            cert = DistanceResult(value=res.value, witness_coeffs=res.witness_coeffs,
-                                  solver=res.solver, dual_direction=f.dual_vector * res.value)
-            assert_certifies(cert, x1, Q, l1, res.value, 1e-12 * res.value)
-
-
-@pytest.mark.parametrize("path", ["highs core", "scipy linprog"])
-def test_linprog_without_columns_raises(monkeypatch, path):
-    # HiGHS alone reports an empty model as status 4; the entry point raises
-    # the same ValueError whether or not scipy ships the HiGHS core bindings
-    if path == "highs core" and distance_module._highs is None:
-        pytest.skip("this scipy has no HiGHS core bindings")
-    if path == "scipy linprog":
-        monkeypatch.setattr(distance_module, "_highs", None)
-    with pytest.raises(ValueError, match="at least one column"):
-        distance_module.linprog(np.zeros(0), A_ub=np.zeros((2, 0)), b_ub=np.ones(2))

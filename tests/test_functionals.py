@@ -167,6 +167,17 @@ def test_norming_functional_preconditions():
         norming_functional([0.0, 1.0], Q, L2, x2=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+def test_norming_functional_rejects_x1_in_q_with_or_without_x2(p):
+    # x1 in Q is the same error whether or not x2 is given: the x2 check
+    # must not reach a Subspace of the dependent columns [Q.basis, x1]
+    Q = Subspace(np.random.default_rng(0).standard_normal((3, 2)))
+    x1 = Q.basis @ np.array([1.0, -2.0])
+    for x2 in (None, np.array([1.0, 2.0, 3.0])):
+        with pytest.raises(FunctionalError, match="x1 lies in the subspace"):
+            norming_functional(x1, Q, NormSpec(p), x2=x2)
+
+
 def test_norm_attainment_check_examples():
     f = norming_functional([1.0, 0.0], Subspace.zero(2), L2)
     assert norm_attainment_check(f, [1.0, 0.0], L2)

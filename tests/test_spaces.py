@@ -13,6 +13,7 @@ from lethargy.spaces import (
     as_vector,
     contains,
     coordinate_chain,
+    _norm,
     norm_eval,
     validate_chain,
 )
@@ -41,6 +42,16 @@ def test_norm_eval_outside_the_normal_range(p):
     norm = NormSpec(p)
     for scale in (1e-300, 1e-290, 1e-170, 1e150, 1e160, 1e300):
         assert norm_eval(scale * x, norm) == pytest.approx(scale * norm_eval(x, norm), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_norm_of_a_non_finite_entry_ends(p):
+    # the core's _norm takes unchecked vectors: an inf or nan entry makes the
+    # power sum leave the normal range, and dividing by max |x_i| = inf or
+    # nan would recurse without end; the norm is inf, or nan, at once
+    assert _norm(np.array([np.inf, 1.0]), p) == math.inf
+    assert _norm(np.array([-np.inf, 0.0]), p) == math.inf
+    assert math.isnan(_norm(np.array([np.nan, 1.0]), p))
 
 
 def test_norm_eval_in_range_is_numpys():
