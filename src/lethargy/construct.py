@@ -63,7 +63,7 @@ class TargetSequence:
         if any(not math.isfinite(v) or v < 0 for v in vals):
             raise TargetError("targets must be finite and non-negative")
         for a, b in zip(vals, vals[1:]):
-            if b > a + 1e-15:
+            if b > a + 1e-15 * a:  # relative: targets scale freely
                 raise TargetError(f"targets must be non-increasing, got {a} < {b}")
         if self.tail not in ("zero", "geometric"):
             raise TargetError(f"unknown tail kind {self.tail!r}")
@@ -275,7 +275,6 @@ def smallest_root(
 class FamilyMember:
     q: np.ndarray
     mu: float  # coordinate along the within-Q2 search direction (0 when u == v)
-    certificate: DistanceResult  # of rho(q, Q2) = v_m, with witness mu s
 
 
 @dataclass(frozen=True)
@@ -299,8 +298,6 @@ def interpolating_family(
     (so the Q2 distance is exactly v_m) and s is a unit direction of Q2
     outside Q1; lambda_m is the smallest root of the convex coercive map
     lambda -> rho(v_m y + lambda s, Q1) = u_m, from one level-set solve.
-    Each member carries the certificate of rho(q_m, Q2) = v_m: y's, scaled
-    by v_m, with witness lambda_m s.
     """
     u = [float(t) for t in u]
     v = [float(t) for t in v]
@@ -310,7 +307,13 @@ def interpolating_family(
         if not (um >= vm >= 0.0):
             raise ValueError(f"targets must satisfy u_m >= v_m >= 0, got ({um}, {vm})")
     _nested(Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q1, Q2, Q3)))
-    return _family(Q1, Q2, Q3, norm, u, v, None)
+    y = _unit_step(Q2, Q3, norm)[0]
+    s = _unit_step(Q1, Q2, norm)[0]
+    members = []
+    for um, vm in zip(u, v):
+        lam = smallest_root(vm * y, s, Q1, norm, um, two_sided=False).t
+        members.append(FamilyMember(q=vm * y + lam * s, mu=lam))
+    return InterpolationFamily(members=tuple(members), step_outer=y, step_inner=s)
 
 
 def _nested(chain: Chain) -> None:
@@ -318,24 +321,6 @@ def _nested(chain: Chain) -> None:
     nesting = validate_chain(chain)
     if not nesting.passes:
         raise ValueError(f"nesting hypothesis violated: {nesting.failure}")
-
-
-def _family(Q1: Subspace, Q2: Subspace, Q3: Subspace, norm: NormSpec, u, v,
-            s: np.ndarray | None) -> InterpolationFamily:
-    """interpolating_family on checked input: Q1 c Q2 c Q3 strictly nested,
-    floats u_m >= v_m >= 0, and s None or a vector of Q2 outside Q1."""
-    y, y_cert = _unit_step(Q2, Q3, norm)
-    if s is None:
-        s = _unit_step(Q1, Q2, norm)[0]
-    else:
-        s = s / _norm(s, norm.p)
-    s_coeffs = Q2.basis.T @ s
-    members = []
-    for um, vm in zip(u, v):
-        lam = smallest_root(vm * y, s, Q1, norm, um, two_sided=False).t
-        members.append(FamilyMember(q=vm * y + lam * s, mu=lam,
-                                    certificate=_scaled(y_cert, vm, lam * s_coeffs)))
-    return InterpolationFamily(members=tuple(members), step_outer=y, step_inner=s)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +338,8 @@ class BorodinSchedule:
 
 def build_schedule(d: TargetSequence, N: int) -> BorodinSchedule:
     """tau_1 = d_1, tau_j = min of the consecutive gaps d_{k-1} - d_k up to j;
-    u_n^(j) = 1 + tau_n / (2^j d_j).  The matching v_n^(j) is 1 throughout,
-    which _prefix_steps passes itself."""
+    u_n^(j) = 1 + tau_n / (2^j d_j).  The matching v_n^(j) is 1 throughout:
+    the distance of _prefix_steps's unit steps."""
     vals = [d.value(j) for j in range(1, N + 1)]
     if any(x <= 0 for x in vals):
         raise TargetError("build_schedule needs d_j > 0 for every j <= N")
@@ -573,31 +558,29 @@ def finite_construct(
 
 
 def _prefix_steps(chain: Chain, d: TargetSequence, Np: int):
-    """Step families q_j with rho(q_j, Y_j) = 1 and |q_j| = u_Np^(j), j = 1..Np,
-    each with its certificate of rho(q_j, Y_j) = 1.
+    """Steps q_j with rho(q_j, Y_j) = 1 and |q_j| = u_Np^(j), j = 1..Np, each
+    with its certificate of rho(q_j, Y_j) = 1.
 
-    The within-Y_j search direction is chained to the previous level's step,
-    so each q_j pre-loads the distance one level down; being in Y_j outside
-    Y_{j-1} by construction, it goes to the family unchecked.  A rank-0 Y_j
-    (the chain starting at {0}) degenerates to a plain unit step.
+    q_j = y_j + lambda_j s: y_j is the unit step out of Y_j, whose distance
+    and certificate q_j keeps, with witness lambda_j s; s, the previous
+    level's y normalized, pre-loads the distance one level down, and lambda_j
+    is the smallest root of |y_j + lambda s| = u_Np^(j).  A rank-0 Y_j (the
+    chain starting at {0}) keeps the plain unit step.
     """
-    if Np == 0:
-        return []
-    schedule = build_schedule(d, Np)
-    zero = Subspace.zero(chain.ambient_dim)
-    steps = []
-    prev_y = None
+    u = build_schedule(d, Np).u[:, Np - 1] if Np else ()
+    zero, norm = Subspace.zero(chain.ambient_dim), chain.norm
+    steps, s = [], None
     for j in range(1, Np + 1):
         Yj = chain.level(j)
-        Yj1 = chain.level(j + 1)
-        if Yj.rank == 0:
-            steps.append(_unit_step(Yj, Yj1, chain.norm))
-            prev_y = steps[-1][0]
+        y, cert = _unit_step(Yj, chain.level(j + 1), norm)
+        if Yj.rank:
+            if s is None:
+                s = _unit_step(zero, Yj, norm)[0]
+            lam = smallest_root(y, s, zero, norm, float(u[j - 1]), two_sided=False).t
+            steps.append((y + lam * s, _scaled(cert, 1.0, lam * (Yj.basis.T @ s))))
         else:
-            fam = _family(zero, Yj, Yj1, chain.norm, [float(schedule.u[j - 1, Np - 1])], [1.0],
-                          prev_y)
-            steps.append((fam.members[0].q, fam.members[0].certificate))
-            prev_y = fam.step_outer
+            steps.append((y, cert))
+        s = y / _norm(y, norm.p)
     return steps
 
 
@@ -668,7 +651,8 @@ def construct_sequence(
         float(np.max(diffs[i, i + 1 :])) if i + 1 < n else 0.0 for i in range(n)
     )
     body = max_tail[:-1] if n else ()
-    non_inc = all(a >= b - 1e-12 for a, b in zip(body, body[1:]))
+    slack = 1e-12 * max(body, default=0.0)  # relative, as the tail scales with d
+    non_inc = all(a >= b - slack for a, b in zip(body, body[1:]))
     return traces, StabilizationTable(
         prefixes=tuple(kept),
         differences=diffs,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import SolverError, linprog, rho
-from .spaces import NormSpec, Subspace, as_vector, norm_eval
+from .spaces import NormSpec, Subspace, _norm, as_vector, norm_eval
 
 FUNC_TOL = 1e-8
 NORMING_TOL = 1e-7  # HiGHS's feasibility tolerance
@@ -69,9 +69,9 @@ def limit_expression(x2, x1, Q: Subspace, norm: NormSpec, a: float) -> float:
 
 
 def _rho_outside(x1: np.ndarray, Q: Subspace, norm: NormSpec):
-    """rho(x1, Q), which FunctionalError rejects when x1 lies in Q."""
+    """rho(x1, Q), which FunctionalError rejects when x1 lies in Q (to FUNC_TOL |x1|)."""
     res = rho(x1, Q, norm)
-    if res.value <= FUNC_TOL:
+    if res.value <= FUNC_TOL * _norm(x1, norm.p):
         raise FunctionalError(
             f"x1 lies in the subspace within tolerance (rho = {res.value:.3e}); "
             "no norming functional exists"
@@ -140,7 +140,7 @@ def norming_functional(x1, Q: Subspace, norm: NormSpec, x2=None) -> Functional:
         # x2's residual off span[{x1} + Q]: off Q, then off x1's residual r1
         r1, r2 = Q.residual(x1), Q.residual(x2)
         off = float(np.linalg.norm(r2 - r1 * (float(r1 @ r2) / float(r1 @ r1))))
-        if off <= FUNC_TOL * max(1.0, float(np.linalg.norm(x2))):
+        if off <= FUNC_TOL * float(np.linalg.norm(x2)):
             raise FunctionalError(
                 f"x2 lies in span[{{x1}} + Q] within tolerance (residual = {off:.3e})"
             )

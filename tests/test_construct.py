@@ -43,6 +43,9 @@ def closed_form_witness(d: TargetSequence, dim: int) -> np.ndarray:
 def test_targets_reject_increasing():
     with pytest.raises(TargetError, match="non-increasing"):
         TargetSequence((0.1, 0.5))
+    # the slack is relative: an absolute 1e-15 let 1e-20 < 2e-20 in
+    with pytest.raises(TargetError, match="non-increasing"):
+        TargetSequence((1e-20, 2e-20))
 
 
 def test_targets_reject_bad_tail():
@@ -527,6 +530,19 @@ def test_construct_sequence_long_geometric_tail_non_increasing():
     _, table = construct_sequence(coordinate_chain(18, 16, L2), d, 16, ConstructOptions(tol=1e-8))
     assert not table.failures
     assert table.tail_non_increasing
+
+
+@pytest.mark.parametrize("d1, tol", [(1.0, 1e-7), (1e-13, 1e-20)])
+def test_stabilization_verdict_is_scale_free(d1, tol):
+    # the tail rises by 0.254 d_1 at the third rung; an absolute 1e-12 slack
+    # hid that once d_1 was small enough
+    M = np.random.default_rng(0).standard_normal((9, 7))
+    chain = Chain(9, NormSpec(1), [Subspace(M[:, :k]) for k in range(1, 8)])
+    d = TargetSequence((d1,), "geometric", 0.55)
+    _, table = construct_sequence(chain, d, 6, ConstructOptions(tol=tol))
+    assert not table.failures
+    assert table.max_tail[2] - table.max_tail[1] == pytest.approx(0.254 * d1, rel=1e-2)
+    assert not table.tail_non_increasing
 
 
 def test_chain_too_short_reported():

@@ -178,6 +178,27 @@ def test_norming_functional_rejects_x1_in_q_with_or_without_x2(p):
             norming_functional(x1, Q, NormSpec(p), x2=x2)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+def test_functionals_are_scale_free_in_x1(p):
+    # "x1 lies in Q" is judged relative to |x1|, and the x2 check relative to
+    # |x2|: a small x1 outside Q has a functional, 1/s times that of x1
+    norm = NormSpec(p)
+    rng = np.random.default_rng(0)
+    Q = Subspace(rng.standard_normal((6, 2)))
+    x1, x2 = rng.standard_normal(6), rng.standard_normal(6)
+    f = norming_functional(x1, Q, norm).dual_vector
+    f2 = norming_functional(x1, Q, norm, x2=x2).dual_vector
+    limit = limit_value(x2, x1, Q, norm)
+    for s in (1e-6, 1e-9, 1e-12):
+        fs = norming_functional(s * x1, Q, norm).dual_vector
+        assert np.max(np.abs(s * fs - f)) <= 1e-12 * np.max(np.abs(f))
+        fs2 = norming_functional(s * x1, Q, norm, x2=s * x2).dual_vector
+        assert np.max(np.abs(s * fs2 - f2)) <= 1e-12 * np.max(np.abs(f2))
+        assert limit_value(s * x2, s * x1, Q, norm) == pytest.approx(limit, rel=1e-12)
+        with pytest.raises(FunctionalError, match="x1 lies in the subspace"):
+            norming_functional(s * (Q.basis @ np.array([1.0, -2.0])), Q, norm)
+
+
 def test_norm_attainment_check_examples():
     f = norming_functional([1.0, 0.0], Subspace.zero(2), L2)
     assert norm_attainment_check(f, [1.0, 0.0], L2)

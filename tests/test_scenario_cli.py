@@ -178,6 +178,26 @@ def test_check_only_with_subspace_samples():
     assert len(rep.subspace_condition["samples"]) == 4
 
 
+def test_check_only_reports_a_sampled_counterexample(tmp_path, capsys):
+    # d_1 = d_2 makes the ratio 1, and samples of Y_2 with |q| > rho(q, Y_2)
+    # break |q| <= (d_1/d_2) rho(q, Y_2)
+    A = np.random.default_rng(0).standard_normal((6, 4))
+    doc = base_doc(ambient_dim=6, norm_p=1, mode="check_only",
+                   chain={"levels": [A[:, :k].T.tolist() for k in range(1, 5)]},
+                   targets={"values": [1.0, 1.0, 0.5], "tail": "zero"},
+                   subspace_condition={"k": 2, "n_samples": 20}, seed=0)
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", path.as_posix()]) == 1
+    text = capsys.readouterr().out
+    assert "verdict  : fail" in text
+    assert "subspace condition: counterexample found among samples" in text
+    assert cli.main(["check", path.as_posix(), "--format", "machine"]) == 1
+    rep = parse_report(capsys.readouterr().out)
+    assert rep.verdict == "fail" and rep.checks == {"borodin_condition": True}
+    assert rep.subspace_condition["counterexample_found"]
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -344,6 +364,12 @@ MALFORMED = {
                   "invalid targets: target sequence must have at least one value"),
     "values<0": (base_doc(targets={"values": [-0.5]}),
                  "invalid targets: targets must be finite and non-negative"),
+    # the same message at any scale: 1e-20 < 2e-20 once passed and failed the solver (exit 3)
+    "values-increasing": (base_doc(targets={"values": [1.0, 2.0]}),
+                          "invalid targets: targets must be non-increasing, got 1.0 < 2.0"),
+    "values-increasing-1e-20": (base_doc(targets={"values": [1e-20, 2e-20]}),
+                                "invalid targets: targets must be non-increasing, "
+                                "got 1e-20 < 2e-20"),
     "top-level-fills": (base_doc(ambient_dim=2, chain={"levels": [[[1, 0]], [[1, 0], [0, 1]]]}),
                         "targets = 2: top chain level already fills the ambient space"),
 }
@@ -472,6 +498,22 @@ def test_ladder_with_every_rung_failing(tmp_path, capsys):
     assert rep.checks == {"all_prefixes_succeeded": False, "residuals_within_tolerance": False,
                           "stabilization_non_increasing": False}
     assert [f["N"] for f in rep.stabilization["failures"]] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("norm_p, code, digest", [
+    (1, 1, "12bf0d60f096399ed045e96bb5b3308d8b8fd5af8edf28da1640bf23d05dd115"),
+    (3, 0, "f654dc9c0722f24256a5bbb4cad242c9cbd619068eee2fc1717e96ab9343d1d1"),
+    ("inf", 1, "d8e1842abe450ebbfaeb0efd00ab510ad56c48fd10679ee6a081ba95fa25a907"),
+])
+def test_schedule_ladders_off_p2_keep_their_bytes(norm_p, code, digest, tmp_path, capsys):
+    # the prefix steps' level-set solves off p = 2, at an ordinary tolerance;
+    # p = 1 and inf exit 1 on their stabilization check, with every rung built
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(partial_ladder_doc(norm_p, 1e-6)))
+    assert cli.main(["sequence", path.as_posix(), "--format", "machine"]) == code
+    machine = capsys.readouterr().out
+    assert hashlib.sha256(machine.encode()).hexdigest() == digest
+    assert parse_report(machine).stabilization["failures"] == []
 
 
 def test_cli_builds_its_parser_once():
