@@ -15,10 +15,12 @@ rho(x, Y_k) = d_k:
 
 plus the tail-domination (Borodin) condition checker and a sampled checker
 for the subspace-side condition.  All three modes share one core, _realize:
-zero-tail reduction, a backward pass with one exact, certified root per
-level, the measure of every level at the final x and the residual gate.
-They differ only in their step vectors and in whether the pass recentres,
-so a prefix is the last rung of its ladder.
+zero-tail reduction, a backward pass with one exact root per level, the
+measure of every level at the final x and the residual gate.  They differ
+only in their step vectors and in whether the pass recentres, so a prefix
+is the last rung of its ladder.  At p = 2 the pass runs on x's coordinates
+in the steps' orthonormal frame, with no projection, and every level is
+still measured at the final x; off p = 2 each root carries a certificate.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distance import (DistanceResult, Endpoint, SolverError, _l2_level_set, _rho, level_endpoint,
-                       rho)
+from .distance import (DistanceResult, Endpoint, SolverError, _l2_level_set, _quadratic_ends, _rho,
+                       default_tol, level_endpoint, rho)
 from .functionals import norming_functional  # noqa: F401  (bench/tracing.py patches this binding)
 from .spaces import Chain, NormSpec, Subspace, _norm, as_vector, norm_eval, validate_chain
 
@@ -248,22 +250,29 @@ def smallest_root(
     level_endpoint solve, the lower end as minus the upper end for -q, and
     its certificate at x + t q comes along.  Raises when the set is empty.
     """
-    ends = _l2_level_set(x, q, Y, target) if norm.p == 2.0 else None
-    b = Endpoint(ends[1], None) if ends else level_endpoint(x, q, Y, norm, target)
+    if norm.p == 2.0 and (ends := _l2_level_set(x, q, Y, target)) is not None:
+        return Endpoint(ends[1] if _takes_upper(*ends, two_sided, sum(ends)) else ends[0], None)
+    b = level_endpoint(x, q, Y, norm, target)
     if b is None:
-        raise ConstructionError(
-            f"target {target:.9g} below attainable minimum of rho(x + t q, Y)"
-        )
+        raise _below_minimum(target)
     if b.t < 0.0 or (not two_sided and _norm(x, norm.p) < target):
         return b
-    a = Endpoint(ends[0], None) if ends else level_endpoint(x, -q, Y, norm, target)
-    if a is None:  # tangent within tolerance on one side only: a single point
-        a = b
-    elif not ends:  # the upper end for -q, negated
-        a = Endpoint(-a.t, a.certificate)
-    if a.t > 0.0:
-        return a
-    return b if not two_sided or b.t <= -a.t else a
+    a = level_endpoint(x, -q, Y, norm, target)
+    # None: tangent within tolerance on one side only, a single point;
+    # otherwise the upper end for -q, negated
+    a = b if a is None else Endpoint(-a.t, a.certificate)
+    return b if _takes_upper(a.t, b.t, two_sided, a.t + b.t) else a
+
+
+def _takes_upper(a: float, b: float, two_sided: bool, centre: float) -> bool:
+    """Whether b is the root nearest 0 of a level set [a, b], centre a number
+    of the sign of a + b: the nearer end when the set misses 0; when it holds
+    0, b one-sided, else the end of smaller magnitude, b on ties."""
+    return b < 0.0 or (a <= 0.0 and (not two_sided or centre <= 0.0))
+
+
+def _below_minimum(target: float) -> ConstructionError:
+    return ConstructionError(f"target {target:.9g} below attainable minimum of rho(x + t q, Y)")
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +445,6 @@ def _coefficient_bounds(ds, lambdas, Np: int, tol: float):
     return tuple(out)
 
 
-def _nearest(x, chain: Chain, k: int, solved: dict) -> np.ndarray:
-    """Best approximant of x in Y_k: the witness of level k's solve when
-    there is one (x has not moved since it), else a fresh solve."""
-    Y = chain.level(k)
-    return (solved[k][1] if k in solved else _rho(x, Y, chain.norm)).witness(Y)
-
-
 def _measure(x, chain: Chain, k: int, Np: int, solved: dict):
     """rho(x, Y_k) with a certified lower bound (None when re-measured).
 
@@ -468,8 +470,7 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
              recentre: bool) -> ConstructionTrace:
     """x = sum lambda_k q_k with rho(x, Y_k) = d_k for k <= Np = len(steps).
 
-    steps holds (q_k, certificate of rho(q_k, Y_k) = 1) pairs.  Backward
-    pass: x = d_Np q_Np, then for k = Np-1..1 add the root lambda_k
+    Backward pass: x = d_Np q_Np, then for k = Np-1..1 add the root lambda_k
     of rho(x + lambda q_k, Y_k) = d_k.  With recentre (finite mode) x is
     first moved to its best-approximant residual in Y_{k+1}, which keeps the
     distances already achieved, the root is taken one-sided, and a last trim
@@ -477,40 +478,41 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
     two-sided and each coefficient is recorded against its bound
     d_k - d_{k+1}(1 - 2^-k).
 
-    Each root comes with the certificate of its solve.  The top level takes
-    q_Np's, scaled by d_Np, with no solve.  Every later change to x lies in
+    At p = 2 steps holds (q_k, mu_k) pairs, and _flag_pass runs the pass on
+    scalars.  Otherwise it holds (q_k, certificate of rho(q_k, Y_k) = 1)
+    pairs, each root comes with the certificate of its solve, and the top
+    level takes q_Np's, scaled by d_Np.  Every later change to x lies in
     Y_k, so level k's certificate serves the recentre in Y_k, the trim in Y_1
     and the measure of level k at the final x (see _measure), with no
-    further solve.
-    At p = 2 the certificates go unused: the closed-form rho recentres and
-    re-measures at no solve.  Levels 1..min(N, len(chain) + 1) are measured,
-    and the 10 tol gate checks both ends of every certified bracket.
+    further solve; p = 2 measures by projection on the chain's own Y_k.
+    Levels 1..min(N, len(chain) + 1) are measured, and the 10 tol gate
+    checks both ends of every certified bracket.
     """
     norm = chain.norm
-    certify = norm.p != 2.0
     Np = len(steps)
     top = min(N, len(chain.levels) + 1)
     ds = [d.value(k) for k in range(1, top + 1)]  # d_1..d_top, Np <= top
-    qs = [q for q, _ in steps]
-    lambdas = [0.0] * Np
-    x = np.zeros(chain.ambient_dim)
     solved = {}  # level -> (x after its solve, rho there with its certificate)
-    if Np:
-        lambdas[-1] = ds[Np - 1]
-        x = ds[Np - 1] * qs[-1]
-        if certify:
+    if norm.p == 2.0:
+        x, lambdas = _flag_pass(chain, steps, ds, recentre)
+    else:
+        qs = [q for q, _ in steps]
+        lambdas = [0.0] * Np
+        x = np.zeros(chain.ambient_dim)
+        if Np:
+            lambdas[-1] = ds[Np - 1]
+            x = ds[Np - 1] * qs[-1]
             solved[Np] = (x, _scaled(steps[-1][1], ds[Np - 1]))
-    for k in range(Np - 1, 0, -1):
-        if recentre:
-            x = x - _nearest(x, chain, k + 1, solved)
-        root = smallest_root(x, qs[k - 1], chain.level(k), norm, ds[k - 1],
-                             two_sided=not recentre)
-        lambdas[k - 1] = root.t
-        x = x + root.t * qs[k - 1]
-        if certify:  # every end off p = 2 carries one
+        for k in range(Np - 1, 0, -1):
+            if recentre:
+                x = x - solved[k + 1][1].witness(chain.level(k + 1))
+            root = smallest_root(x, qs[k - 1], chain.level(k), norm, ds[k - 1],
+                                 two_sided=not recentre)
+            lambdas[k - 1] = root.t
+            x = x + root.t * qs[k - 1]
             solved[k] = (x, root.certificate)
-    if recentre and Np:
-        x = x - _nearest(x, chain, 1, solved)
+        if recentre and Np:
+            x = x - solved[1][1].witness(chain.level(1))
     achieved, lower_bounds = zip(*(_measure(x, chain, k, Np, solved) for k in range(1, top + 1)))
     residuals = tuple(abs(r.value - dk) for r, dk in zip(achieved, ds))
     lower_ends = (abs(lo - dk) for lo, dk in zip(lower_bounds[:Np], ds) if lo is not None)
@@ -526,6 +528,42 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
         coefficient_bounds=() if recentre else _coefficient_bounds(ds, lambdas, Np, opts.tol),
         lower_bounds=lower_bounds,
     )
+
+
+def _flag_pass(chain: Chain, steps, ds, recentre: bool):
+    """_realize's pass at p = 2, on scalars with no projection: x, lambda.
+
+    Each q_k = f_k + mu_k f_{k-1} for f_k = _unit_step(Y_k, Y_{k+1}) and f_0
+    a unit vector of Y_1, an orthonormal frame, so x = sum zeta_j f_j has
+    rho(x, Y_k)^2 = sum_{j >= k} zeta_j^2 (Golub and Van Loan, Matrix
+    Computations, 5.2) and level k's set is {t : (zeta_k + t)^2 + T <= d_k^2},
+    T the tail over j > k: one quadratic, whose root adds t to zeta_k and
+    t mu_k to zeta_{k-1}.  A set empty by at most rho's accuracy is the
+    point t_min = -zeta_k, as in level_endpoint.  Finite steps have mu = 0,
+    so recentring, which zeroes zeta_0..zeta_k, leaves only a one-sided root.
+    """
+    m = chain.ambient_dim
+    if not steps:
+        return np.zeros(m), []
+    qs, mus = zip(*steps)
+    lambdas = [0.0] * len(steps)
+    lambdas[-1] = upper = ds[len(steps) - 1]
+    z, tail, e = upper * mus[-1], 0.0, 0  # zeta_k, and T in units of 4^e
+    for k in range(len(steps) - 1, 0, -1):
+        # level k runs in units of 2^f, near d_k: T <= d_k^2 stays in range
+        f = math.frexp(ds[k - 1])[1]
+        tail = math.ldexp(tail, 2 * (e - f)) + math.ldexp(upper, -f) ** 2  # upper: zeta_(k+1)
+        dk, zk, e = math.ldexp(ds[k - 1], -f), math.ldexp(z, -f), f
+        ends = _quadratic_ends(math.sqrt(zk * zk + tail), zk, 1.0, dk, m, f)
+        if ends is None:
+            if math.sqrt(tail) - dk > default_tol(chain.norm) * (1.0 + dk):
+                raise _below_minimum(ds[k - 1])
+            ends = (-z, -z)
+        # the centre -zeta_k keeps its sign where rounding of the ends would not
+        t = ends[1] if _takes_upper(*ends, not recentre, -z) else ends[0]
+        lambdas[k - 1] = t
+        upper, z = z + t, t * mus[k - 1]
+    return np.column_stack(qs) @ lambdas, lambdas
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +587,8 @@ def finite_construct(
     Np = _levels_to_build(chain, d, len(d))
     steps = [_unit_step(chain.level(k), chain.level(k + 1), chain.norm)
              for k in range(1, Np + 1)]
+    if chain.norm.p == 2.0:
+        steps = [(q, 0.0) for q, _ in steps]
     return _realize(chain, d, len(d), steps, opts or ConstructOptions(), recentre=True)
 
 
@@ -558,28 +598,36 @@ def finite_construct(
 
 
 def _prefix_steps(chain: Chain, d: TargetSequence, Np: int):
-    """Steps q_j with rho(q_j, Y_j) = 1 and |q_j| = u_Np^(j), j = 1..Np, each
-    with its certificate of rho(q_j, Y_j) = 1.
+    """Steps q_j with rho(q_j, Y_j) = 1 and |q_j| = u_Np^(j) = 1 + w_j,
+    w_j = tau_Np / (2^j d_j), j = 1..Np: schedule column Np alone.
 
-    q_j = y_j + lambda_j s: y_j is the unit step out of Y_j, whose distance
-    and certificate q_j keeps, with witness lambda_j s; s, the previous
-    level's y normalized, pre-loads the distance one level down, and lambda_j
-    is the smallest root of |y_j + lambda s| = u_Np^(j).  A rank-0 Y_j (the
-    chain starting at {0}) keeps the plain unit step.
+    q_j = y_j + mu_j s: y_j is the unit step out of Y_j, whose distance q_j
+    keeps, with witness mu_j s; s, the previous level's y normalized,
+    pre-loads the distance one level down, and mu_j is the smallest root of
+    |y_j + mu s| = 1 + w_j.  At p = 2, with y_j orthogonal to s, that is
+    mu_j = sqrt(w_j (2 + w_j)), free of sqrt(u^2 - 1)'s cancellation for
+    small w_j, and a step is (q_j, mu_j); otherwise mu_j is one level-set
+    solve and a step is (q_j, certificate of rho(q_j, Y_j) = 1).  A rank-0
+    Y_j (the chain starting at {0}) keeps the plain unit step, mu_j = 0.
     """
-    u = build_schedule(d, Np).u[:, Np - 1] if Np else ()
+    ds = [d.value(j) for j in range(1, Np + 1)]
+    tau = min((a - b for a, b in zip(ds, ds[1:])), default=ds[0] if Np else 0.0)
     zero, norm = Subspace.zero(chain.ambient_dim), chain.norm
     steps, s = [], None
-    for j in range(1, Np + 1):
+    for j, dj in enumerate(ds, start=1):
         Yj = chain.level(j)
         y, cert = _unit_step(Yj, chain.level(j + 1), norm)
+        w, mu, q = tau / (2.0**j * dj), 0.0, y
         if Yj.rank:
             if s is None:
                 s = _unit_step(zero, Yj, norm)[0]
-            lam = smallest_root(y, s, zero, norm, float(u[j - 1]), two_sided=False).t
-            steps.append((y + lam * s, _scaled(cert, 1.0, lam * (Yj.basis.T @ s))))
-        else:
-            steps.append((y, cert))
+            if norm.p == 2.0:
+                mu = math.sqrt(w * (2.0 + w))
+            else:
+                mu = smallest_root(y, s, zero, norm, 1.0 + w, two_sided=False).t
+                cert = _scaled(cert, 1.0, mu * (Yj.basis.T @ s))
+            q = y + mu * s
+        steps.append((q, mu if norm.p == 2.0 else cert))
         s = y / _norm(y, norm.p)
     return steps
 

@@ -18,9 +18,9 @@ Solver routes:
 level_endpoint gives the upper end of the interval {t : rho(x + t q, Y) <= d},
 the exact root step of the backward constructions, with the certificate of
 rho at that end; the lower end is minus the upper end for -q.  At p = 2 both
-ends come from one projection of x and q and one quadratic, _l2_level_set,
-which smallest_root calls directly.  On a coordinate subspace at p in
-{1, inf} the end is a closed form in the entries of x and q off S, so a
+ends come from one projection of x and q and one quadratic (_l2_level_set;
+the p = 2 constructions solve the quadratic alone).  On a coordinate
+subspace at p in {1, inf} the end is a closed form in the entries of x and q off S, so a
 construction over a coordinate chain solves no linear program.  The other
 routes run on x, q and d rescaled by powers of two, so every end moves
 with x, q and d scaled together.
@@ -345,27 +345,20 @@ def _split(x: np.ndarray, q: np.ndarray, Y: Subspace):
     return cx, xp, qp, nq
 
 
-def _l2_level_set(x: np.ndarray, q: np.ndarray, Y: Subspace, d: float) -> tuple[float, float] | None:
-    """Both ends (lower, upper) of {t : |xp + t qp|_2 <= d}, the roots of one
+def _quadratic_ends(nx: float, ab: float, bb: float, d: float, m: int,
+                    shift: int) -> tuple[float, float] | None:
+    """Both ends (lower, upper) of {t : |xp + t qp|_2 <= d}, times 2^shift,
+    from nx = |xp|_2, ab = xp . qp and bb = qp . qp in units where max(nx, d)
+    and |qp|_2 are near 1, xp and qp of dimension m: the roots of one
     quadratic in the cancellation-free form; None when its discriminant is
     negative beyond rounding, and both t_min when it is 0 up to rounding.
-    The lower end is minus the upper end for -q, bit for bit:
-    -q flips the sign of xp . qp and nothing else.  xp and d are divided by
-    2^ex and qp by 2^eq, so that max(|xp|_2, d) and |qp|_2 lie in [1/2, 1),
-    which keeps the products in range; the ends then scale back by
-    2^(ex - eq).  Powers of two are exact, so ends in the normal range keep
-    their bits."""
-    _, xp, qp, nq = _split(x, q, Y)
-    nx = _norm(xp, 2.0)
-    ex, eq = math.frexp(max(nx, d))[1], math.frexp(nq)[1]
-    v, w = np.ldexp(xp, -ex), np.ldexp(qp, -eq)
-    nx, d, ab, bb = math.ldexp(nx, -ex), math.ldexp(d, -ex), float(v @ w), float(w @ w)
+    The lower end is minus the upper end for -ab, bit for bit."""
     cc = (nx - d) * (nx + d)
     disc = ab * ab - bb * cc
     # d at the minimum over t, up to the rounding of ab, bb and cc (m eps
     # each): the set is the point t_min = -ab / bb, which sqrt(disc) would
     # move by about sqrt(eps)
-    point = abs(disc) <= 8 * x.size * _EPS * bb * max(nx, d) ** 2
+    point = abs(disc) <= 8 * m * _EPS * bb * max(nx, d) ** 2
     if not (point or disc >= 0.0):
         return None
     sq = 0.0 if point else math.sqrt(disc)
@@ -377,8 +370,21 @@ def _l2_level_set(x: np.ndarray, q: np.ndarray, Y: Subspace, d: float) -> tuple[
             t = (sq - ab) / bb
         else:
             t = -cc / (ab + sq) if ab + sq > 0.0 else 0.0
-        return math.ldexp(t, ex - eq)
+        return math.ldexp(t, shift)
     return -upper_end(-ab), upper_end(ab)
+
+
+def _l2_level_set(x: np.ndarray, q: np.ndarray, Y: Subspace, d: float) -> tuple[float, float] | None:
+    """_quadratic_ends on the parts xp, qp of x, q orthogonal to Y, with xp
+    and d divided by 2^ex and qp by 2^eq, so that max(|xp|_2, d) and |qp|_2
+    lie in [1/2, 1): the products stay in range, and powers of two are
+    exact, so ends in the normal range keep their bits."""
+    _, xp, qp, nq = _split(x, q, Y)
+    nx = _norm(xp, 2.0)
+    ex, eq = math.frexp(max(nx, d))[1], math.frexp(nq)[1]
+    v, w = np.ldexp(xp, -ex), np.ldexp(qp, -eq)
+    return _quadratic_ends(math.ldexp(nx, -ex), float(v @ w), float(w @ w), math.ldexp(d, -ex),
+                           x.size, ex - eq)
 
 
 def _coordinate_level_end(a: np.ndarray, b: np.ndarray, norm: NormSpec, d: float) -> float | None:

@@ -1,16 +1,18 @@
 """Test oracles: brute-force and primal-LP distances, the exact l2 model of a
-prefix, and independent checks of norming functionals and interpolating
-families."""
+prefix, the p = 2 backward pass on vectors, and independent checks of
+norming functionals and interpolating families."""
 
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from lethargy.distance import rho
+from lethargy.construct import smallest_root
+from lethargy.distance import best_approximant, rho
 from lethargy.spaces import NormSpec, Subspace, as_vector, norm_eval
 
 
@@ -114,13 +116,28 @@ def rho_l1_primal_oracle(x, Y: Subspace) -> float:
     return norm_eval(x - B @ (c0 + res.x[:r] * scale), NormSpec(1.0))
 
 
-def l2_prefix_coefficients(d, u) -> list[float]:
-    """Coefficients of the l2 prefix x_N = sum lambda_k q_k on a coordinate chain.
+def l2_schedule_mu(d) -> list[Decimal]:
+    """mu_j = sqrt(w_j (2 + w_j)), w_j = tau_n / (2^j d_j), for schedule
+    column n = len(d), in 50-digit decimal arithmetic on the float targets
+    d = (d_1..d_n): tau_n = d_1 when n = 1, else the least gap d_{k-1} - d_k.
+    mu_j is the root of |e_{j+1} + mu e_j|_2 = u_n^(j) = 1 + w_j."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        D = [Decimal(v) for v in d]
+        tau = min((a - b for a, b in zip(D, D[1:])), default=D[0])
+        w = [tau / (2**j * dj) for j, dj in enumerate(D, start=1)]
+        return [(wj * (2 + wj)).sqrt() for wj in w]
 
-    d = (d_1..d_N) are the targets and u = (u_1..u_N) the schedule column
-    u_N^(j).  Each step is q_j = e_{j+1} + mu_j e_j with mu_j = sqrt(u_j^2 - 1),
-    so rho(x, Y_k) is the l2 norm of the coordinates above k, and the root
-    at level k only sets coordinate k+1 to +-sqrt(d_k^2 - d_{k+1}^2):
+
+def l2_prefix_coefficients(d, mu) -> list[float]:
+    """Coefficients of the l2 prefix x_N = sum lambda_k q_k, in 50-digit
+    decimal arithmetic.
+
+    d = (d_1..d_N) are the targets and mu = (mu_1..mu_N) the steps' q_j =
+    f_j + mu_j f_{j-1} for an orthonormal flag frame f (f_j = e_{j+1} on a
+    coordinate chain), so rho(x, Y_k) is the l2 norm of the frame
+    coordinates from k on, and the root at level k only sets coordinate k
+    to +-sqrt(d_k^2 - d_{k+1}^2):
 
         lambda_N = d_N,
         lambda_k = sqrt(d_k^2 - d_{k+1}^2) - mu_{k+1} lambda_{k+1},
@@ -128,14 +145,16 @@ def l2_prefix_coefficients(d, u) -> list[float]:
     with the sign of the square root that of mu_{k+1} lambda_{k+1} (the root
     nearer 0; + on a tie).
     """
-    N = len(d)
-    mu = [math.sqrt(uj * uj - 1.0) for uj in u]
-    lam = [0.0] * N
-    lam[-1] = d[-1]
-    for k in range(N - 1, 0, -1):  # lam[k - 1] is lambda_k
-        a = mu[k] * lam[k]
-        lam[k - 1] = math.copysign(math.sqrt(d[k - 1] ** 2 - d[k] ** 2), a) - a
-    return lam
+    with localcontext() as ctx:
+        ctx.prec = 50
+        D, M = [Decimal(v) for v in d], [Decimal(v) for v in mu]
+        lam = [Decimal(0)] * len(D)
+        lam[-1] = D[-1]
+        for k in range(len(D) - 1, 0, -1):  # lam[k - 1] is lambda_k
+            a = M[k] * lam[k]
+            s = (D[k - 1] ** 2 - D[k] ** 2).sqrt()
+            lam[k - 1] = (s if a >= 0 else -s) - a
+        return [float(v) for v in lam]
 
 
 def norm_attainment_check(f, x, norm: NormSpec, tol: float = 1e-9) -> bool:
@@ -183,3 +202,27 @@ def lipschitz_check(family, u, v, norm: NormSpec, tol: float = 1e-9) -> Lipschit
             worst = min(worst, rhs - lhs)
             count += 1
     return LipschitzReport(passes=worst >= -tol, worst_slack=worst, pair_count=count)
+
+
+def l2_vector_pass(chain, steps, ds, recentre):
+    """The p = 2 backward pass on vectors, a reference for construct's scalar
+    pass with the same signature and result (x, lambda_1..lambda_Np): x =
+    d_Np q_Np, then for k = Np-1..1 (x first moved to its residual off
+    Y_{k+1} when recentring) the root of rho(x + t q_k, Y_k) = d_k from one
+    projection and one quadratic, and a last trim off Y_1 when recentring."""
+    qs = [q for q, _ in steps]
+    Np, norm = len(qs), chain.norm
+    lambdas = [0.0] * Np
+    x = np.zeros(chain.ambient_dim)
+    if Np:
+        lambdas[-1] = ds[Np - 1]
+        x = ds[Np - 1] * qs[-1]
+    for k in range(Np - 1, 0, -1):
+        if recentre:
+            x = x - best_approximant(x, chain.level(k + 1), norm)
+        root = smallest_root(x, qs[k - 1], chain.level(k), norm, ds[k - 1], two_sided=not recentre)
+        lambdas[k - 1] = root.t
+        x = x + root.t * qs[k - 1]
+    if recentre and Np:
+        x = x - best_approximant(x, chain.level(1), norm)
+    return x, lambdas

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lethargy.construct as construct_module
 from lethargy.construct import (
@@ -23,7 +26,7 @@ from lethargy.construct import (
 from lethargy.distance import default_tol, rho
 from lethargy.spaces import (Chain, NormSpec, Subspace, contains,
                              coordinate_chain, norm_eval, validate_chain)
-from oracles import l2_prefix_coefficients, lipschitz_check
+from oracles import l2_prefix_coefficients, l2_schedule_mu, l2_vector_pass, lipschitz_check
 
 L2 = NormSpec(2)
 
@@ -689,15 +692,15 @@ def test_l2_prefix_matches_its_exact_model(ratio):
     d = TargetSequence((1.0,), tail="geometric", ratio=ratio)
     for N in range(2, 9):
         tr = construct_prefix(chain, d, N, ConstructOptions(tol=1e-8))
-        u = build_schedule(d, N).u[:, N - 1]
-        model = l2_prefix_coefficients([d.value(j) for j in range(1, N + 1)], u)
+        ds = [d.value(j) for j in range(1, N + 1)]
+        model = l2_prefix_coefficients(ds, l2_schedule_mu(ds))
         assert np.max(np.abs(np.array(tr.coefficients) - model)) <= 1e-12
 
 
 def test_l2_ladder_matches_its_exact_model():
     """Criterion 8, part 2: every rung of construct_sequence(chain, d, 9) is
     the model x_N = sum lambda_k (e_{k+1} + mu_k e_k), with the shared
-    steps' mu_k = sqrt(u_k^2 - 1) from schedule column 9.  The criterion's
+    steps' mu_k = sqrt(w_k (2 + w_k)) from schedule column 9.  The criterion's
     closed form assumes orthogonal steps (mu = 0); the model's max_tail
     exceeds it by 1.86e-6 at N = 1, past the criterion's 1e-6 slack, so the
     steps the schedule takes, not solver error, make part 2 fail."""
@@ -705,11 +708,10 @@ def test_l2_ladder_matches_its_exact_model():
     d = TargetSequence((1.0,), tail="geometric", ratio=1.0 / 3.0)
     traces, table = construct_sequence(chain, d, 9, ConstructOptions(tol=1e-8))
     assert table.prefixes == tuple(range(1, 10))
-    u = build_schedule(d, 9).u[:, 8]
-    mu = np.sqrt(u * u - 1.0)
+    mu = np.array(l2_schedule_mu([d.value(j) for j in range(1, 10)]), dtype=float)
     models = []
     for N, trace in enumerate(traces, start=1):
-        lam = l2_prefix_coefficients([d.value(j) for j in range(1, N + 1)], u[:N])
+        lam = l2_prefix_coefficients([d.value(j) for j in range(1, N + 1)], mu[:N])
         x = np.zeros(12)
         x[1:N + 1] += lam
         x[:N] += np.multiply(lam, mu[:N])
@@ -723,6 +725,123 @@ def test_l2_ladder_matches_its_exact_model():
         closed_form = math.sqrt((dN - math.sqrt(dN * dN - dN1 * dN1)) ** 2 + dN1 * dN1)
         excess.append(tail - closed_form)
     assert excess == pytest.approx([1.86e-6, 2.99e-10, 7.24e-14], rel=0.01)
+
+
+@pytest.mark.parametrize("kind", ["coordinate", "random"])
+@pytest.mark.parametrize("ratio", [0.3, 0.45])
+def test_prefix_steps_take_mu_from_the_schedule_gap(ratio, kind):
+    # mu_j = sqrt(w_j (2 + w_j)), not sqrt(u^2 - 1) from the rounded u = 1 + w_j:
+    # w_1 is about 1e-12 at N = 24, where u kept 4 digits of it and lambda
+    # moved by up to 1.3e-11 off the exact model.  At N = 100 mu_2 lambda_2,
+    # the centre of level 1's set, lies below the rounding of its ends and
+    # still picks the end nearest 0.
+    d = TargetSequence((1.0,), tail="geometric", ratio=ratio)
+    for N in (9, 16, 24, 100):
+        if kind == "coordinate":
+            chain = coordinate_chain(N + 2, N + 1, L2)
+        else:
+            chain = random_chain(N, N + 3, N + 1, L2)
+        ds = [d.value(j) for j in range(1, N + 1)]
+        model = l2_prefix_coefficients(ds, l2_schedule_mu(ds))
+        lam = construct_prefix(chain, d, N, ConstructOptions(tol=1e-8)).coefficients
+        assert np.max(np.abs(np.subtract(lam, model))) <= 1e-15
+
+
+def l2_draw(seed: int, ranks, mode: str, scale: float):
+    """A random explicit p = 2 chain of the given level ranks ({0} for rank
+    0) with targets for mode: zero-tail targets, one of them tied and some
+    zeros, for finite; a geometric tail for sequence."""
+    rng = np.random.default_rng(seed)
+    m = ranks[-1] + 2
+    A = rng.standard_normal((m, ranks[-1]))
+    chain = Chain(m, L2, tuple(Subspace(A[:, :r]) if r else Subspace.zero(m) for r in ranks))
+    vals = sorted(rng.uniform(0.05, 1.0, len(ranks)), reverse=True)
+    if mode == "finite":
+        vals[1] = vals[0]
+        zeros = seed % 3
+        vals[len(vals) - zeros:] = [0.0] * zeros
+        return chain, TargetSequence(tuple(scale * v for v in vals))
+    ratio = float(rng.uniform(0.2, 0.45))
+    return chain, TargetSequence((scale * vals[0],), tail="geometric", ratio=ratio)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000),
+       st.sampled_from([(1, 3, 4, 5), (0, 1, 2, 4), (2, 3, 5, 6, 7), (0, 2, 3)]),
+       st.sampled_from(["finite", "sequence"]),
+       st.sampled_from([1.0, 1e-7, 1e5, 1e-160, 1e300]))
+def test_flag_pass_matches_the_vector_pass(seed, ranks, mode, scale):
+    # the scalar pass against the projections it replaces (oracles.l2_vector_pass),
+    # over rank jumps above 1, chains from {0}, ties and zero tails
+    chain, d = l2_draw(seed, ranks, mode, scale)
+    opts = ConstructOptions(tol=1e-10 * scale)
+
+    def run():
+        if mode == "finite":
+            try:
+                return [finite_construct(chain, d, opts)], ()
+            except ConstructionError as exc:
+                return [], ((len(d), str(exc)),)
+        traces, table = construct_sequence(chain, d, len(ranks), opts)
+        return traces, table.failures
+    traces, failures = run()
+    with mock.patch.object(construct_module, "_flag_pass", l2_vector_pass):
+        reference, ref_failures = run()
+    assert [n for n, _ in failures] == [n for n, _ in ref_failures]
+    for trace, ref in zip(traces, reference, strict=True):
+        lam_gap = np.abs(np.subtract(trace.coefficients, ref.coefficients))
+        assert np.max(lam_gap, initial=0.0) <= 1e-12 * scale
+        assert np.max(np.abs(trace.x - ref.x)) <= 1e-12 * scale
+
+
+def test_flag_pass_takes_a_tangent_set_as_its_point():
+    # a level set empty by less than rho's accuracy is the point t_min, as
+    # level_endpoint takes it on the vector path; beyond that, it is empty
+    # (schedule steps, mu = 1/4 and 1/2, two-sided; finite steps, mu = 0, one-sided)
+    chain = coordinate_chain(4, 3, L2)
+    e = np.eye(4)
+    for mu, recentre in (((0.25, 0.5), False), ((0.0, 0.0), True)):
+        steps = [(e[:, 1] + mu[0] * e[:, 0], mu[0]), (e[:, 2] + mu[1] * e[:, 1], mu[1])]
+        for gap in (1e-12, 1e-8):
+            args = chain, steps, [1.0, 1.0 + gap], recentre
+            if gap > 1e-10:
+                for run in (construct_module._flag_pass, l2_vector_pass):
+                    with pytest.raises(ConstructionError, match="below attainable minimum"):
+                        run(*args)
+                continue
+            x, lam = construct_module._flag_pass(*args)
+            ref_x, ref_lam = l2_vector_pass(*args)
+            assert lam == pytest.approx(ref_lam, abs=1e-15) and lam[0] == -mu[1] * (1.0 + gap)
+            assert np.max(np.abs(x - ref_x)) <= 1e-15
+
+
+@pytest.mark.parametrize("eps", [1e-13, 1e-11])
+def test_loosely_nested_chain_keeps_its_residuals(eps):
+    # levels nested only to about eps: the scalar pass assumes the steps'
+    # frame, the measure at the final x does not, so the residuals stay
+    # those of the projections (1.46 eps and 1.13 eps with them)
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 6))
+    chain = Chain(8, L2, tuple(Subspace(A[:, :k] + eps * rng.standard_normal((8, k)))
+                               for k in range(1, 7)))
+    opts = ConstructOptions(tol=1e-9)
+    traces, table = construct_sequence(chain, TargetSequence((1.0,), tail="geometric", ratio=0.3),
+                                       6, opts)
+    assert table.failures == () and max(t.max_residual for t in traces) <= 1.5 * eps
+    trace = finite_construct(chain, TargetSequence((1.0, 0.6, 0.35, 0.2, 0.1, 0.05)), opts)
+    assert trace.max_residual <= 1.2 * eps
+
+
+def test_l2_constructions_solve_no_level_set(monkeypatch):
+    # the p = 2 constructions run on scalars: no root solve, no projected quadratic
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a p = 2 construction called a vector root solve")
+    for name in ("smallest_root", "_l2_level_set", "level_endpoint"):
+        monkeypatch.setattr(construct_module, name, forbidden)
+    for chain in (coordinate_chain(8, 6, L2), random_chain(4, 8, 6, L2)):
+        finite_construct(chain, TargetSequence((1.0, 0.6, 0.6, 0.2, 0.0)))
+        construct_prefix(chain, TargetSequence((1.0,), tail="geometric", ratio=0.3), 5)
+        construct_sequence(chain, TargetSequence((1.0,), tail="geometric", ratio=0.3), 5)
 
 
 def test_criterion_8_bound_is_unreachable_at_level_N_minus_1():

@@ -8,12 +8,14 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lethargy.construct as construct_module
 from lethargy import cli
 from lethargy.scenario import (
     Report,
@@ -26,6 +28,7 @@ from lethargy.scenario import (
     parse_scenario,
     run,
 )
+from oracles import l2_vector_pass
 
 
 def base_doc(**over):
@@ -417,8 +420,8 @@ def test_bundled_scenario_exit_code(name, capsys):
 BUNDLED_REPORT_SHA256 = {
     "coordinate-hilbert-finite": "47ba0d95a464cf22fd4ed1e317212ce19eda2fdbd41fba19979df32d2d6b0653",
     "geometric-half-check-xfail": "52f02c5b3ea569e7a8485c0c2b07e8a4c3d58034ca82076559447228d47c4696",
-    "geometric-third-prefix": "066962ca0d8169613e86191996a9bebba5f27bb22a7dfd0b39dba28b73924747",
-    "geometric-third-sequence": "6acaa734018c444d42bf3a587df7e2f58dfd736878944c594be142fea7bf0b15",
+    "geometric-third-prefix": "8ac95b5c89ccee4b40246ac05f204d7736cef7a87555b2e074fc3b56436c5a66",
+    "geometric-third-sequence": "656806374b97525f3d14451bdaa54ec7daac4d7c58c289922f3e77aff1839105",
     "geometric-twofifth-check": "affb55804b5be831fd792c366619bb7235b5756fa9afc25a440d2126b75a424f",
     "polynomial-sup-degree15-finite": "4c30c8fbe8e401d708fbb382541207ad12aaab4a0a0e7d5f648bdbd4eb5f74d8",
     "polynomial-sup-finite": "8765b6c7866995d2e1066794c3fe35df6eed06c33485714e87b42c7443ad4500",
@@ -449,7 +452,7 @@ def test_explicit_basis_ladder_keeps_its_bytes(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(["sequence", path.as_posix(), "--format", "machine"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "8499d86d07f57ee51e156b40b2f2d099fa3b7576ea0a935b7456008e17fb7354"
+    assert digest == "40397523814524600def8d4c537c2ba361f3b7629489927030ae43d2d43453a9"
 
 
 def partial_ladder_doc(norm_p, tolerance):
@@ -483,6 +486,18 @@ def test_partly_failing_ladder_keeps_its_bytes(tmp_path, capsys):
         "check residuals_within_tolerance: FAIL",
         "check stabilization_non_increasing: pass",
     ]
+
+
+def test_l2_ladder_fails_where_the_vector_pass_fails(tmp_path, capsys):
+    # a tolerance below rounding: the scalar p = 2 pass and the projections
+    # it replaced (oracles.l2_vector_pass) miss it on the same rungs
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(partial_ladder_doc(2, 1e-17)))
+    for pass_ in (construct_module._flag_pass, l2_vector_pass):
+        with mock.patch.object(construct_module, "_flag_pass", pass_):
+            assert cli.main(["sequence", path.as_posix(), "--format", "machine"]) == 1
+        failures = parse_report(capsys.readouterr().out).stabilization["failures"]
+        assert [f["N"] for f in failures] == [4, 5]
 
 
 def test_ladder_with_every_rung_failing(tmp_path, capsys):
