@@ -30,8 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distance import (DistanceResult, Endpoint, SolverError, _l2_level_set, _quadratic_ends, _rho,
-                       default_tol, level_endpoint, rho)
+from .distance import DistanceResult, Endpoint, SolverError, _quadratic_ends, _rho, level_endpoint, rho
 from .functionals import norming_functional  # noqa: F401  (bench/tracing.py patches this binding)
 from .spaces import Chain, NormSpec, Subspace, _norm, as_vector, norm_eval, validate_chain
 
@@ -184,7 +183,7 @@ def check_subspace_condition(
         nq = norm_eval(q, chain.norm)
         rq = rho(q, Yk, chain.norm).value
         bound = ratio * rq
-        holds = nq <= bound + 1e-9
+        holds = nq - bound <= 1e-9 * nq  # relative: the condition scales with q
         bad = bad or not holds
         samples.append(SubspaceSample(norm_q=nq, rho_q=rq, bound=bound, holds=holds))
     return SubspaceConditionReport(
@@ -245,13 +244,11 @@ def smallest_root(
     (convexity).  When it misses 0 the nearer end is returned; when it holds
     0 the answer is b one-sided, else the end of smaller magnitude (b on
     ties).  One-sided with |x| < target, 0 lies inside the set, since
-    rho(x, Y) <= |x|, so b is returned without solving for a.  At p = 2 one
-    quadratic gives both ends (no certificate); otherwise each end is a
-    level_endpoint solve, the lower end as minus the upper end for -q, and
-    its certificate at x + t q comes along.  Raises when the set is empty.
+    rho(x, Y) <= |x|, so b is returned without solving for a.  Each end is
+    a level_endpoint solve, the lower end as minus the upper end for -q, and
+    its certificate at x + t q comes along (none at p = 2).  Raises when the
+    set is empty.
     """
-    if norm.p == 2.0 and (ends := _l2_level_set(x, q, Y, target)) is not None:
-        return Endpoint(ends[1] if _takes_upper(*ends, two_sided, sum(ends)) else ends[0], None)
     b = level_endpoint(x, q, Y, norm, target)
     if b is None:
         raise _below_minimum(target)
@@ -538,8 +535,8 @@ def _flag_pass(chain: Chain, steps, ds, recentre: bool):
     rho(x, Y_k)^2 = sum_{j >= k} zeta_j^2 (Golub and Van Loan, Matrix
     Computations, 5.2) and level k's set is {t : (zeta_k + t)^2 + T <= d_k^2},
     T the tail over j > k: one quadratic, whose root adds t to zeta_k and
-    t mu_k to zeta_{k-1}.  A set empty by at most rho's accuracy is the
-    point t_min = -zeta_k, as in level_endpoint.  Finite steps have mu = 0,
+    t mu_k to zeta_{k-1}.  The quadratic takes a set empty by at most rho's
+    accuracy as the point t_min = -zeta_k.  Finite steps have mu = 0,
     so recentring, which zeroes zeta_0..zeta_k, leaves only a one-sided root.
     """
     m = chain.ambient_dim
@@ -556,9 +553,7 @@ def _flag_pass(chain: Chain, steps, ds, recentre: bool):
         dk, zk, e = math.ldexp(ds[k - 1], -f), math.ldexp(z, -f), f
         ends = _quadratic_ends(math.sqrt(zk * zk + tail), zk, 1.0, dk, m, f)
         if ends is None:
-            if math.sqrt(tail) - dk > default_tol(chain.norm) * (1.0 + dk):
-                raise _below_minimum(ds[k - 1])
-            ends = (-z, -z)
+            raise _below_minimum(ds[k - 1])
         # the centre -zeta_k keeps its sign where rounding of the ends would not
         t = ends[1] if _takes_upper(*ends, not recentre, -z) else ends[0]
         lambdas[k - 1] = t

@@ -17,9 +17,10 @@ Solver routes:
 
 level_endpoint gives the upper end of the interval {t : rho(x + t q, Y) <= d},
 the exact root step of the backward constructions, with the certificate of
-rho at that end; the lower end is minus the upper end for -q.  At p = 2 both
-ends come from one projection of x and q and one quadratic (_l2_level_set;
-the p = 2 constructions solve the quadratic alone).  On a coordinate
+rho at that end; the lower end is minus the upper end for -q.  At p = 2 the
+end comes from one projection of x and q and one quadratic, _quadratic_ends,
+which also takes a set that misses d by at most rho's accuracy as its point
+(the p = 2 constructions solve the quadratic alone).  On a coordinate
 subspace at p in {1, inf} the end is a closed form in the entries of x and q off S, so a
 construction over a coordinate chain solves no linear program.  The other
 routes run on x, q and d rescaled by powers of two, so every end moves
@@ -41,6 +42,7 @@ from scipy.optimize._highspy import _core as _highs
 from .spaces import _TINY, NormSpec, Subspace, _norm, as_vector
 
 _EPS = float(np.finfo(float).eps)
+_L2_TOL = 1e-10  # the accuracy of rho at p = 2, see default_tol
 
 _STATUS = {
     _highs.HighsModelStatus.kOptimal: 0,
@@ -117,7 +119,7 @@ class SolverError(RuntimeError):
 def default_tol(norm: NormSpec) -> float:
     """The accuracy a route states for its distances."""
     if norm.p == 2.0:
-        return 1e-10
+        return _L2_TOL
     if norm.p == 1.0 or norm.is_sup:
         return 1e-8
     return 1e-7
@@ -332,33 +334,24 @@ def best_approximant(x, Y: Subspace, norm: NormSpec) -> np.ndarray:
     return rho(x, Y, norm).witness(Y)
 
 
-def _split(x: np.ndarray, q: np.ndarray, Y: Subspace):
-    """x's coordinates in Y, the parts of x and q orthogonal to Y, and the
-    l2 norm of q's; q inside Y (a level set that is empty or all of R)
-    raises SolverError."""
-    B = Y.basis
-    cx = B.T @ x
-    xp, qp = x - B @ cx, q - B @ (B.T @ q)
-    nq = _norm(qp, 2.0)
-    if nq <= 1e-12 * _norm(q, 2.0):
-        raise SolverError("level set of a direction inside the subspace is empty or unbounded")
-    return cx, xp, qp, nq
-
-
 def _quadratic_ends(nx: float, ab: float, bb: float, d: float, m: int,
                     shift: int) -> tuple[float, float] | None:
     """Both ends (lower, upper) of {t : |xp + t qp|_2 <= d}, times 2^shift,
     from nx = |xp|_2, ab = xp . qp and bb = qp . qp in units where max(nx, d)
     and |qp|_2 are near 1, xp and qp of dimension m: the roots of one
-    quadratic in the cancellation-free form; None when its discriminant is
-    negative beyond rounding, and both t_min when it is 0 up to rounding.
-    The lower end is minus the upper end for -ab, bit for bit."""
+    quadratic in the cancellation-free form.  Both are t_min = -ab / bb when
+    the discriminant is 0 up to rounding, or when the set misses d by at most
+    rho's accuracy s = _L2_TOL (1 + d), min_t |xp + t qp|_2 <= d + s: tied
+    targets put d at that minimum, where rounding can leave it just out of
+    reach.  Otherwise a negative discriminant gives None.  The lower end is
+    minus the upper end for -ab, bit for bit."""
     cc = (nx - d) * (nx + d)
-    disc = ab * ab - bb * cc
+    disc = ab * ab - bb * cc  # bb (d^2 - min_t |xp + t qp|_2^2)
+    s = _L2_TOL * (1.0 + d)
     # d at the minimum over t, up to the rounding of ab, bb and cc (m eps
-    # each): the set is the point t_min = -ab / bb, which sqrt(disc) would
-    # move by about sqrt(eps)
-    point = abs(disc) <= 8 * m * _EPS * bb * max(nx, d) ** 2
+    # each), where sqrt(disc) would move t_min by about sqrt(eps), or below
+    # it by at most s
+    point = abs(disc) <= 8 * m * _EPS * bb * max(nx, d) ** 2 or 0.0 > disc >= -bb * s * (2.0 * d + s)
     if not (point or disc >= 0.0):
         return None
     sq = 0.0 if point else math.sqrt(disc)
@@ -372,19 +365,6 @@ def _quadratic_ends(nx: float, ab: float, bb: float, d: float, m: int,
             t = -cc / (ab + sq) if ab + sq > 0.0 else 0.0
         return math.ldexp(t, shift)
     return -upper_end(-ab), upper_end(ab)
-
-
-def _l2_level_set(x: np.ndarray, q: np.ndarray, Y: Subspace, d: float) -> tuple[float, float] | None:
-    """_quadratic_ends on the parts xp, qp of x, q orthogonal to Y, with xp
-    and d divided by 2^ex and qp by 2^eq, so that max(|xp|_2, d) and |qp|_2
-    lie in [1/2, 1): the products stay in range, and powers of two are
-    exact, so ends in the normal range keep their bits."""
-    _, xp, qp, nq = _split(x, q, Y)
-    nx = _norm(xp, 2.0)
-    ex, eq = math.frexp(max(nx, d))[1], math.frexp(nq)[1]
-    v, w = np.ldexp(xp, -ex), np.ldexp(qp, -eq)
-    return _quadratic_ends(math.ldexp(nx, -ex), float(v @ w), float(w @ w), math.ldexp(d, -ex),
-                           x.size, ex - eq)
 
 
 def _coordinate_level_end(a: np.ndarray, b: np.ndarray, norm: NormSpec, d: float) -> float | None:
@@ -426,8 +406,8 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
     t -> rho(x + t q, Y) is convex, and coercive for q outside Y, so the set
     is a closed interval and each end is one exact solve:
 
-      * p = 2        a quadratic on the orthogonal complement of Y, which
-                     gives both ends at once (_l2_level_set)
+      * p = 2        a quadratic on the orthogonal complement of Y
+                     (_quadratic_ends), which owns its tangent rule
       * p in {1, inf} on a coordinate subspace, a closed form in the entries
                      of x and q off its support (_coordinate_level_end);
                      otherwise one linear program maximizing t
@@ -437,9 +417,9 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
 
     The end comes with rho(x + t q, Y) and its certificate, from the solve
     that found it (none from the quadratic).  The lower end is minus the
-    upper end for -q, with the same certificate.  The two closed forms are
-    scale-free; the linear program, the tangent rule and Newton run on x and
-    d divided by 2^ex and q by 2^eq, the quadratic's exponents, so that
+    upper end for -q, with the same certificate.  The coordinate closed form
+    is scale-free; the quadratic, the linear program, the tangent rule and
+    Newton run on x and d divided by 2^ex and q by 2^eq, so that
     max(|xp|_2, d) and |qp|_2 lie in [1/2, 1), and the tolerances below are
     in those units.  A set that misses d by at most rho's accuracy,
     default_tol(norm) * (1 + d), is the point t_min: tied targets put d at
@@ -449,20 +429,25 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
     """
     x = as_vector(x, dim=Y.ambient_dim)
     q = as_vector(q, dim=Y.ambient_dim)
-    if norm.p == 2.0 and (ends := _l2_level_set(x, q, Y, d)) is not None:
-        return Endpoint(ends[1], None)
     B = Y.basis
-    cx, xp, qp, nq = _split(x, q, Y)
+    cx = B.T @ x
+    xp, qp = x - B @ cx, q - B @ (B.T @ q)
+    nx, nq = _norm(xp, 2.0), _norm(qp, 2.0)
+    if nq <= 1e-12 * _norm(q, 2.0):
+        raise SolverError("level set of a direction inside the subspace is empty or unbounded")
     linear = norm.p == 1.0 or norm.is_sup
     if linear and Y.support is not None:
         a, b = np.delete(xp, Y.support), np.delete(qp, Y.support)
         if (t := _coordinate_level_end(a, b, norm, d)) is not None:
             return Endpoint(t, _rho_coordinate(x + t * q, Y, norm))
-    # The rules below are absolute, so they run in _l2_level_set's units;
+    # The rules below are absolute, so they run in the quadratic's units;
     # end() scales back (rho's dual direction has no scale).
-    ex, eq = math.frexp(max(_norm(xp, 2.0), d))[1], math.frexp(nq)[1]
+    ex, eq = math.frexp(max(nx, d))[1], math.frexp(nq)[1]
     x, cx, xp, d = np.ldexp(x, -ex), np.ldexp(cx, -ex), np.ldexp(xp, -ex), math.ldexp(d, -ex)
     q, qp = np.ldexp(q, -eq), np.ldexp(qp, -eq)
+    if norm.p == 2.0:
+        ends = _quadratic_ends(math.ldexp(nx, -ex), float(xp @ qp), float(qp @ qp), d, x.size, ex - eq)
+        return None if ends is None else Endpoint(ends[1], None)
 
     def end(t: float, res: DistanceResult) -> Endpoint:
         return Endpoint(math.ldexp(t, ex - eq), replace(
@@ -491,7 +476,7 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
         # x + t_min q - (w + t_min q) = x - w, and w + t_min q lies in Y;
         # low's certificate annihilates Z, which holds Y.
         return end(t_min, replace(low, witness_coeffs=B.T @ (w + t_min * q)))
-    if linear or norm.p == 2.0:
+    if linear:
         t_min = math.ldexp(t_min, ex - eq)
         raise SolverError(f"no end found, yet the level set holds t = {t_min:.9g}")
     t = t_min + (d + low.value) / _rho(q, Y, norm).value

@@ -100,14 +100,14 @@ class Subspace:
     """
 
     def __init__(self, basis, ambient_dim: int | None = None):
-        if basis is None or (hasattr(basis, "size") and np.asarray(basis).size == 0):
+        B = None if basis is None else np.asarray(basis, dtype=float)
+        if B is None or B.size == 0:
             if ambient_dim is None:
                 raise ValueError("a rank-0 subspace needs an explicit ambient_dim")
             self.ambient_dim = int(ambient_dim)
             self.basis = np.zeros((self.ambient_dim, 0))
             self.rank = 0
             return
-        B = np.asarray(basis, dtype=float)
         if B.ndim == 1:
             B = B[:, None]
         if B.ndim != 2:
@@ -166,10 +166,10 @@ class Subspace:
 
 
 def contains(Y: Subspace, x, tol: float = NEST_TOL) -> bool:
-    """Membership up to a least-squares residual of tol * max(1, |x|_2)."""
+    """Membership up to a least-squares residual of tol * |x|_2, relative so
+    that the verdict scales with x; the zero vector lies in every Y."""
     x = as_vector(x, dim=Y.ambient_dim)
-    res = float(np.linalg.norm(Y.residual(x)))
-    return res <= tol * max(1.0, float(np.linalg.norm(x)))
+    return _norm(Y.residual(x), 2.0) <= tol * _norm(x, 2.0)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,21 @@ def test_subspace_condition_ratio_two_violated():
     assert rep.counterexample_found
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-12, 1e-300])
+def test_membership_verdicts_are_scale_free(s):
+    # a counterexample to the subspace condition and a vector off Y stay so
+    # at every scale; absolute slacks (1e-9, tol * max(1, |x|)) passed both
+    # once |q| or |x| fell below them
+    chain = coordinate_chain(4, 2, L2)
+    d = TargetSequence((1.0, 0.5))
+    rep = check_subspace_condition(chain, d, [s * np.array([1.0, 1.0, 0.1, 0.0]),
+                                              s * np.eye(4)[:, 2]], k=2)
+    assert [sample.holds for sample in rep.samples] == [False, True]
+    Y, e = Subspace(np.eye(3)[:, :1]), np.eye(3)
+    assert not contains(Y, s * e[:, 1]) and not contains(Y, s * 1e-9 * e[:, 1] + s * e[:, 0])
+    assert contains(Y, s * e[:, 0]) and contains(Y, np.zeros(3))
+
+
 def test_subspace_condition_guards():
     chain = coordinate_chain(4, 2, L2)
     with pytest.raises(ValueError):
@@ -180,8 +195,7 @@ def test_smallest_root_rules(monkeypatch):
     monkeypatch.setattr(construct_module, "level_endpoint",
                         lambda *a, **kw: ends.append(1) or real(*a, **kw))
     # one-sided with |x| < target, 0 lies in the set: the upper end alone.
-    # Each end is one solve (an LP at p in {1, inf}); p = 2 takes both ends
-    # from one quadratic and calls level_endpoint not at all.
+    # Each end is one solve (an LP at p in {1, inf}, a quadratic at p = 2).
     for norm in (NormSpec(1), L2, NormSpec(math.inf)):
         for a, one_sided, two_sided, n_ends in (
             (0.3, 0.2, 0.2, (1, 2)),
@@ -195,7 +209,7 @@ def test_smallest_root_rules(monkeypatch):
                 ends.clear()
                 t = smallest_root(a * e2, e2, Y, norm, 0.5, two_sided=two).t
                 assert t == pytest.approx(expect, abs=1e-15)
-                assert len(ends) == (0 if norm == L2 else n)
+                assert len(ends) == n
         with pytest.raises(ConstructionError, match="below attainable minimum"):
             smallest_root(np.eye(3)[:, 2], e2, Y, norm, 0.5)
     # no end for -q (tangent within tolerance on that side): the set is taken
@@ -836,7 +850,7 @@ def test_l2_constructions_solve_no_level_set(monkeypatch):
     # the p = 2 constructions run on scalars: no root solve, no projected quadratic
     def forbidden(*args, **kwargs):
         raise AssertionError("a p = 2 construction called a vector root solve")
-    for name in ("smallest_root", "_l2_level_set", "level_endpoint"):
+    for name in ("smallest_root", "level_endpoint"):
         monkeypatch.setattr(construct_module, name, forbidden)
     for chain in (coordinate_chain(8, 6, L2), random_chain(4, 8, 6, L2)):
         finite_construct(chain, TargetSequence((1.0, 0.6, 0.6, 0.2, 0.0)))

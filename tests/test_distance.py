@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import lethargy.distance as distance_module
 import lethargy.functionals as functionals_module
-from lethargy.construct import ConstructOptions, TargetSequence, finite_construct
+from lethargy.construct import ConstructOptions, TargetSequence, finite_construct, smallest_root
 from lethargy.distance import (
     DistanceResult,
     Endpoint,
@@ -374,22 +374,28 @@ def l2_level_draws(seed, n=200):
 
 
 def test_l2_level_set_ends():
-    # one projection, one quadratic: both ends, each equal to what the
-    # upper-end solve gives (for -q, negated, signed zeros included)
+    # one projection, one quadratic: the upper end, and the lower end as
+    # minus the upper end for -q (signed zeros included); an empty set has
+    # neither.  The quadratic's lower end is minus its upper end for -ab,
+    # bit for bit, as the scalar pass takes both from one call.
     negative_zeros = 0
     for x, q, Y, d in l2_level_draws(37):
-        ends = distance_module._l2_level_set(x, q, Y, d)
-        if ends is None:  # negative discriminant beyond rounding: empty
-            for end in (level_endpoint(x, q, Y, L2, d), lower_end(x, q, Y, L2, d)):
-                assert end is None or abs(rho(x + end.t * q, Y, L2).value - d) <= default_tol(L2) * (1.0 + d)
+        xp, qp = Y.residual(x), Y.residual(q)
+        args = float(np.linalg.norm(xp)), float(xp @ qp), float(qp @ qp), d, x.size, 0
+        ends = distance_module._quadratic_ends(*args)
+        flipped = distance_module._quadratic_ends(*args[:1], -args[1], *args[2:])
+        assert (ends is None) == (flipped is None)
+        if ends is not None:
+            for t, u in zip(ends, (-flipped[1], -flipped[0])):
+                assert t == u and math.copysign(1.0, t) == math.copysign(1.0, u)
+        lower, upper = lower_end(x, q, Y, L2, d), level_endpoint(x, q, Y, L2, d)
+        if upper is None or lower is None:  # negative discriminant beyond rho's accuracy: empty
+            assert upper is None and lower is None
             continue
-        lower, upper = ends
-        flipped = -level_endpoint(x, -q, Y, L2, d).t
-        assert lower == flipped and math.copysign(1.0, lower) == math.copysign(1.0, flipped)
+        lower, upper = lower.t, upper.t
         negative_zeros += lower == 0.0 and math.copysign(1.0, lower) < 0.0
-        assert upper == level_endpoint(x, q, Y, L2, d).t
         assert lower <= upper + 1e-12 * (1.0 + abs(upper))  # tangent sets may cross by rounding
-        for t in ends:
+        for t in (lower, upper):
             assert abs(rho(x + t * q, Y, L2).value - d) <= 1e-12 * (1.0 + d)
     assert negative_zeros > 0  # x on the level, |xp| = d, gives signed-zero ends
 
@@ -405,18 +411,17 @@ def test_l2_single_point_level_set(s):
         Y = Subspace(rng.standard_normal((m, m - 1))) if m > 1 else Subspace.zero(1)
         x, q = rng.standard_normal(m), rng.standard_normal(m)
         d = rho(x, Subspace(np.column_stack([Y.basis, q])), L2).value
-        ends = distance_module._l2_level_set(s * x, s * q, Y, s * d)
-        assert ends is not None and ends[0] == ends[1]
-        assert level_endpoint(s * x, s * q, Y, L2, s * d).t == ends[1]
-        assert lower_end(s * x, s * q, Y, L2, s * d).t == ends[0]
-        gap = rho(s * x + ends[1] * (s * q), Y, L2).value - s * d
+        lower, upper = (f(s * x, s * q, Y, L2, s * d) for f in (lower_end, level_endpoint))
+        assert lower is not None and upper is not None and lower.t == upper.t
+        gap = rho(s * x + upper.t * (s * q), Y, L2).value - s * d
         assert gap <= 1e-12 * (s + s * d)
 
 
 def test_l2_level_set_direction_inside_subspace():
     Y = Subspace(np.eye(4)[:, :2])
-    with pytest.raises(SolverError):
-        distance_module._l2_level_set(np.ones(4), Y.basis @ [1.0, -2.0], Y, 3.0)
+    for end in (level_endpoint, lower_end):
+        with pytest.raises(SolverError):
+            end(np.ones(4), Y.basis @ [1.0, -2.0], Y, L2, 3.0)
 
 
 @pytest.mark.parametrize("s", [1e-305, 1e-170, 1e-150, 1e150, 1e160, 1e300])
@@ -426,12 +431,37 @@ def test_l2_level_set_is_scale_safe(s):
     # and qp do: (-0.142, 1.619) at 1e-150, (-inf, 0) at 1e150, an overflow
     # at 1e160, and |qp| = 0 ("direction inside the subspace") at 1e-170.
     Y, x, q, d = level_instance(np.random.default_rng(1), 2.0, dim=6, rank=2)
-    ends = distance_module._l2_level_set(x, q, Y, d)
+    ends = [f(x, q, Y, L2, d).t for f in (lower_end, level_endpoint)]
     assert ends == pytest.approx((-0.643, 0.358), abs=1e-3)
-    scaled = distance_module._l2_level_set(s * x, s * q, Y, s * d)
+    scaled = [f(s * x, s * q, Y, L2, s * d).t for f in (lower_end, level_endpoint)]
     for t, t0 in zip(scaled, ends):
         assert abs(t - t0) <= 2 * np.spacing(abs(t0))
-    assert level_endpoint(s * x, s * q, Y, L2, s * d).t == scaled[1]
+
+
+def test_l2_level_sets_build_no_subspace(monkeypatch):
+    # d just below the minimum over t, by less than rho's accuracy: the
+    # quadratic takes the set as its point t_min = -(xp . qp) / (qp . qp),
+    # and neither level_endpoint nor smallest_root builds Y + span q for it
+    rng = np.random.default_rng(41)
+    draws = []
+    for _ in range(100):
+        m = int(rng.integers(2, 9))
+        r = int(rng.integers(0, m - 1))
+        Y = Subspace(rng.standard_normal((m, r))) if r else Subspace.zero(m)
+        x, q = rng.standard_normal(m), rng.standard_normal(m)
+        xp, qp = Y.residual(x), Y.residual(q)
+        floor = rho(x, Subspace(np.column_stack([Y.basis, q])), L2).value
+        t_min = -float(xp @ qp) / float(qp @ qp)
+        draws += [(x, q, Y, floor * (1.0 - gap), t_min) for gap in (1e-12, 1e-11)]
+    built, init = [], Subspace.__init__
+    monkeypatch.setattr(Subspace, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    for x, q, Y, d, t_min in draws:
+        ts = [level_endpoint(x, q, Y, L2, d).t, lower_end(x, q, Y, L2, d).t]
+        ts += [smallest_root(x, q, Y, L2, d, two_sided=two).t for two in (False, True)]
+        for t in ts:
+            assert abs(t - t_min) <= 1e-12 * abs(t_min)
+    assert built == []
 
 
 @pytest.mark.parametrize("p", P_VALUES)

@@ -122,6 +122,9 @@ def test_subspace_rejects_dependent_columns():
 def test_zero_subspace():
     Z = Subspace.zero(3)
     assert Z.rank == 0
+    for empty in ([], np.array([])):  # an empty basis, list or array, is {0}
+        E = Subspace(empty, ambient_dim=3)
+        assert (E.ambient_dim, E.rank, E.basis.shape) == (3, 0, (3, 0))
     assert contains(Z, [0.0, 0.0, 0.0])
     assert not contains(Z, [1.0, 0.0, 0.0])
 
