@@ -5,11 +5,12 @@ d_1 >= d_2 >= ... >= 0, the routines here build an element x with
 rho(x, Y_k) = d_k:
 
   * finite_construct      finitely many targets (zero tail), over unit steps;
-  * build_schedule        the tau / u tables driving the prefix builder;
   * interpolating_family  elements q with rho(q, Q1) = u_m, rho(q, Q2) = v_m
                           for prescribed u_m >= v_m;
-  * construct_prefix      schedule-driven prefix construction recording the
-                          per-level coefficients and their bounds;
+  * construct_prefix      prefix construction over steps of norm
+                          u_Np^(j) = 1 + tau_Np / (2^j d_j), one column of the
+                          Borodin schedule, recording the per-level
+                          coefficients and their bounds;
   * construct_sequence    a ladder of prefixes with pairwise-difference
                           stabilization diagnostics;
 
@@ -20,7 +21,9 @@ measure of every level at the final x and the residual gate.  They differ
 only in their step vectors and in whether the pass recentres, so a prefix
 is the last rung of its ladder.  At p = 2 the pass runs on x's coordinates
 in the steps' orthonormal frame, with no projection, and every level is
-still measured at the final x; off p = 2 each root carries a certificate.
+still measured at the final x, on a flag frame F (Chain._frame) from one
+product F^T x, whose columns are then the steps; off p = 2 each root
+carries a certificate.
 """
 
 from __future__ import annotations
@@ -228,6 +231,16 @@ def _unit_step(Yn: Subspace, Ynext: Subspace, norm: NormSpec
                              dual_direction=sign * res.dual_direction)
 
 
+def _frame_step(chain: Chain, Yn: Subspace, Ynext: Subspace):
+    """_unit_step(Yn, Ynext), Yn c Ynext levels of chain or {0}; at p = 2,
+    with Ynext inside the chain's frame F, column rank(Yn) + 1 of F, already
+    oriented, and no certificate, which p = 2 does not use."""
+    F = chain._frame if chain.norm.p == 2.0 else None
+    if F is not None and Ynext.rank <= F.shape[1]:
+        return F[:, Yn.rank], None
+    return _unit_step(Yn, Ynext, chain.norm)
+
+
 def _scaled(cert: DistanceResult, a: float, shift=0.0) -> DistanceResult:
     """Certificate of rho(a y + w, Y) = a rho(y, Y) for a >= 0 and w in Y with
     coordinates shift, from that of rho(y, Y): the witness scales and
@@ -330,39 +343,6 @@ def _nested(chain: Chain) -> None:
 
 
 # ---------------------------------------------------------------------------
-# schedules
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BorodinSchedule:
-    """tau_j together with the u table, indexed u[j-1, n-1] for j <= n."""
-
-    tau: np.ndarray
-    u: np.ndarray
-
-
-def build_schedule(d: TargetSequence, N: int) -> BorodinSchedule:
-    """tau_1 = d_1, tau_j = min of the consecutive gaps d_{k-1} - d_k up to j;
-    u_n^(j) = 1 + tau_n / (2^j d_j).  The matching v_n^(j) is 1 throughout:
-    the distance of _prefix_steps's unit steps."""
-    vals = [d.value(j) for j in range(1, N + 1)]
-    if any(x <= 0 for x in vals):
-        raise TargetError("build_schedule needs d_j > 0 for every j <= N")
-    tau = np.empty(N)
-    tau[0] = vals[0]
-    gap_min = math.inf
-    for j in range(2, N + 1):
-        gap_min = min(gap_min, vals[j - 2] - vals[j - 1])
-        tau[j - 1] = gap_min
-    u = np.full((N, N), np.nan)
-    for j in range(1, N + 1):
-        for n in range(j, N + 1):
-            u[j - 1, n - 1] = 1.0 + tau[n - 1] / (2.0**j * vals[j - 1])
-    return BorodinSchedule(tau=tau, u=u)
-
-
-# ---------------------------------------------------------------------------
 # construction traces
 # ---------------------------------------------------------------------------
 
@@ -442,19 +422,25 @@ def _coefficient_bounds(ds, lambdas, Np: int, tol: float):
     return tuple(out)
 
 
-def _measure(x, chain: Chain, k: int, Np: int, solved: dict):
+def _measure(x, chain: Chain, k: int, Np: int, solved: dict, frame):
     """rho(x, Y_k) with a certified lower bound (None when re-measured).
 
     Level k's solve was made at x_k, and x - x_k lies in Y_k, so its
     witness moves to w_k = witness + P(x - x_k) and its dual g_k still holds:
     g_k(x - w_k) <= rho(x, Y_k) <= |x - w_k|.  The lower end is evaluated on
     x - w_k, never as g_k(x), which cancels when rho is small against |x|.
+    Unsolved levels are re-measured by rho, or from frame = (c, R), c = F^T x
+    and R[:, j] = x - F[:, :j+1] c[:j+1] (see _realize).
     """
     Y, norm = chain.level(k), chain.norm
     if k > Np:  # x lies in Y_{Np+1}, inside Y_k
         return DistanceResult(0.0, Y.basis.T @ x, "contained"), 0.0
     if k not in solved:
-        return _rho(x, Y, norm), None
+        if frame is None:
+            return _rho(x, Y, norm), None
+        c, R = frame
+        r = R[:, Y.rank - 1] if Y.rank else x
+        return DistanceResult(_norm(r, 2.0), c[:Y.rank], "closed_form_l2", r), None
     xk, res = solved[k]
     c = res.witness_coeffs + Y.basis.T @ (x - xk)
     r = x - Y.basis @ c
@@ -481,9 +467,11 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
     level takes q_Np's, scaled by d_Np.  Every later change to x lies in
     Y_k, so level k's certificate serves the recentre in Y_k, the trim in Y_1
     and the measure of level k at the final x (see _measure), with no
-    further solve; p = 2 measures by projection on the chain's own Y_k.
-    Levels 1..min(N, len(chain) + 1) are measured, and the 10 tol gate
-    checks both ends of every certified bracket.
+    further solve.  p = 2 measures at the final x itself: on a frame chain
+    from one product c = F^T x, level k's residual being column r_k of
+    x - cumsum(F c), otherwise by projection on the chain's own Y_k.  Levels
+    1..min(N, len(chain) + 1) are measured, and the 10 tol gate checks both
+    ends of every certified bracket.
     """
     norm = chain.norm
     Np = len(steps)
@@ -510,7 +498,12 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
             solved[k] = (x, root.certificate)
         if recentre and Np:
             x = x - solved[1][1].witness(chain.level(1))
-    achieved, lower_bounds = zip(*(_measure(x, chain, k, Np, solved) for k in range(1, top + 1)))
+    F, frame = (chain._frame if norm.p == 2.0 else None), None
+    if F is not None:  # every level from one product
+        c = F.T @ x
+        frame = c, x[:, None] - np.cumsum(F * c, axis=1)
+    achieved, lower_bounds = zip(*(_measure(x, chain, k, Np, solved, frame)
+                                   for k in range(1, top + 1)))
     residuals = tuple(abs(r.value - dk) for r, dk in zip(achieved, ds))
     lower_ends = (abs(lo - dk) for lo, dk in zip(lower_bounds[:Np], ds) if lo is not None)
     worst = max([*residuals[:Np], *lower_ends], default=0.0)
@@ -530,8 +523,9 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
 def _flag_pass(chain: Chain, steps, ds, recentre: bool):
     """_realize's pass at p = 2, on scalars with no projection: x, lambda.
 
-    Each q_k = f_k + mu_k f_{k-1} for f_k = _unit_step(Y_k, Y_{k+1}) and f_0
-    a unit vector of Y_1, an orthonormal frame, so x = sum zeta_j f_j has
+    Each q_k = f_k + mu_k f_{k-1} for f_k = _frame_step(Y_k, Y_{k+1}) and f_0
+    a unit vector of Y_1 (on a frame chain F: f_k = F's column r_k + 1 and
+    f_0 its first), an orthonormal frame, so x = sum zeta_j f_j has
     rho(x, Y_k)^2 = sum_{j >= k} zeta_j^2 (Golub and Van Loan, Matrix
     Computations, 5.2) and level k's set is {t : (zeta_k + t)^2 + T <= d_k^2},
     T the tail over j > k: one quadratic, whose root adds t to zeta_k and
@@ -580,8 +574,7 @@ def finite_construct(
         raise TargetError("finite_construct needs a zero-tail target sequence")
     _nested(chain)
     Np = _levels_to_build(chain, d, len(d))
-    steps = [_unit_step(chain.level(k), chain.level(k + 1), chain.norm)
-             for k in range(1, Np + 1)]
+    steps = [_frame_step(chain, chain.level(k), chain.level(k + 1)) for k in range(1, Np + 1)]
     if chain.norm.p == 2.0:
         steps = [(q, 0.0) for q, _ in steps]
     return _realize(chain, d, len(d), steps, opts or ConstructOptions(), recentre=True)
@@ -596,9 +589,10 @@ def _prefix_steps(chain: Chain, d: TargetSequence, Np: int):
     """Steps q_j with rho(q_j, Y_j) = 1 and |q_j| = u_Np^(j) = 1 + w_j,
     w_j = tau_Np / (2^j d_j), j = 1..Np: schedule column Np alone.
 
-    q_j = y_j + mu_j s: y_j is the unit step out of Y_j, whose distance q_j
-    keeps, with witness mu_j s; s, the previous level's y normalized,
-    pre-loads the distance one level down, and mu_j is the smallest root of
+    q_j = y_j + mu_j s: y_j is the unit step out of Y_j (_frame_step),
+    whose distance q_j keeps, with witness mu_j s; s, the previous level's y
+    normalized (a unit vector of Y_1 at the first level), pre-loads the
+    distance one level down, and mu_j is the smallest root of
     |y_j + mu s| = 1 + w_j.  At p = 2, with y_j orthogonal to s, that is
     mu_j = sqrt(w_j (2 + w_j)), free of sqrt(u^2 - 1)'s cancellation for
     small w_j, and a step is (q_j, mu_j); otherwise mu_j is one level-set
@@ -611,11 +605,11 @@ def _prefix_steps(chain: Chain, d: TargetSequence, Np: int):
     steps, s = [], None
     for j, dj in enumerate(ds, start=1):
         Yj = chain.level(j)
-        y, cert = _unit_step(Yj, chain.level(j + 1), norm)
+        y, cert = _frame_step(chain, Yj, chain.level(j + 1))
         w, mu, q = tau / (2.0**j * dj), 0.0, y
         if Yj.rank:
             if s is None:
-                s = _unit_step(zero, Yj, norm)[0]
+                s = _frame_step(chain, zero, Yj)[0]
             if norm.p == 2.0:
                 mu = math.sqrt(w * (2.0 + w))
             else:

@@ -32,7 +32,8 @@ from .construct import (
     finite_construct,
     normalize_step,
 )
-from .spaces import Chain, NormSpec, Subspace, coordinate_chain, norm_eval, validate_chain
+from .spaces import (RANK_TOL, Chain, NormSpec, Subspace, _flag_chain, _oriented, coordinate_chain,
+                     norm_eval, validate_chain)
 
 SCHEMA_VERSION = "1"
 
@@ -114,7 +115,32 @@ def _polynomial_grid_chain(n_levels: int, grid_points: int, norm: NormSpec) -> C
     return Chain(ambient_dim=grid_points, norm=norm, levels=tuple(levels))
 
 
+def _frame_levels(rows: list, norm: NormSpec, ambient_dim: int) -> Chain | None:
+    """p = 2 levels whose vector lists extend each other (level k's are the
+    first of level k+1's, which has more) from one Householder QR of the top
+    level: level k is Q's first r_k columns, nested and strict by
+    construction, and by interlacing the top level's rank test covers every
+    level.  None for other levels, or a top level that Subspace would
+    reject: the per-level path then builds them or names the fault."""
+    sizes = [len(r) if isinstance(r, list) else 0 for r in rows]
+    if norm.p != 2.0 or min(sizes, default=0) == 0 or any(
+            a >= b or rows[k + 1][:a] != rows[k] for k, (a, b) in enumerate(zip(sizes, sizes[1:]))):
+        return None
+    try:
+        A = np.asarray(rows[-1], dtype=float).T
+    except (ValueError, TypeError):
+        return None
+    if A.shape != (ambient_dim, sizes[-1]) or not np.all(np.isfinite(A)):
+        return None
+    s = np.linalg.svd(A, compute_uv=False)
+    if np.sum(s > RANK_TOL * s[0]) < A.shape[1]:
+        return None
+    return _flag_chain(_oriented(np.linalg.qr(A)[0]), sizes, norm)
+
+
 def _parse_chain(raw, norm: NormSpec, ambient_dim: int) -> Chain:
+    """A generated chain, or explicit levels: one flag frame where
+    _frame_levels takes them, else one Subspace (SVD) per level."""
     if not isinstance(raw, dict):
         raise ScenarioError("chain must be an object")
     if "generator" in raw:
@@ -138,6 +164,9 @@ def _parse_chain(raw, norm: NormSpec, ambient_dim: int) -> Chain:
         _reject_unknown(raw, ("levels",), "chain")
         if not isinstance(raw["levels"], list):
             raise ScenarioError(f"chain.levels must be a list of levels, got {raw['levels']!r}")
+        chain = _frame_levels(raw["levels"], norm, ambient_dim)
+        if chain is not None:
+            return chain
         levels = []
         for i, cols in enumerate(raw["levels"], start=1):
             try:

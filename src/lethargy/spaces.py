@@ -128,13 +128,7 @@ class Subspace:
                 f"basis columns are linearly dependent (numerical rank "
                 f"{numerical_rank} < {B.shape[1]})"
             )
-        q = u[:, :numerical_rank]
-        # Deterministic sign convention: first entry of largest magnitude >= 0.
-        for j in range(q.shape[1]):
-            i = int(np.argmax(np.abs(q[:, j])))
-            if q[i, j] < 0:
-                q[:, j] = -q[:, j]
-        self.basis = q
+        self.basis = _oriented(u[:, :numerical_rank])
         self.rank = numerical_rank
 
     @classmethod
@@ -163,6 +157,14 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(ambient_dim={self.ambient_dim}, rank={self.rank})"
+
+
+def _oriented(q: np.ndarray) -> np.ndarray:
+    """q with each column's sign set so that its first entry of largest
+    magnitude is >= 0: the deterministic sign convention of every basis."""
+    cols = np.arange(q.shape[1])
+    q[:, q[np.argmax(np.abs(q), axis=0), cols] < 0] *= -1.0
+    return q
 
 
 def contains(Y: Subspace, x, tol: float = NEST_TOL) -> bool:
@@ -207,6 +209,16 @@ class Chain:
                 return ChainValidation(passes=False, failure=f"levels {k + 1} -> {k + 2}: {kind}")
         return ChainValidation(passes=True)
 
+    @cached_property
+    def _frame(self) -> np.ndarray | None:
+        """The flag frame F, the top level's basis, when every level's basis
+        is exactly F's leading rank columns (coordinate_chain's and the
+        explicit p = 2 chains of scenario._parse_chain); None otherwise."""
+        if not self.levels:
+            return None
+        F = self.levels[-1].basis
+        return F if all(np.array_equal(Y.basis, F[:, :Y.rank]) for Y in self.levels) else None
+
     def level(self, n: int) -> Subspace:
         """1-based level Y_n; n = len(levels)+1 yields the full ambient space."""
         if 1 <= n <= len(self.levels):
@@ -218,14 +230,19 @@ class Chain:
 
 def coordinate_chain(ambient_dim: int, n_levels: int, norm: NormSpec) -> Chain:
     """Y_k = span{e_1, ..., e_k}, with basis the first k identity columns,
-    which is what the SVD would give, bit for bit (see Subspace.full)."""
+    which is what the SVD would give, bit for bit (see Subspace.full): one
+    flag frame, the first n_levels identity columns (see Chain._frame)."""
     if n_levels >= ambient_dim:
         raise ValueError("coordinate chain needs n_levels < ambient_dim")
-    eye = np.eye(ambient_dim)
-    levels = [Subspace.zero(ambient_dim) for _ in range(n_levels)]
-    for k, Y in enumerate(levels, start=1):
-        Y.basis, Y.rank = eye[:, :k], k
-    return Chain(ambient_dim=ambient_dim, norm=norm, levels=tuple(levels))
+    return _flag_chain(np.eye(ambient_dim)[:, :n_levels], range(1, n_levels + 1), norm)
+
+
+def _flag_chain(F: np.ndarray, ranks, norm: NormSpec) -> Chain:
+    """The chain of levels F[:, :r], r in ranks, over F's orthonormal, oriented columns."""
+    levels = [Subspace.zero(F.shape[0]) for _ in ranks]
+    for Y, r in zip(levels, ranks):
+        Y.basis, Y.rank = F[:, :r], r
+    return Chain(ambient_dim=F.shape[0], norm=norm, levels=tuple(levels))
 
 
 def validate_chain(chain: Chain) -> ChainValidation:

@@ -1,6 +1,6 @@
-"""Test oracles: brute-force and primal-LP distances, the exact l2 model of a
-prefix, the p = 2 backward pass on vectors, and independent checks of
-norming functionals and interpolating families."""
+"""Test oracles: brute-force and primal-LP distances, the Borodin schedule
+tables, the exact l2 model of a prefix, the p = 2 backward pass on vectors,
+and independent checks of norming functionals and interpolating families."""
 
 import itertools
 import math
@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from lethargy.construct import smallest_root
+from lethargy.construct import TargetError, smallest_root
 from lethargy.distance import best_approximant, rho
 from lethargy.spaces import NormSpec, Subspace, as_vector, norm_eval
 
@@ -114,6 +114,35 @@ def rho_l1_primal_oracle(x, Y: Subspace) -> float:
     )
     assert res.status == 0, res.message
     return norm_eval(x - B @ (c0 + res.x[:r] * scale), NormSpec(1.0))
+
+
+@dataclass(frozen=True)
+class BorodinSchedule:
+    """tau_j together with the u table, indexed u[j-1, n-1] for j <= n."""
+
+    tau: np.ndarray
+    u: np.ndarray
+
+
+def build_schedule(d, N: int) -> BorodinSchedule:
+    """tau_1 = d_1, tau_j = min of the consecutive gaps d_{k-1} - d_k up to j;
+    u_n^(j) = 1 + tau_n / (2^j d_j).  The matching v_n^(j) is 1 throughout:
+    the distance of construct._prefix_steps's unit steps, which computes
+    column Np of this table itself."""
+    vals = [d.value(j) for j in range(1, N + 1)]
+    if any(x <= 0 for x in vals):
+        raise TargetError("build_schedule needs d_j > 0 for every j <= N")
+    tau = np.empty(N)
+    tau[0] = vals[0]
+    gap_min = math.inf
+    for j in range(2, N + 1):
+        gap_min = min(gap_min, vals[j - 2] - vals[j - 1])
+        tau[j - 1] = gap_min
+    u = np.full((N, N), np.nan)
+    for j in range(1, N + 1):
+        for n in range(j, N + 1):
+            u[j - 1, n - 1] = 1.0 + tau[n - 1] / (2.0**j * vals[j - 1])
+    return BorodinSchedule(tau=tau, u=u)
 
 
 def l2_schedule_mu(d) -> list[Decimal]:

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 import lethargy.construct as construct_module
 from lethargy.construct import (
-    BorodinSchedule,
     ConstructionError,
     ConstructOptions,
     TargetError,
     TargetSequence,
-    build_schedule,
     check_borodin_condition,
     check_subspace_condition,
     construct_prefix,
@@ -24,9 +22,11 @@ from lethargy.construct import (
     smallest_root,
 )
 from lethargy.distance import default_tol, rho
+from lethargy.scenario import parse_scenario
 from lethargy.spaces import (Chain, NormSpec, Subspace, contains,
                              coordinate_chain, norm_eval, validate_chain)
-from oracles import l2_prefix_coefficients, l2_schedule_mu, l2_vector_pass, lipschitz_check
+from oracles import (BorodinSchedule, build_schedule, l2_prefix_coefficients, l2_schedule_mu,
+                     l2_vector_pass, lipschitz_check)
 
 L2 = NormSpec(2)
 
@@ -856,6 +856,55 @@ def test_l2_constructions_solve_no_level_set(monkeypatch):
         finite_construct(chain, TargetSequence((1.0, 0.6, 0.6, 0.2, 0.0)))
         construct_prefix(chain, TargetSequence((1.0,), tail="geometric", ratio=0.3), 5)
         construct_sequence(chain, TargetSequence((1.0,), tail="geometric", ratio=0.3), 5)
+
+
+def l2_ladder_doc(A: np.ndarray, ratio: float, tol: float) -> dict:
+    """A p = 2 ladder scenario on explicit levels Y_k = span of A's first k
+    columns, written as the benchmark writes them: each level's vector list
+    extends the one below."""
+    m, n = A.shape
+    return {"version": "1", "ambient_dim": m, "norm_p": 2, "mode": "sequence", "N_max": n,
+            "tolerance": tol, "targets": {"values": [1.0], "tail": "geometric", "ratio": ratio},
+            "chain": {"levels": [A[:, :k].T.tolist() for k in range(1, n + 1)]}}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_frame_path_equals_the_per_level_path(seed):
+    # the parsed chain is one flag frame (one QR, steps read off it, one
+    # product per rung); the same spans as separately factored levels take
+    # the per-level path (unit steps solved, levels measured by projection)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 20))
+    A = rng.standard_normal((n + int(rng.integers(1, 5)), n))
+    scn = parse_scenario(l2_ladder_doc(A, 0.3, 1e-8))
+    per_level = Chain(A.shape[0], L2, [Subspace(A[:, :k]) for k in range(1, n + 1)])
+    assert scn.chain._frame is not None and per_level._frame is None
+    opts = ConstructOptions(tol=1e-8)
+    (frame, t1), (level, t2) = (construct_sequence(c, scn.targets, n, opts)
+                                for c in (scn.chain, per_level))
+    assert t1.failures == t2.failures == () and len(frame) == len(level) == n
+    d1 = scn.targets.value(1)
+    for a, b in zip(frame, level):
+        assert max(abs(r.value - s.value) for r, s in zip(a.achieved, b.achieved)) <= 1e-15 * d1
+        assert np.max(np.abs(a.x - b.x)) <= 1e-15
+
+
+def test_frame_chain_solves_only_its_top_step(monkeypatch):
+    # on a flag frame at p = 2 every step but the one out of the top level
+    # is a column of the frame, and every level is measured from F^T x: one
+    # unit step and one rho, both out of the top level into R^m
+    calls = []
+    for name in ("_unit_step", "_rho"):
+        def spy(*args, real=getattr(construct_module, name), name=name):
+            calls.append((name, args[0 if name == "_unit_step" else 1].rank))
+            return real(*args)
+        monkeypatch.setattr(construct_module, name, spy)
+    A = np.random.default_rng(5).standard_normal((9, 6))
+    d = TargetSequence((1.0,), tail="geometric", ratio=0.3)
+    for chain in (coordinate_chain(9, 6, L2), parse_scenario(l2_ladder_doc(A, 0.3, 1e-8)).chain):
+        calls.clear()
+        construct_sequence(chain, d, 6)
+        assert calls == [("_unit_step", 6), ("_rho", 6)]
 
 
 def test_criterion_8_bound_is_unreachable_at_level_N_minus_1():

@@ -8,15 +8,15 @@ import lethargy
 import lethargy.cli
 
 PUBLIC_API = [
-    "BorodinReport", "BorodinSchedule", "Chain", "ChainValidation", "ConstructOptions",
+    "BorodinReport", "Chain", "ChainValidation", "ConstructOptions",
     "ConstructionError", "ConstructionTrace", "DimensionMismatchError", "DistanceResult",
     "Functional", "FunctionalError", "InterpolationFamily", "NormSpec", "Report", "Scenario",
     "ScenarioError", "SolverError", "StabilizationTable", "Subspace", "TargetError",
-    "TargetSequence", "as_vector", "best_approximant", "build_schedule",
-    "check_borodin_condition", "check_subspace_condition", "construct_prefix",
-    "construct_sequence", "contains", "coordinate_chain", "dual_norm", "emit",
-    "finite_construct", "interpolating_family", "limit_value", "load_scenario", "norm_eval",
-    "normalize_step", "norming_functional", "parse_scenario", "rho", "run", "validate_chain",
+    "TargetSequence", "as_vector", "best_approximant", "check_borodin_condition",
+    "check_subspace_condition", "construct_prefix", "construct_sequence", "contains",
+    "coordinate_chain", "dual_norm", "emit", "finite_construct", "interpolating_family",
+    "limit_value", "load_scenario", "norm_eval", "normalize_step", "norming_functional",
+    "parse_scenario", "rho", "run", "validate_chain",
 ]
 
 

@@ -121,6 +121,16 @@ def test_parse_explicit_levels_and_validation():
         parse_scenario(bad)
 
 
+def test_p2_prefix_levels_share_one_frame():
+    # level 1's vectors are the first of level 2's: one QR, whose leading
+    # columns are level 1's basis
+    doc = base_doc(chain={"levels": [[[1, 2, 0, 0]], [[1, 2, 0, 0], [0, 1, 3, 0]]]})
+    lo, hi = parse_scenario(doc).chain.levels
+    assert (lo.rank, hi.rank) == (1, 2)
+    assert np.array_equal(lo.basis, hi.basis[:, :1])
+    assert np.allclose(lo.basis[:, 0], np.array([1, 2, 0, 0]) / math.sqrt(5), rtol=0, atol=1e-15)
+
+
 def test_run_finite_report(tmp_path):
     p = tmp_path / "s.json"
     p.write_text(json.dumps(base_doc()))
@@ -376,6 +386,22 @@ MALFORMED = {
     "top-level-fills": (base_doc(ambient_dim=2, chain={"levels": [[[1, 0]], [[1, 0], [0, 1]]]}),
                         "targets = 2: top chain level already fills the ambient space"),
 }
+# p = 2 explicit levels in ambient_dim 4: those whose vector lists extend each
+# other reach the one-QR ingestion first and keep the per-level path's message
+E1, E2, E3 = [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]
+NAN1, TWO_E1 = [math.nan, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]
+for case, levels, message in [
+    ("p2-dependent-top", [[E1], [E1, E1]],
+     "chain level 2: basis columns are linearly dependent (numerical rank 1 < 2)"),
+    ("p2-dependent-level-1", [[E1, TWO_E1], [E1, TWO_E1, E2]],
+     "chain level 1: basis columns are linearly dependent (numerical rank 1 < 2)"),
+    ("p2-not-strict", [[E1], [E1]],
+     "chain fails strict-nesting validation: levels 1 -> 2: not strict"),
+    ("p2-not-nested", [[E1], [E2, E3]],
+     "chain fails strict-nesting validation: levels 1 -> 2: not nested"),
+    ("p2-nan", [[NAN1], [NAN1, E2]], "chain level 1: basis entries must be finite"),
+]:
+    MALFORMED[case] = (base_doc(chain={"levels": levels}), message)
 
 
 def _command(doc):
@@ -390,6 +416,9 @@ def test_malformed_scenario_exits_2_with_its_message(case, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main([_command(doc), path.as_posix()]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+    with pytest.raises(ScenarioError) as exc:  # the parser's own message
+        parse_scenario(doc)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("case", ["not-an-object", "top-level-fills"])
@@ -420,7 +449,7 @@ def test_bundled_scenario_exit_code(name, capsys):
 BUNDLED_REPORT_SHA256 = {
     "coordinate-hilbert-finite": "47ba0d95a464cf22fd4ed1e317212ce19eda2fdbd41fba19979df32d2d6b0653",
     "geometric-half-check-xfail": "52f02c5b3ea569e7a8485c0c2b07e8a4c3d58034ca82076559447228d47c4696",
-    "geometric-third-prefix": "8ac95b5c89ccee4b40246ac05f204d7736cef7a87555b2e074fc3b56436c5a66",
+    "geometric-third-prefix": "1991d80d41daead6c472da5ccdce6520f73e584de23fd2350216e6e3869483c1",
     "geometric-third-sequence": "656806374b97525f3d14451bdaa54ec7daac4d7c58c289922f3e77aff1839105",
     "geometric-twofifth-check": "affb55804b5be831fd792c366619bb7235b5756fa9afc25a440d2126b75a424f",
     "polynomial-sup-degree15-finite": "4c30c8fbe8e401d708fbb382541207ad12aaab4a0a0e7d5f648bdbd4eb5f74d8",
@@ -452,7 +481,7 @@ def test_explicit_basis_ladder_keeps_its_bytes(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(["sequence", path.as_posix(), "--format", "machine"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "40397523814524600def8d4c537c2ba361f3b7629489927030ae43d2d43453a9"
+    assert digest == "7fdf61fcdfe502a2d64f7a5c1a2da04ba2b04ed595cbb0dd9c346ec10abb2f90"
 
 
 def partial_ladder_doc(norm_p, tolerance):
@@ -489,15 +518,25 @@ def test_partly_failing_ladder_keeps_its_bytes(tmp_path, capsys):
 
 
 def test_l2_ladder_fails_where_the_vector_pass_fails(tmp_path, capsys):
-    # a tolerance below rounding: the scalar p = 2 pass and the projections
-    # it replaced (oracles.l2_vector_pass) miss it on the same rungs
+    # a tolerance below rounding (10 tol = 1e-16, under one ulp of d_1 = 1):
+    # the scalar p = 2 pass misses it on rungs 2 and 4, the projections it
+    # replaced (oracles.l2_vector_pass) on rung 4, and no rung's residual,
+    # measured where every rung passes, differs from the oracle's by more
+    # than one ulp of d_1
+    doc = partial_ladder_doc(2, 1e-17)
     path = tmp_path / "partial.json"
-    path.write_text(json.dumps(partial_ladder_doc(2, 1e-17)))
-    for pass_ in (construct_module._flag_pass, l2_vector_pass):
+    path.write_text(json.dumps(doc))
+    scn = parse_scenario(doc)
+    residuals = []
+    for pass_, failed in ((construct_module._flag_pass, [2, 4]), (l2_vector_pass, [4])):
         with mock.patch.object(construct_module, "_flag_pass", pass_):
             assert cli.main(["sequence", path.as_posix(), "--format", "machine"]) == 1
+            traces, _ = construct_module.construct_sequence(
+                scn.chain, scn.targets, scn.N_max, construct_module.ConstructOptions(tol=1.0))
         failures = parse_report(capsys.readouterr().out).stabilization["failures"]
-        assert [f["N"] for f in failures] == [4, 5]
+        assert [f["N"] for f in failures] == failed
+        residuals.append([t.max_residual for t in traces])
+    assert residuals[0] == pytest.approx(residuals[1], rel=0, abs=2.2e-16)
 
 
 def test_ladder_with_every_rung_failing(tmp_path, capsys):
