@@ -26,6 +26,18 @@ the solver may spread r_m over them or leave r_m free there: the distances
 stay apart by about rho all the same.)  The table shows
 |r_m - r_2m|_p / rho(x, ker f on R^2m), with r_m padded by zeros to length 2m.
 
+The lethargy construction shows the same dichotomy.  On the chain
+{0} c ker f with tied targets (1, 1), finite_construct's x_m has
+|x_m| = rho(x_m, ker f) = 1, so f attains its norm at x_m.  The second table
+shows |x_m - x_2m|_p, x_m padded by zeros and its sign fixed by its entry of
+largest magnitude, at tol 1e-9.  For m = 8, 16, 32 it falls, to 1.3e-9
+(p = 1.5), 2.3e-10 (p = 2) and 4.6e-5 (p = 3), and stays at 2.0, 2.0, 1.7
+at p = 1.  Off p = 2 the tied level's root is the minimizer of a function
+flat to second order, found only to about 1e-9 at p = 1.5, which is where
+that column stops falling.  At p = inf the m = 8 step is 1.0, and x_32
+stops at "tolerance not met": the LP's 1e-7 tolerances on the near-tied
+entries of f leave rho about 1.7e-8 off, and such a step prints as nan.
+
     python3 scripts/reflexivity_study.py [--p 1 1.5 2 3 inf] [--m 8 16 32 64]
 """
 
@@ -34,7 +46,8 @@ import math
 
 import numpy as np
 
-from lethargy import NormSpec, Subspace, norm_eval, rho
+from lethargy import (Chain, ConstructionError, ConstructOptions, NormSpec, Subspace,
+                      TargetSequence, finite_construct, norm_eval, rho)
 
 
 def functional(p: float, m: int) -> np.ndarray:
@@ -42,10 +55,14 @@ def functional(p: float, m: int) -> np.ndarray:
     return 1.0 - 2.0**-k if p == 1.0 else 2.0**-k
 
 
+def kernel(p: float, m: int) -> Subspace:
+    """ker f, from the orthonormal basis that f's SVD gives."""
+    return Subspace(np.linalg.svd(functional(p, m)[None, :])[2][1:].T)
+
+
 def residual(p: float, m: int) -> tuple[np.ndarray, float]:
     """x - w and rho(x, ker f) on (R^m, |.|_p), x = e_1."""
-    f = functional(p, m)
-    Y = Subspace(np.linalg.svd(f[None, :])[2][1:].T)  # orthonormal basis of ker f
+    Y = kernel(p, m)
     x = np.eye(m)[0]
     res = rho(x, Y, NormSpec(p))
     return x - res.witness(Y), res.value
@@ -61,6 +78,21 @@ def residual_steps(p: float, ms) -> list[float]:
     return out
 
 
+def lethargy_element(p: float, m: int) -> np.ndarray:
+    """finite_construct's x with |x|_p = rho(x, ker f) = 1 on (R^m, |.|_p),
+    from the chain {0} c ker f and the tied targets (1, 1), with its sign
+    set so that its first entry of largest magnitude is positive."""
+    chain = Chain(m, NormSpec(p), (Subspace.zero(m), kernel(p, m)))
+    x = finite_construct(chain, TargetSequence((1.0, 1.0)), ConstructOptions(tol=1e-9)).x
+    return x if x[np.argmax(np.abs(x))] > 0 else -x
+
+
+def lethargy_steps(p: float, ms) -> list[float]:
+    """|x_m - x_2m|_p for the lethargy elements x_m, x_m padded by zeros."""
+    return [norm_eval(np.pad(lethargy_element(p, m), (0, m)) - lethargy_element(p, 2 * m),
+                      NormSpec(p)) for m in ms]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--p", type=float, nargs="+", default=[1.0, 1.5, 2.0, 3.0, math.inf])
@@ -69,6 +101,16 @@ def main():
     print("p      " + "".join(f"m = {m:<9d}" for m in args.m))
     for p in args.p:
         print(f"{p:<7g}" + "".join(f"{v:<13.3e}" for v in residual_steps(p, args.m)))
+    print("\n|x_m - x_2m|_p, lethargy elements on {0} c ker f, targets (1, 1)")
+    print("p      " + "".join(f"m = {m:<9d}" for m in args.m))
+    for p in args.p:
+        steps = []
+        for m in args.m:
+            try:
+                steps.append(lethargy_steps(p, [m])[0])
+            except ConstructionError:
+                steps.append(math.nan)
+        print(f"{p:<7g}" + "".join(f"{v:<13.3e}" for v in steps))
 
 
 if __name__ == "__main__":

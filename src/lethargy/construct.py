@@ -15,15 +15,17 @@ rho(x, Y_k) = d_k:
                           stabilization diagnostics;
 
 plus the tail-domination (Borodin) condition checker and a sampled checker
-for the subspace-side condition.  All three modes share one core, _realize:
-zero-tail reduction, a backward pass with one exact root per level, the
-measure of every level at the final x and the residual gate.  They differ
-only in their step vectors and in whether the pass recentres, so a prefix
-is the last rung of its ladder.  At p = 2 the pass runs on x's coordinates
-in the steps' orthonormal frame, with no projection, and every level is
-still measured at the final x, on a flag frame F (Chain._frame) from one
-product F^T x, whose columns are then the steps; off p = 2 each root
-carries a certificate.
+for the subspace-side condition.  The three modes share one step builder,
+_prefix_steps (entry checks, zero-tail reduction), and one core, _realize
+(a backward pass with one exact root per level, the measure of every level
+at the final x, the residual gate); they differ only in whether the pass
+recentres, over plain unit steps, so a prefix is the last rung of its
+ladder.  Every step follows one rule (_unit_step): the next basis column
+where the level above extends the level's basis (the step itself at p = 2),
+else the column farthest from the level, solved.  At p = 2 the pass runs on
+x's coordinates in the steps' orthonormal frame, and the measure alone
+reads a flag frame F (Chain._frame), from one product F^T x.  Off p = 2
+each root carries a certificate.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .distance import DistanceResult, Endpoint, SolverError, _quadratic_ends, _rho, level_endpoint, rho
 from .functionals import norming_functional  # noqa: F401  (bench/tracing.py patches this binding)
-from .spaces import Chain, NormSpec, Subspace, _norm, as_vector, norm_eval, validate_chain
+from .spaces import Chain, NormSpec, Subspace, _extends, _norm, as_vector, norm_eval, validate_chain
 
 
 class TargetError(ValueError):
@@ -200,10 +202,8 @@ def check_subspace_condition(
 
 
 def normalize_step(chain: Chain, n: int) -> np.ndarray:
-    """A unit vector y in Y_{n+1} \\ Y_n with rho(y, Y_n) = |y| = 1.
-
-    Built by subtracting a best approximant: pick a basis direction of
-    Y_{n+1} outside Y_n, remove its nearest point of Y_n, normalize.
+    """A unit vector y in Y_{n+1} \\ Y_n with rho(y, Y_n) = |y| = 1: the
+    step of every construction mode, by the one step rule of _unit_step.
     """
     Yn, Ynext = chain.level(n), chain.level(n + 1)
     if Ynext.rank <= Yn.rank:
@@ -212,12 +212,19 @@ def normalize_step(chain: Chain, n: int) -> np.ndarray:
 
 
 def _unit_step(Yn: Subspace, Ynext: Subspace, norm: NormSpec
-               ) -> tuple[np.ndarray, DistanceResult]:
-    """normalize_step's y for Yn of lower rank than Ynext, with the
-    certificate of rho(y, Yn) = 1, from the one solve that builds y: witness
-    0, and the solve's dual, oriented as y."""
-    col = int(np.argmax(np.linalg.norm(Yn.residual(Ynext.basis), axis=0)))
-    z = Ynext.basis[:, col]
+               ) -> tuple[np.ndarray, DistanceResult | None]:
+    """normalize_step's y for Yn of lower rank than Ynext, with the certificate
+    of rho(y, Yn) = 1.  The one step rule: where Ynext's basis extends Yn's
+    (spaces._extends; so out of {0}) y is its column rank(Yn) + 1 at p = 2,
+    with no certificate (p = 2 uses none); otherwise that column, or else
+    Ynext's column farthest from Yn, minus its best approximant in Yn,
+    normalized and oriented, with that solve's certificate, witness 0."""
+    if _extends(Yn, Ynext):
+        z = Ynext.basis[:, Yn.rank]
+        if norm.p == 2.0:
+            return z.copy(), None  # not a view a caller could write the basis through
+    else:
+        z = Ynext.basis[:, int(np.argmax(np.linalg.norm(Yn.residual(Ynext.basis), axis=0)))]
     res = _rho(z, Yn, norm)
     y = z - res.witness(Yn)
     ny = _norm(y, norm.p)
@@ -229,16 +236,6 @@ def _unit_step(Yn: Subspace, Ynext: Subspace, norm: NormSpec
     sign = 1.0 if y[int(np.argmax(np.abs(y)))] >= 0 else -1.0
     return sign * y, replace(res, value=1.0, witness_coeffs=np.zeros(Yn.rank),
                              dual_direction=sign * res.dual_direction)
-
-
-def _frame_step(chain: Chain, Yn: Subspace, Ynext: Subspace):
-    """_unit_step(Yn, Ynext), Yn c Ynext levels of chain or {0}; at p = 2,
-    with Ynext inside the chain's frame F, column rank(Yn) + 1 of F, already
-    oriented, and no certificate, which p = 2 does not use."""
-    F = chain._frame if chain.norm.p == 2.0 else None
-    if F is not None and Ynext.rank <= F.shape[1]:
-        return F[:, Yn.rank], None
-    return _unit_step(Yn, Ynext, chain.norm)
 
 
 def _scaled(cert: DistanceResult, a: float, shift=0.0) -> DistanceResult:
@@ -393,13 +390,13 @@ class ConstructionTrace:
 
 
 def _levels_to_build(chain: Chain, d: TargetSequence, N: int) -> int:
-    """Zero-tail reduction: the largest Np <= N with d_Np > 0.
-
-    x is then built inside Y_{Np+1}, which the chain must provide.
-    """
-    Np = N
-    while Np > 0 and d.value(Np) <= 0.0:
-        Np -= 1
+    """Zero-tail reduction: the largest Np <= N with d_Np > 0, by bisection
+    on the positive prefix d_1..d_Np (a geometric tail underflows to 0).
+    x is then built inside Y_{Np+1}, which the chain must provide."""
+    Np, hi = 0, N + 1  # d_Np > 0 (or Np = 0), and d_hi = 0 (or hi = N + 1)
+    while hi - Np > 1:
+        mid = (Np + hi) // 2
+        Np, hi = (mid, hi) if d.value(mid) > 0.0 else (Np, mid)
     if Np > len(chain.levels):
         raise ConstructionError(
             f"chain too short: construction needs level {Np + 1}, chain has {len(chain.levels)}"
@@ -523,10 +520,10 @@ def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOpti
 def _flag_pass(chain: Chain, steps, ds, recentre: bool):
     """_realize's pass at p = 2, on scalars with no projection: x, lambda.
 
-    Each q_k = f_k + mu_k f_{k-1} for f_k = _frame_step(Y_k, Y_{k+1}) and f_0
-    a unit vector of Y_1 (on a frame chain F: f_k = F's column r_k + 1 and
-    f_0 its first), an orthonormal frame, so x = sum zeta_j f_j has
-    rho(x, Y_k)^2 = sum_{j >= k} zeta_j^2 (Golub and Van Loan, Matrix
+    Each q_k = f_k + mu_k f_{k-1}, f_k = _unit_step(Y_k, Y_{k+1}) and f_0 =
+    _unit_step({0}, Y_1) (the next basis columns where bases extend; only the
+    measure reads Chain._frame), an orthonormal frame, so x = sum zeta_j f_j
+    has rho(x, Y_k)^2 = sum_{j >= k} zeta_j^2 (Golub and Van Loan, Matrix
     Computations, 5.2) and level k's set is {t : (zeta_k + t)^2 + T <= d_k^2},
     T the tail over j > k: one quadratic, whose root adds t to zeta_k and
     t mu_k to zeta_{k-1}.  The quadratic takes a set empty by at most rho's
@@ -572,11 +569,7 @@ def finite_construct(
     """
     if d.tail != "zero":
         raise TargetError("finite_construct needs a zero-tail target sequence")
-    _nested(chain)
-    Np = _levels_to_build(chain, d, len(d))
-    steps = [_frame_step(chain, chain.level(k), chain.level(k + 1)) for k in range(1, Np + 1)]
-    if chain.norm.p == 2.0:
-        steps = [(q, 0.0) for q, _ in steps]
+    steps = _prefix_steps(chain, d, len(d), recentre=True)
     return _realize(chain, d, len(d), steps, opts or ConstructOptions(), recentre=True)
 
 
@@ -585,31 +578,33 @@ def finite_construct(
 # ---------------------------------------------------------------------------
 
 
-def _prefix_steps(chain: Chain, d: TargetSequence, Np: int):
-    """Steps q_j with rho(q_j, Y_j) = 1 and |q_j| = u_Np^(j) = 1 + w_j,
-    w_j = tau_Np / (2^j d_j), j = 1..Np: schedule column Np alone.
+def _prefix_steps(chain: Chain, d: TargetSequence, N: int, recentre: bool):
+    """Every mode's steps q_j, rho(q_j, Y_j) = 1, j = 1..Np, after its entry
+    checks (nesting; Np of N, see _levels_to_build): with recentre (finite
+    mode), and out of a rank-0 Y_j, the plain unit step, mu_j = 0; else
+    |q_j| = u_Np^(j) = 1 + w_j, w_j = tau_Np / (2^j d_j), schedule column Np.
 
-    q_j = y_j + mu_j s: y_j is the unit step out of Y_j (_frame_step),
+    q_j = y_j + mu_j s: y_j is the unit step out of Y_j (_unit_step),
     whose distance q_j keeps, with witness mu_j s; s, the previous level's y
     normalized (a unit vector of Y_1 at the first level), pre-loads the
     distance one level down, and mu_j is the smallest root of
     |y_j + mu s| = 1 + w_j.  At p = 2, with y_j orthogonal to s, that is
     mu_j = sqrt(w_j (2 + w_j)), free of sqrt(u^2 - 1)'s cancellation for
     small w_j, and a step is (q_j, mu_j); otherwise mu_j is one level-set
-    solve and a step is (q_j, certificate of rho(q_j, Y_j) = 1).  A rank-0
-    Y_j (the chain starting at {0}) keeps the plain unit step, mu_j = 0.
+    solve and a step is (q_j, certificate of rho(q_j, Y_j) = 1).
     """
-    ds = [d.value(j) for j in range(1, Np + 1)]
-    tau = min((a - b for a, b in zip(ds, ds[1:])), default=ds[0] if Np else 0.0)
+    _nested(chain)
+    ds = [d.value(j) for j in range(1, _levels_to_build(chain, d, N) + 1)]
+    tau = min((a - b for a, b in zip(ds, ds[1:])), default=ds[0] if ds else 0.0)
     zero, norm = Subspace.zero(chain.ambient_dim), chain.norm
     steps, s = [], None
     for j, dj in enumerate(ds, start=1):
         Yj = chain.level(j)
-        y, cert = _frame_step(chain, Yj, chain.level(j + 1))
+        y, cert = _unit_step(Yj, chain.level(j + 1), norm)
         w, mu, q = tau / (2.0**j * dj), 0.0, y
-        if Yj.rank:
+        if Yj.rank and not recentre:
             if s is None:
-                s = _frame_step(chain, zero, Yj)[0]
+                s = _unit_step(zero, Yj, norm)[0]
             if norm.p == 2.0:
                 mu = math.sqrt(w * (2.0 + w))
             else:
@@ -636,8 +631,7 @@ def construct_prefix(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    _nested(chain)
-    steps = _prefix_steps(chain, d, _levels_to_build(chain, d, N))
+    steps = _prefix_steps(chain, d, N, recentre=False)
     return _realize(chain, d, N, steps, opts or ConstructOptions(), recentre=False)
 
 
@@ -667,15 +661,13 @@ def construct_sequence(
     opts = opts or ConstructOptions()
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
-    _nested(chain)
-    Np_max = _levels_to_build(chain, d, N_max)
-    steps = _prefix_steps(chain, d, Np_max)
+    steps = _prefix_steps(chain, d, N_max, recentre=False)
     traces: list[ConstructionTrace] = []
     kept = []
     failures = []
     for N in range(1, N_max + 1):
         try:
-            traces.append(_realize(chain, d, N, steps[:min(N, Np_max)], opts, recentre=False))
+            traces.append(_realize(chain, d, N, steps[:N], opts, recentre=False))
             kept.append(N)
         except (ConstructionError, SolverError) as exc:
             failures.append((N, str(exc)))

@@ -102,10 +102,11 @@ def _polynomial_grid_chain(n_levels: int, grid_points: int, norm: NormSpec) -> C
     """Discretized polynomial spaces: degree < k sampled on a uniform grid of [0,1].
 
     One QR of the Chebyshev-Vandermonde matrix on the grid (mapped onto
-    [-1, 1]) gives orthonormal columns whose first k span degree < k, so
-    level k is the first k columns and the levels are nested by
-    construction; monomial Vandermonde columns lose rank to rounding from
-    about degree 13 on 64 points.
+    [-1, 1]) gives orthonormal columns whose first k span degree < k, and
+    level k is their span, re-factored by its own SVD: the bases do not
+    extend each other (spaces._extends), so validate_chain checks each
+    pair's nesting by its residual.  Monomial Vandermonde columns lose rank
+    to rounding from about degree 13 on 64 points.
     """
     if not 1 <= n_levels < grid_points:
         raise ScenarioError("polynomial_grid needs 1 <= n_levels < grid_points")

@@ -167,6 +167,13 @@ def _oriented(q: np.ndarray) -> np.ndarray:
     return q
 
 
+def _extends(lo: Subspace, hi: Subspace) -> bool:
+    """Whether hi's basis begins with lo's, bit for bit ({0}'s empty basis
+    begins every one): then lo c hi by construction, and hi's column
+    rank(lo) + 1 is orthogonal to lo."""
+    return np.array_equal(lo.basis, hi.basis[:, :lo.rank])
+
+
 def contains(Y: Subspace, x, tol: float = NEST_TOL) -> bool:
     """Membership up to a least-squares residual of tol * |x|_2, relative so
     that the verdict scales with x; the zero vector lies in every Y."""
@@ -201,23 +208,22 @@ class Chain:
 
     @cached_property
     def _validation(self) -> ChainValidation:  # validate_chain's verdict
-        for k in range(len(self.levels) - 1):
-            lo, hi = self.levels[k], self.levels[k + 1]
-            nested = lo.rank == 0 or np.linalg.norm(hi.residual(lo.basis), axis=0).max() <= NEST_TOL
+        for k, (lo, hi) in enumerate(zip(self.levels, self.levels[1:]), start=1):
+            nested = _extends(lo, hi) or np.linalg.norm(hi.residual(lo.basis), axis=0).max() <= NEST_TOL
             if not (nested and hi.rank > lo.rank):
                 kind = "not nested" if not nested else "not strict"
-                return ChainValidation(passes=False, failure=f"levels {k + 1} -> {k + 2}: {kind}")
+                return ChainValidation(passes=False, failure=f"levels {k} -> {k + 1}: {kind}")
         return ChainValidation(passes=True)
 
     @cached_property
     def _frame(self) -> np.ndarray | None:
-        """The flag frame F, the top level's basis, when every level's basis
-        is exactly F's leading rank columns (coordinate_chain's and the
-        explicit p = 2 chains of scenario._parse_chain); None otherwise."""
-        if not self.levels:
-            return None
-        F = self.levels[-1].basis
-        return F if all(np.array_equal(Y.basis, F[:, :Y.rank]) for Y in self.levels) else None
+        """The flag frame F, the top level's basis, when every level extends
+        the one below (coordinate_chain's and the explicit p = 2 chains of
+        scenario._parse_chain); None otherwise.  Only the p = 2 measure of
+        construct._realize reads it."""
+        if self.levels and all(map(_extends, self.levels, self.levels[1:])):
+            return self.levels[-1].basis
+        return None
 
     def level(self, n: int) -> Subspace:
         """1-based level Y_n; n = len(levels)+1 yields the full ambient space."""
@@ -231,7 +237,8 @@ class Chain:
 def coordinate_chain(ambient_dim: int, n_levels: int, norm: NormSpec) -> Chain:
     """Y_k = span{e_1, ..., e_k}, with basis the first k identity columns,
     which is what the SVD would give, bit for bit (see Subspace.full): one
-    flag frame, the first n_levels identity columns (see Chain._frame)."""
+    flag frame, the first n_levels identity columns, each level extending
+    the one below (see _extends)."""
     if n_levels >= ambient_dim:
         raise ValueError("coordinate chain needs n_levels < ambient_dim")
     return _flag_chain(np.eye(ambient_dim)[:, :n_levels], range(1, n_levels + 1), norm)

@@ -568,6 +568,25 @@ def test_chain_too_short_reported():
         finite_construct(chain, TargetSequence((0.5, 0.2, 0.1)))
 
 
+def test_zero_tail_reduction_bisects(monkeypatch):
+    # the positive targets are d_1..d_Np, so Np is found in about 40 reads of
+    # d_n at N = 10^12: for a zero tail, and for a geometric tail that
+    # underflows to 0 past n = 1074
+    reads = []
+    real = TargetSequence.value
+
+    def value(self, n):
+        reads.append(n)
+        assert len(reads) <= 10**4, "zero-tail reduction scans N"
+        return real(self, n)
+
+    monkeypatch.setattr(TargetSequence, "value", value)
+    chain = coordinate_chain(4, 2, L2)
+    assert construct_module._levels_to_build(chain, TargetSequence((0.5, 0.2)), 10**12) == 2
+    with pytest.raises(ConstructionError, match="needs level 1075, chain has 2$"):
+        construct_module._levels_to_build(chain, TargetSequence((0.5, 0.2), "geometric", 0.5), 10**12)
+
+
 def certified_levels(tr, chain: Chain) -> int:
     """Check that every certified level's bracket [lower, upper] holds an
     independent rho(x, Y_k); return how many levels are certified."""
@@ -890,21 +909,49 @@ def test_frame_path_equals_the_per_level_path(seed):
 
 
 def test_frame_chain_solves_only_its_top_step(monkeypatch):
-    # on a flag frame at p = 2 every step but the one out of the top level
-    # is a column of the frame, and every level is measured from F^T x: one
-    # unit step and one rho, both out of the top level into R^m
-    calls = []
-    for name in ("_unit_step", "_rho"):
-        def spy(*args, real=getattr(construct_module, name), name=name):
-            calls.append((name, args[0 if name == "_unit_step" else 1].rank))
-            return real(*args)
-        monkeypatch.setattr(construct_module, name, spy)
+    # at p = 2 a step out of a level whose basis the next one extends is
+    # that basis's next column, and a flag frame measures every level from
+    # F^T x: no rho on the coordinate chain, whose top level the identity
+    # basis of R^m extends, and one, out of the rank-6 top level into R^m,
+    # on the ingested chain, whose QR frame R^m's basis does not extend
+    ranks = []
+    real = construct_module._rho
+    monkeypatch.setattr(construct_module, "_rho",
+                        lambda x, Y, norm: ranks.append(Y.rank) or real(x, Y, norm))
     A = np.random.default_rng(5).standard_normal((9, 6))
     d = TargetSequence((1.0,), tail="geometric", ratio=0.3)
-    for chain in (coordinate_chain(9, 6, L2), parse_scenario(l2_ladder_doc(A, 0.3, 1e-8)).chain):
-        calls.clear()
+    for chain, solved in ((coordinate_chain(9, 6, L2), []),
+                          (parse_scenario(l2_ladder_doc(A, 0.3, 1e-8)).chain, [6])):
+        ranks.clear()
         construct_sequence(chain, d, 6)
-        assert calls == [("_unit_step", 6), ("_rho", 6)]
+        assert ranks == solved
+
+
+def test_ingested_ladder_is_nested_without_a_residual(monkeypatch):
+    # the p = 2 frame's levels extend each other: nested by construction
+    calls = []
+    real = Subspace.residual
+    monkeypatch.setattr(Subspace, "residual", lambda Y, x: calls.append(Y.rank) or real(Y, x))
+    A = np.random.default_rng(3).standard_normal((12, 9))
+    chain = parse_scenario(l2_ladder_doc(A, 0.3, 1e-8)).chain
+    assert chain._frame is not None and validate_chain(chain).passes
+    assert calls == []
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_prefix_is_continuous_in_the_basis(p):
+    # bases 1e-15 apart: the step out of {0} is Y_1's first basis column, not
+    # the column of largest residual, where rounding picks among norms all 1.
+    # p = inf is left out: x moves by 2.33 there with the LP's choice of
+    # vertex (ROADMAP items 3 and 12)
+    A = np.random.default_rng(1).standard_normal((8, 5))
+    d = TargetSequence((1.0,), "geometric", 1.0 / 3.0)
+    xs = []
+    for seed in range(60):
+        E = A * (1.0 + 1e-15 * np.random.default_rng(seed).standard_normal(A.shape))
+        chain = Chain(8, NormSpec(p), tuple(Subspace(E[:, :k]) for k in (2, 3, 4, 5)))
+        xs.append(construct_prefix(chain, d, 4).x)
+    assert max(np.max(np.abs(x - xs[0])) for x in xs) <= 1e-12
 
 
 def test_criterion_8_bound_is_unreachable_at_level_N_minus_1():

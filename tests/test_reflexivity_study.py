@@ -32,3 +32,32 @@ def test_residuals_converge_on_l1_5():
     # l_1.5 is reflexive too: with exact witnesses the r_m settle as on l2
     steps = study.residual_steps(1.5, MS)
     assert max(steps[1:]) <= 1e-9, steps
+
+
+LETHARGY_MS = (8, 16, 32)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_lethargy_elements_converge_on_reflexive_lp(p):
+    # |x_m| = rho(x_m, ker f) = 1: f attains its norm at the lethargy
+    # element, and on a reflexive space the x_m settle as m grows
+    steps = study.lethargy_steps(p, LETHARGY_MS)
+    assert all(a > b for a, b in zip(steps, steps[1:])), steps
+    assert steps[-1] < 1e-4, steps
+
+
+def test_lethargy_elements_do_not_settle_on_l1():
+    steps = study.lethargy_steps(1.0, LETHARGY_MS)
+    assert min(steps) >= 1.5, steps
+
+
+def test_lethargy_elements_do_not_settle_on_c0():
+    assert study.lethargy_steps(math.inf, (8,)) == pytest.approx([1.0], rel=1e-6)
+
+
+@pytest.mark.xfail(raises=study.ConstructionError, strict=True,
+                   reason="ROADMAP item 3: the p = inf LP's 1e-7 tolerances on f's near-tied "
+                          "entries leave rho about 1.7e-8 off at m = 32, past the 10 tol gate")
+def test_lethargy_elements_on_c0_past_m_16():
+    steps = study.lethargy_steps(math.inf, (16, 32))
+    assert min(steps) >= 0.99, steps

@@ -10,6 +10,8 @@ from lethargy.spaces import (
     DimensionMismatchError,
     NormSpec,
     Subspace,
+    _extends,
+    _flag_chain,
     as_vector,
     contains,
     coordinate_chain,
@@ -180,6 +182,37 @@ def test_validate_chain_not_strict():
     rep = validate_chain(chain)
     assert not rep.passes
     assert "not strict" in rep.failure
+
+
+def test_extends_is_a_bitwise_prefix_of_the_basis():
+    F = Subspace(np.random.default_rng(0).standard_normal((5, 3))).basis
+    lo, hi = _flag_chain(F, (1, 3), NormSpec(2)).levels
+    assert _extends(lo, hi) and _extends(Subspace.zero(5), hi) and _extends(hi, hi)
+    assert not _extends(hi, lo)
+    # the same span, factored on its own, does not extend lo
+    assert not _extends(lo, Subspace(F[:, ::-1]))
+    # one bit off in lo's column is no extension
+    nudged = F.copy()
+    nudged[0, 0] = np.nextafter(F[0, 0], 2.0)
+    assert not _extends(lo, _flag_chain(nudged, (3,), NormSpec(2)).levels[0])
+
+
+def test_flag_chains_are_nested_without_a_residual(monkeypatch):
+    # levels that extend each other are nested by construction: validate_chain
+    # takes no residual product on a coordinate chain
+    calls = []
+    real = Subspace.residual
+    monkeypatch.setattr(Subspace, "residual", lambda Y, x: calls.append(Y.rank) or real(Y, x))
+    assert validate_chain(coordinate_chain(9, 6, NormSpec(2))).passes
+    assert calls == []
+    # a repeated flag level extends the one below and still is not strict
+    F = np.eye(4)[:, :3]
+    assert validate_chain(_flag_chain(F, (1, 2, 2, 3), NormSpec(2))).failure == "levels 2 -> 3: not strict"
+    # a pair that does not extend takes the residual check, and fails it
+    e = np.eye(3)
+    chain = Chain(3, NormSpec(1), (Subspace(e[:, :1]), Subspace(e[:, 1:])))
+    assert validate_chain(chain).failure == "levels 1 -> 2: not nested"
+    assert calls == [2]
 
 
 def test_coordinate_chain_bases_are_the_svds():
