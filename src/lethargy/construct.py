@@ -16,16 +16,13 @@ rho(x, Y_k) = d_k:
 
 plus the tail-domination (Borodin) condition checker and a sampled checker
 for the subspace-side condition.  The three modes share one step builder,
-_prefix_steps (entry checks, zero-tail reduction), and one core, _realize
-(a backward pass with one exact root per level, the measure of every level
-at the final x, the residual gate); they differ only in whether the pass
-recentres, over plain unit steps, so a prefix is the last rung of its
-ladder.  Every step follows one rule (_unit_step): the next basis column
-where the level above extends the level's basis (the step itself at p = 2),
-else the column farthest from the level, solved.  At p = 2 the pass runs on
-x's coordinates in the steps' orthonormal frame, and the measure alone
-reads a flag frame F (Chain._frame), from one product F^T x.  Off p = 2
-each root carries a certificate.
+_prefix_steps (entry checks, zero-tail reduction, the one step rule of
+_unit_step), and make one call each to one core, _realize, for rungs N, N
+and 1..N_max, so a prefix is the last rung of its ladder.  The core runs
+one backward pass per distinct rung and measures and gates every level of
+every rung at its final x: at p = 2 with a closed-form root per level, all
+rungs measured at once, on a flag frame F (Chain._frame) from one product
+X F; off p = 2 with one solve per root, whose certificate the measure uses.
 """
 
 from __future__ import annotations
@@ -35,9 +32,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distance import DistanceResult, Endpoint, SolverError, _quadratic_ends, _rho, level_endpoint, rho
+from .distance import _L2_TOL, DistanceResult, Endpoint, SolverError, _rho, level_endpoint, rho
 from .functionals import norming_functional  # noqa: F401  (bench/tracing.py patches this binding)
-from .spaces import Chain, NormSpec, Subspace, _extends, _norm, as_vector, norm_eval, validate_chain
+from .spaces import Chain, NormSpec, Subspace, _extends, _norm, _norms, as_vector, norm_eval, validate_chain
 
 
 class TargetError(ValueError):
@@ -238,13 +235,6 @@ def _unit_step(Yn: Subspace, Ynext: Subspace, norm: NormSpec
                              dual_direction=sign * res.dual_direction)
 
 
-def _scaled(cert: DistanceResult, a: float, shift=0.0) -> DistanceResult:
-    """Certificate of rho(a y + w, Y) = a rho(y, Y) for a >= 0 and w in Y with
-    coordinates shift, from that of rho(y, Y): the witness scales and
-    shifts, and the dual still holds."""
-    return replace(cert, value=a * cert.value, witness_coeffs=a * cert.witness_coeffs + shift)
-
-
 def smallest_root(
     x: np.ndarray, q: np.ndarray, Y: Subspace, norm: NormSpec, target: float, two_sided: bool = True
 ) -> Endpoint:
@@ -268,14 +258,8 @@ def smallest_root(
     # None: tangent within tolerance on one side only, a single point;
     # otherwise the upper end for -q, negated
     a = b if a is None else Endpoint(-a.t, a.certificate)
-    return b if _takes_upper(a.t, b.t, two_sided, a.t + b.t) else a
-
-
-def _takes_upper(a: float, b: float, two_sided: bool, centre: float) -> bool:
-    """Whether b is the root nearest 0 of a level set [a, b], centre a number
-    of the sign of a + b: the nearer end when the set misses 0; when it holds
-    0, b one-sided, else the end of smaller magnitude, b on ties."""
-    return b < 0.0 or (a <= 0.0 and (not two_sided or centre <= 0.0))
+    # 0 <= b: a when the set misses 0, else b one-sided or where |b| <= |a|
+    return b if a.t <= 0.0 and (not two_sided or a.t + b.t <= 0.0) else a
 
 
 def _below_minimum(target: float) -> ConstructionError:
@@ -406,150 +390,152 @@ def _levels_to_build(chain: Chain, d: TargetSequence, N: int) -> int:
     return Np
 
 
-def _coefficient_bounds(ds, lambdas, Np: int, tol: float):
-    """lambda_k against d_k - d_{k+1}(1 - 2^-k), lambda_Np against d_Np; ds = [d_1, d_2, ...]."""
-    out = []
-    for k in range(1, Np + 1):
-        if k == Np:
-            bound = ds[k - 1] + tol
-        else:
-            bound = ds[k - 1] - ds[k] * (1.0 - 2.0**-k) + tol
-        out.append(CoefficientBound(level=k, value=lambdas[k - 1], bound=bound,
-                                    ok=abs(lambdas[k - 1]) <= bound))
-    return tuple(out)
-
-
-def _measure(x, chain: Chain, k: int, Np: int, solved: dict, frame):
-    """rho(x, Y_k) with a certified lower bound (None when re-measured).
-
-    Level k's solve was made at x_k, and x - x_k lies in Y_k, so its
-    witness moves to w_k = witness + P(x - x_k) and its dual g_k still holds:
-    g_k(x - w_k) <= rho(x, Y_k) <= |x - w_k|.  The lower end is evaluated on
-    x - w_k, never as g_k(x), which cancels when rho is small against |x|.
-    Unsolved levels are re-measured by rho, or from frame = (c, R), c = F^T x
-    and R[:, j] = x - F[:, :j+1] c[:j+1] (see _realize).
-    """
+def _measure(x, chain: Chain, k: int, n: int, solved: dict):
+    """rho(x, Y_k) and its certified lower bound, x built on n levels and so
+    in Y_{n+1}.  Level k <= n was solved at x_k, and x - x_k lies in Y_k, so
+    its witness moves to w_k = witness + P(x - x_k) and its dual g_k holds:
+    g_k(x - w_k) <= rho(x, Y_k) <= |x - w_k| (not g_k(x), which cancels)."""
     Y, norm = chain.level(k), chain.norm
-    if k > Np:  # x lies in Y_{Np+1}, inside Y_k
+    if k > n:
         return DistanceResult(0.0, Y.basis.T @ x, "contained"), 0.0
-    if k not in solved:
-        if frame is None:
-            return _rho(x, Y, norm), None
-        c, R = frame
-        r = R[:, Y.rank - 1] if Y.rank else x
-        return DistanceResult(_norm(r, 2.0), c[:Y.rank], "closed_form_l2", r), None
     xk, res = solved[k]
     c = res.witness_coeffs + Y.basis.T @ (x - xk)
     r = x - Y.basis @ c
-    g = res.dual(Y, norm)
-    lower = 0.0 if g is None else float(g @ r)
-    return replace(res, value=_norm(r, norm.p), witness_coeffs=c), lower
+    g, v = res.dual(Y, norm), res.dual_direction  # v: a copy per rung, as rungs share passes
+    return replace(res, value=_norm(r, norm.p), witness_coeffs=c,
+                   dual_direction=None if v is None else v.copy()), 0.0 if g is None else float(g @ r)
 
 
-def _realize(chain: Chain, d: TargetSequence, N: int, steps, opts: ConstructOptions,
-             recentre: bool) -> ConstructionTrace:
-    """x = sum lambda_k q_k with rho(x, Y_k) = d_k for k <= Np = len(steps).
+def _l2_measure(chain: Chain, X: np.ndarray, n: int):
+    """(witness coefficients, residuals, rho) of levels 1..n at p = 2, a row
+    per row x of X.  A frame chain takes one product C = X F: the residual
+    off F's first j columns is x minus the partial sums of c_i f_i, i <= j.
+    Other chains take one projection per level."""
+    if (F := chain._frame) is not None and n:
+        F = F[:, :chain.level(n).rank]
+        C = X @ F
+        R = np.cumsum(np.concatenate([X[:, None, :], -(C[:, :, None] * F.T)], axis=1), axis=1)
+        values = _norms(R, 2.0)
+        return [(C[:, :r], R[:, r], values[:, r]) for r in (chain.level(k).rank for k in range(1, n + 1))]
+    return [(C, R, _norms(R, 2.0)) for B in (chain.level(k).basis for k in range(1, n + 1))
+            for C in [X @ B] for R in [X - C @ B.T]]
 
-    Backward pass: x = d_Np q_Np, then for k = Np-1..1 add the root lambda_k
-    of rho(x + lambda q_k, Y_k) = d_k.  With recentre (finite mode) x is
-    first moved to its best-approximant residual in Y_{k+1}, which keeps the
-    distances already achieved, the root is taken one-sided, and a last trim
-    in Y_1 leaves |x| = d_1.  Without it (schedule modes) the root is
-    two-sided and each coefficient is recorded against its bound
-    d_k - d_{k+1}(1 - 2^-k).
 
-    At p = 2 steps holds (q_k, mu_k) pairs, and _flag_pass runs the pass on
-    scalars.  Otherwise it holds (q_k, certificate of rho(q_k, Y_k) = 1)
-    pairs, each root comes with the certificate of its solve, and the top
-    level takes q_Np's, scaled by d_Np.  Every later change to x lies in
-    Y_k, so level k's certificate serves the recentre in Y_k, the trim in Y_1
-    and the measure of level k at the final x (see _measure), with no
-    further solve.  p = 2 measures at the final x itself: on a frame chain
-    from one product c = F^T x, level k's residual being column r_k of
-    x - cumsum(F c), otherwise by projection on the chain's own Y_k.  Levels
+def _realize(chain: Chain, d: TargetSequence, rungs, steps, opts: ConstructOptions,
+             recentre: bool):
+    """The rungs x_N, N in rungs (ascending), with rho(x_N, Y_k) = d_k for k
+    <= n = min(N, Np), Np = len(steps): the traces, and (N, error) per rung
+    that failed.  Rungs past Np share rung Np's pass, not its arrays.  Each
+    distinct n runs one backward pass, x = d_n q_n, then k = n-1..1 adds the
+    root lambda_k of rho(x + lambda q_k, Y_k) = d_k: at p = 2 in closed form
+    (_l2_coefficients), all rungs then measured at once (_l2_measure), else
+    solved with certificates (_pass) that measure the final x (_measure).
+    Schedule modes record lambda_k against d_k - d_{k+1}(1 - 2^-k).  Levels
     1..min(N, len(chain) + 1) are measured, and the 10 tol gate checks both
-    ends of every certified bracket.
-    """
-    norm = chain.norm
-    Np = len(steps)
-    top = min(N, len(chain.levels) + 1)
-    ds = [d.value(k) for k in range(1, top + 1)]  # d_1..d_top, Np <= top
-    solved = {}  # level -> (x after its solve, rho there with its certificate)
+    ends of every certified bracket."""
+    norm, Np, m = chain.norm, len(steps), chain.ambient_dim
+    ds = [d.value(k) for k in range(1, min(rungs[-1], len(chain.levels) + 1) + 1)]
+    ns = sorted({min(N, Np) for N in rungs})
+    passes = {}  # n -> (x, lambdas, solved levels), or the error that stopped the pass
     if norm.p == 2.0:
-        x, lambdas = _flag_pass(chain, steps, ds, recentre)
+        Q = np.reshape([q for q, _ in steps], (Np, m))
+        for n, lam in zip(ns, _l2_coefficients([mu for _, mu in steps], ds[:Np], ns)):
+            passes[n] = lam if isinstance(lam, Exception) else (np.asarray(lam) @ Q[:n], lam, None)
     else:
-        qs = [q for q, _ in steps]
-        lambdas = [0.0] * Np
-        x = np.zeros(chain.ambient_dim)
-        if Np:
-            lambdas[-1] = ds[Np - 1]
-            x = ds[Np - 1] * qs[-1]
-            solved[Np] = (x, _scaled(steps[-1][1], ds[Np - 1]))
-        for k in range(Np - 1, 0, -1):
-            if recentre:
-                x = x - solved[k + 1][1].witness(chain.level(k + 1))
-            root = smallest_root(x, qs[k - 1], chain.level(k), norm, ds[k - 1],
-                                 two_sided=not recentre)
-            lambdas[k - 1] = root.t
-            x = x + root.t * qs[k - 1]
-            solved[k] = (x, root.certificate)
-        if recentre and Np:
-            x = x - solved[1][1].witness(chain.level(1))
-    F, frame = (chain._frame if norm.p == 2.0 else None), None
-    if F is not None:  # every level from one product
-        c = F.T @ x
-        frame = c, x[:, None] - np.cumsum(F * c, axis=1)
-    achieved, lower_bounds = zip(*(_measure(x, chain, k, Np, solved, frame)
-                                   for k in range(1, top + 1)))
-    residuals = tuple(abs(r.value - dk) for r, dk in zip(achieved, ds))
-    lower_ends = (abs(lo - dk) for lo, dk in zip(lower_bounds[:Np], ds) if lo is not None)
-    worst = max([*residuals[:Np], *lower_ends], default=0.0)
-    if worst > opts.tol * 10:
-        raise ConstructionError(f"tolerance not met: max residual {worst:.3e} > {opts.tol:.1e}")
-    return ConstructionTrace(
-        x=x,
-        coefficients=tuple(lambdas),
-        achieved=achieved,
-        targets=d,
-        residuals=residuals,
-        coefficient_bounds=() if recentre else _coefficient_bounds(ds, lambdas, Np, opts.tol),
-        lower_bounds=lower_bounds,
-    )
+        for n in ns:
+            try:
+                passes[n] = _pass(chain, steps[:n], ds, recentre)
+            except (ConstructionError, SolverError) as exc:
+                passes[n] = exc
+    built = [N for N in rungs if not isinstance(passes[min(N, Np)], Exception)]
+    X = np.reshape([passes[min(N, Np)][0] for N in built], (len(built), m)) if norm.p == 2.0 else None
+    l2 = _l2_measure(chain, X, min(built[-1], Np)) if X is not None and built else None
+    traces, failures, i = [], [], -1
+    caps = [ds[k - 1] - ds[k] * (1.0 - 2.0**-k) + opts.tol for k in range(1, Np)]
+    for N in rungs:
+        if isinstance(out := passes[n := min(N, Np)], Exception):
+            failures.append((N, out))
+            continue
+        x, lambdas, solved = out
+        i += 1  # the rung's row in X
+        x = x.copy() if X is None else X[i]  # an array of its own per rung
+        levels = range(1, min(N, len(chain.levels) + 1) + 1)
+        pairs = [_measure(x, chain, k, n, solved) for k in levels] if l2 is None else [
+            (DistanceResult(float(v[i]), C[i], "closed_form_l2", R[i]), None) for C, R, v in l2[:n]
+        ] + [_measure(x, chain, k, n, {}) for k in levels[n:]]
+        achieved, lower_bounds = zip(*pairs)
+        residuals = tuple(abs(r.value - dk) for r, dk in zip(achieved, ds))
+        lower_ends = (abs(lo - dk) for lo, dk in zip(lower_bounds[:n], ds) if lo is not None)
+        if (worst := max([*residuals[:n], *lower_ends], default=0.0)) > opts.tol * 10:
+            failures.append((N, ConstructionError(
+                f"tolerance not met: max residual {worst:.3e} > {opts.tol:.1e}")))
+            continue
+        bounds = [*caps[:n - 1], ds[n - 1] + opts.tol] if n and not recentre else []
+        traces.append(ConstructionTrace(
+            x=x, coefficients=tuple(lambdas), achieved=achieved, targets=d, residuals=residuals,
+            coefficient_bounds=tuple(CoefficientBound(level=k, value=lam, bound=b, ok=abs(lam) <= b)
+                                     for k, (lam, b) in enumerate(zip(lambdas, bounds), start=1)),
+            lower_bounds=lower_bounds))
+    return traces, failures
 
 
-def _flag_pass(chain: Chain, steps, ds, recentre: bool):
-    """_realize's pass at p = 2, on scalars with no projection: x, lambda.
+def _pass(chain: Chain, steps, ds, recentre: bool):
+    """_realize's pass off p = 2 over n = len(steps) levels: x, lambda, and per
+    level (x after its solve, rho there with its certificate; q_n's, scaled,
+    at the top).  With recentre x first moves to its residual off Y_{k+1},
+    the root is one-sided, and a last trim leaves |x| = d_1; there a tie d_k
+    <= d_{k+1} takes the exact root 0 with no solve: rho(x, Y_k) <= |x| =
+    g_{k+1}(x) for level k+1's projected dual, which vanishes on Y_k and so
+    certifies rho(x, Y_k) = |x| at witness 0."""
+    norm, n = chain.norm, len(steps)
+    lambdas, x, solved = [0.0] * n, np.zeros(chain.ambient_dim), {}
+    if n:  # rho(q_n, Y_n) = 1's certificate, scaled: its dual holds for d_n q_n too
+        (q, cert), dn = steps[-1], ds[n - 1]
+        lambdas[-1], x = dn, dn * q
+        solved[n] = (x, replace(cert, value=dn * cert.value, witness_coeffs=dn * cert.witness_coeffs))
+    for k in range(n - 1, 0, -1):
+        Y, q = chain.level(k), steps[k - 1][0]
+        if recentre:
+            above = solved[k + 1][1]
+            x = x - above.witness(chain.level(k + 1))
+            if ds[k - 1] <= ds[k]:
+                solved[k] = (x, replace(above, value=_norm(x, norm.p), witness_coeffs=np.zeros(Y.rank),
+                                        dual_direction=above.dual(chain.level(k + 1), norm)))
+                continue
+        root = smallest_root(x, q, Y, norm, ds[k - 1], two_sided=not recentre)
+        lambdas[k - 1], x = root.t, x + root.t * q
+        solved[k] = (x, root.certificate)
+    return (x - solved[1][1].witness(chain.level(1)) if recentre and n else x), lambdas, solved
 
-    Each q_k = f_k + mu_k f_{k-1}, f_k = _unit_step(Y_k, Y_{k+1}) and f_0 =
-    _unit_step({0}, Y_1) (the next basis columns where bases extend; only the
-    measure reads Chain._frame), an orthonormal frame, so x = sum zeta_j f_j
-    has rho(x, Y_k)^2 = sum_{j >= k} zeta_j^2 (Golub and Van Loan, Matrix
-    Computations, 5.2) and level k's set is {t : (zeta_k + t)^2 + T <= d_k^2},
-    T the tail over j > k: one quadratic, whose root adds t to zeta_k and
-    t mu_k to zeta_{k-1}.  The quadratic takes a set empty by at most rho's
-    accuracy as the point t_min = -zeta_k.  Finite steps have mu = 0,
-    so recentring, which zeroes zeta_0..zeta_k, leaves only a one-sided root.
-    """
-    m = chain.ambient_dim
-    if not steps:
-        return np.zeros(m), []
-    qs, mus = zip(*steps)
-    lambdas = [0.0] * len(steps)
-    lambdas[-1] = upper = ds[len(steps) - 1]
-    z, tail, e = upper * mus[-1], 0.0, 0  # zeta_k, and T in units of 4^e
-    for k in range(len(steps) - 1, 0, -1):
-        # level k runs in units of 2^f, near d_k: T <= d_k^2 stays in range
-        f = math.frexp(ds[k - 1])[1]
-        tail = math.ldexp(tail, 2 * (e - f)) + math.ldexp(upper, -f) ** 2  # upper: zeta_(k+1)
-        dk, zk, e = math.ldexp(ds[k - 1], -f), math.ldexp(z, -f), f
-        ends = _quadratic_ends(math.sqrt(zk * zk + tail), zk, 1.0, dk, m, f)
-        if ends is None:
-            raise _below_minimum(ds[k - 1])
-        # the centre -zeta_k keeps its sign where rounding of the ends would not
-        t = ends[1] if _takes_upper(*ends, not recentre, -z) else ends[0]
-        lambdas[k - 1] = t
-        upper, z = z + t, t * mus[k - 1]
-    return np.column_stack(qs) @ lambdas, lambdas
+
+def _l2_coefficients(mus, ds, ns):
+    """lambda_1..lambda_n at p = 2 of each rung of n in ns levels over steps
+    q_k = f_k + mu_k f_{k-1}, or the rung's error.  The unit steps f_0 out of
+    {0} and f_k out of Y_k are orthonormal, so x = sum zeta_j f_j has rho(x,
+    Y_k)^2 = sum_{j >= k} zeta_j^2 (Golub and Van Loan, Matrix Computations,
+    5.2): with d_{k+1} met, level k's root makes zeta_k = lambda_k + z_k, z_k
+    = lambda_{k+1} mu_{k+1}, sign(z_k) sqrt((d_k - d_{k+1})(d_k + d_{k+1}))
+    in units of d_k's power of two, + on ties (finite steps have z = 0).  A
+    d_{k+1} above d_k by at most rho's accuracy, _L2_TOL (1 + d_k) in those
+    units, gives the tangent point zeta_k = 0; by more, an empty level set."""
+    roots = []  # the square roots, None below the attainable minimum
+    for a, b in zip(ds, ds[1:]):
+        f = math.frexp(a)[1]
+        a, b = math.ldexp(a, -f), math.ldexp(b, -f)
+        roots.append(math.ldexp(math.sqrt((a - b) * (a + b)), f) if a >= b
+                     else 0.0 if b - a <= _L2_TOL * (1.0 + a) else None)
+    out = []
+    for n in ns:
+        lam = [0.0] * (n - 1) + ds[n - 1:n]  # lambda_n = d_n
+        z = ds[n - 1] * mus[n - 1] if n else 0.0
+        for k in range(n - 2, -1, -1):
+            if roots[k] is None:
+                lam = _below_minimum(ds[k])
+                break
+            lam[k] = (roots[k] if z >= 0.0 else -roots[k]) - z
+            z = lam[k] * mus[k]
+        out.append(lam)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +556,10 @@ def finite_construct(
     if d.tail != "zero":
         raise TargetError("finite_construct needs a zero-tail target sequence")
     steps = _prefix_steps(chain, d, len(d), recentre=True)
-    return _realize(chain, d, len(d), steps, opts or ConstructOptions(), recentre=True)
+    traces, failures = _realize(chain, d, [len(d)], steps, opts or ConstructOptions(), recentre=True)
+    if failures:
+        raise failures[0][1]
+    return traces[0]
 
 
 # ---------------------------------------------------------------------------
@@ -583,16 +572,13 @@ def _prefix_steps(chain: Chain, d: TargetSequence, N: int, recentre: bool):
     checks (nesting; Np of N, see _levels_to_build): with recentre (finite
     mode), and out of a rank-0 Y_j, the plain unit step, mu_j = 0; else
     |q_j| = u_Np^(j) = 1 + w_j, w_j = tau_Np / (2^j d_j), schedule column Np.
-
-    q_j = y_j + mu_j s: y_j is the unit step out of Y_j (_unit_step),
-    whose distance q_j keeps, with witness mu_j s; s, the previous level's y
-    normalized (a unit vector of Y_1 at the first level), pre-loads the
-    distance one level down, and mu_j is the smallest root of
-    |y_j + mu s| = 1 + w_j.  At p = 2, with y_j orthogonal to s, that is
-    mu_j = sqrt(w_j (2 + w_j)), free of sqrt(u^2 - 1)'s cancellation for
-    small w_j, and a step is (q_j, mu_j); otherwise mu_j is one level-set
-    solve and a step is (q_j, certificate of rho(q_j, Y_j) = 1).
-    """
+    q_j = y_j + mu_j s: y_j, the unit step out of Y_j (_unit_step), keeps
+    its distance, at witness mu_j s; s, the previous y normalized (a unit
+    vector of Y_1 at the first level), pre-loads the distance one level
+    down, and mu_j is the smallest root of |y_j + mu s| = 1 + w_j: at p = 2,
+    y_j being orthogonal to s, mu_j = sqrt(w_j (2 + w_j)) (no cancellation
+    for small w_j), and a step is (q_j, mu_j); otherwise one level-set solve,
+    and a step is (q_j, certificate of rho(q_j, Y_j) = 1)."""
     _nested(chain)
     ds = [d.value(j) for j in range(1, _levels_to_build(chain, d, N) + 1)]
     tau = min((a - b for a, b in zip(ds, ds[1:])), default=ds[0] if ds else 0.0)
@@ -609,7 +595,7 @@ def _prefix_steps(chain: Chain, d: TargetSequence, N: int, recentre: bool):
                 mu = math.sqrt(w * (2.0 + w))
             else:
                 mu = smallest_root(y, s, zero, norm, 1.0 + w, two_sided=False).t
-                cert = _scaled(cert, 1.0, mu * (Yj.basis.T @ s))
+                cert = replace(cert, witness_coeffs=cert.witness_coeffs + mu * (Yj.basis.T @ s))
             q = y + mu * s
         steps.append((q, mu if norm.p == 2.0 else cert))
         s = y / _norm(y, norm.p)
@@ -632,7 +618,10 @@ def construct_prefix(
     if N < 1:
         raise ValueError("N must be >= 1")
     steps = _prefix_steps(chain, d, N, recentre=False)
-    return _realize(chain, d, N, steps, opts or ConstructOptions(), recentre=False)
+    traces, failures = _realize(chain, d, [N], steps, opts or ConstructOptions(), recentre=False)
+    if failures:
+        raise failures[0][1]
+    return traces[0]
 
 
 @dataclass(frozen=True)
@@ -662,23 +651,15 @@ def construct_sequence(
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
     steps = _prefix_steps(chain, d, N_max, recentre=False)
-    traces: list[ConstructionTrace] = []
-    kept = []
-    failures = []
-    for N in range(1, N_max + 1):
-        try:
-            traces.append(_realize(chain, d, N, steps[:N], opts, recentre=False))
-            kept.append(N)
-        except (ConstructionError, SolverError) as exc:
-            failures.append((N, str(exc)))
-    n = len(traces)
-    diffs = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            diffs[i, j] = diffs[j, i] = _norm(traces[i].x - traces[j].x, chain.norm.p)
-    max_tail = tuple(
-        float(np.max(diffs[i, i + 1 :])) if i + 1 < n else 0.0 for i in range(n)
-    )
+    traces, failed = _realize(chain, d, range(1, N_max + 1), steps, opts, recentre=False)
+    failures = tuple((N, str(exc)) for N, exc in failed)
+    kept = sorted(set(range(1, N_max + 1)).difference(dict(failures)))
+    # the table over distinct x, spread to the rungs past Np, which repeat rung Np's
+    n, h = len(traces), len({min(N, len(steps)) for N in kept})
+    X = np.reshape([t.x for t in traces[:h]], (h, chain.ambient_dim))
+    rows = np.minimum(np.arange(n), h - 1)
+    diffs = _norms(X[:, None, :] - X[None, :, :], chain.norm.p)[np.ix_(rows, rows)]
+    max_tail = tuple(np.triu(diffs, 1).max(axis=1, initial=0.0).tolist())
     body = max_tail[:-1] if n else ()
     slack = 1e-12 * max(body, default=0.0)  # relative, as the tail scales with d
     non_inc = all(a >= b - slack for a, b in zip(body, body[1:]))
@@ -687,5 +668,5 @@ def construct_sequence(
         differences=diffs,
         max_tail=max_tail,
         tail_non_increasing=non_inc,
-        failures=tuple(failures),
+        failures=failures,
     )

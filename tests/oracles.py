@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from lethargy.construct import TargetError, smallest_root
+from lethargy.construct import ConstructionError, TargetError, smallest_root
 from lethargy.distance import best_approximant, rho
 from lethargy.spaces import NormSpec, Subspace, as_vector, norm_eval
 
@@ -255,3 +255,18 @@ def l2_vector_pass(chain, steps, ds, recentre):
     if recentre and Np:
         x = x - best_approximant(x, chain.level(1), norm)
     return x, lambdas
+
+
+def l2_vector_coefficients(chain, steps, recentre):
+    """l2_vector_pass in the place of construct._l2_coefficients(mus, ds, ns)
+    for the chain and steps it is called on: each rung of n levels takes the
+    vector pass's lambda over steps[:n] (mus unread), or its error."""
+    def coefficients(mus, ds, ns):
+        out = []
+        for n in ns:
+            try:
+                out.append(l2_vector_pass(chain, steps[:n], ds, recentre)[1])
+            except ConstructionError as exc:
+                out.append(exc)
+        return out
+    return coefficients

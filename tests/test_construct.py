@@ -26,7 +26,7 @@ from lethargy.scenario import parse_scenario
 from lethargy.spaces import (Chain, NormSpec, Subspace, contains,
                              coordinate_chain, norm_eval, validate_chain)
 from oracles import (BorodinSchedule, build_schedule, l2_prefix_coefficients, l2_schedule_mu,
-                     l2_vector_pass, lipschitz_check)
+                     l2_vector_coefficients, l2_vector_pass, lipschitz_check)
 
 L2 = NormSpec(2)
 
@@ -803,8 +803,8 @@ def l2_draw(seed: int, ranks, mode: str, scale: float):
        st.sampled_from([(1, 3, 4, 5), (0, 1, 2, 4), (2, 3, 5, 6, 7), (0, 2, 3)]),
        st.sampled_from(["finite", "sequence"]),
        st.sampled_from([1.0, 1e-7, 1e5, 1e-160, 1e300]))
-def test_flag_pass_matches_the_vector_pass(seed, ranks, mode, scale):
-    # the scalar pass against the projections it replaces (oracles.l2_vector_pass),
+def test_l2_coefficients_match_the_vector_pass(seed, ranks, mode, scale):
+    # the closed form against the projections it replaces (oracles.l2_vector_pass),
     # over rank jumps above 1, chains from {0}, ties and zero tails
     chain, d = l2_draw(seed, ranks, mode, scale)
     opts = ConstructOptions(tol=1e-10 * scale)
@@ -818,7 +818,9 @@ def test_flag_pass_matches_the_vector_pass(seed, ranks, mode, scale):
         traces, table = construct_sequence(chain, d, len(ranks), opts)
         return traces, table.failures
     traces, failures = run()
-    with mock.patch.object(construct_module, "_flag_pass", l2_vector_pass):
+    steps = construct_module._prefix_steps(chain, d, len(ranks), recentre=mode == "finite")
+    with mock.patch.object(construct_module, "_l2_coefficients",
+                           l2_vector_coefficients(chain, steps, mode == "finite")):
         reference, ref_failures = run()
     assert [n for n, _ in failures] == [n for n, _ in ref_failures]
     for trace, ref in zip(traces, reference, strict=True):
@@ -827,7 +829,7 @@ def test_flag_pass_matches_the_vector_pass(seed, ranks, mode, scale):
         assert np.max(np.abs(trace.x - ref.x)) <= 1e-12 * scale
 
 
-def test_flag_pass_takes_a_tangent_set_as_its_point():
+def test_l2_coefficients_take_a_tangent_set_as_its_point():
     # a level set empty by less than rho's accuracy is the point t_min, as
     # level_endpoint takes it on the vector path; beyond that, it is empty
     # (schedule steps, mu = 1/4 and 1/2, two-sided; finite steps, mu = 0, one-sided)
@@ -836,16 +838,18 @@ def test_flag_pass_takes_a_tangent_set_as_its_point():
     for mu, recentre in (((0.25, 0.5), False), ((0.0, 0.0), True)):
         steps = [(e[:, 1] + mu[0] * e[:, 0], mu[0]), (e[:, 2] + mu[1] * e[:, 1], mu[1])]
         for gap in (1e-12, 1e-8):
-            args = chain, steps, [1.0, 1.0 + gap], recentre
+            args = list(mu), [1.0, 1.0 + gap], [2]
+            runs = construct_module._l2_coefficients, l2_vector_coefficients(chain, steps, recentre)
             if gap > 1e-10:
-                for run in (construct_module._flag_pass, l2_vector_pass):
-                    with pytest.raises(ConstructionError, match="below attainable minimum"):
-                        run(*args)
+                for run in runs:
+                    [err] = run(*args)
+                    assert isinstance(err, ConstructionError)
+                    assert "below attainable minimum" in str(err)
                 continue
-            x, lam = construct_module._flag_pass(*args)
-            ref_x, ref_lam = l2_vector_pass(*args)
+            [lam], [ref_lam] = (run(*args) for run in runs)
             assert lam == pytest.approx(ref_lam, abs=1e-15) and lam[0] == -mu[1] * (1.0 + gap)
-            assert np.max(np.abs(x - ref_x)) <= 1e-15
+            ref_x = l2_vector_pass(chain, steps, args[1], recentre)[0]
+            assert np.max(np.abs(np.asarray(lam) @ np.array([q for q, _ in steps]) - ref_x)) <= 1e-15
 
 
 @pytest.mark.parametrize("eps", [1e-13, 1e-11])
@@ -906,6 +910,64 @@ def test_frame_path_equals_the_per_level_path(seed):
     for a, b in zip(frame, level):
         assert max(abs(r.value - s.value) for r, s in zip(a.achieved, b.achieved)) <= 1e-15 * d1
         assert np.max(np.abs(a.x - b.x)) <= 1e-15
+
+
+def trace_arrays(trace):
+    """The arrays a trace holds: x, and each level's witness and dual direction."""
+    return [trace.x, *(a for r in trace.achieved for a in (r.witness_coeffs, r.dual_direction)
+                       if a is not None)]
+
+
+def test_rungs_past_the_last_positive_target_reuse_its_pass():
+    # a zero tail: every rung past Np = 3 builds the same 3 levels, so it
+    # takes rung Np's pass (no further root) and its x bit for bit, in arrays
+    # of its own; only the measure reaches its further, contained levels
+    chain = random_chain(2, 7, 5, NormSpec(1.0))
+    d = TargetSequence((1.0, 0.55, 0.2))
+    runs = []
+    for N_max in (3, 13):
+        with mock.patch.object(construct_module, "smallest_root",
+                               wraps=construct_module.smallest_root) as root:
+            runs.append((construct_sequence(chain, d, N_max), root.call_count))
+    ((short, _), few), ((traces, table), many) = runs
+    assert few == many > 0 and table.prefixes == tuple(range(1, 14))
+    assert [t.coefficients for t in traces[:3]] == [t.coefficients for t in short]
+    for N, t in enumerate(traces[3:], start=4):
+        assert np.array_equal(t.x, traces[2].x) and t.coefficients == traces[2].coefficients
+        assert len(t.achieved) == min(N, len(chain.levels) + 1)
+    assert not table.differences[2:, 2:].any() and table.max_tail[2:] == (0.0,) * 11
+    for i, a in enumerate(traces):
+        for b in traces[i + 1:]:
+            assert not any(np.shares_memory(u, v) for u in trace_arrays(a) for v in trace_arrays(b))
+
+
+@pytest.mark.parametrize("basis", ["coordinate", "explicit"])
+def test_l2_ladder_scales_exactly(basis):
+    # targets and tolerance times 2^+-500: x, the coefficients, every measured
+    # level (frame product, cumulative residuals, their norms in power-of-two
+    # units) and the difference table scale exactly, with no warning
+    A = np.random.default_rng(11).standard_normal((10, 8))
+    chain = (coordinate_chain(10, 8, L2) if basis == "coordinate"
+             else parse_scenario(l2_ladder_doc(A, 0.3, 1e-8)).chain)
+    assert chain._frame is not None
+
+    def ladder(s):
+        d = TargetSequence((s,), tail="geometric", ratio=0.3)
+        return construct_sequence(chain, d, 8, ConstructOptions(tol=1e-9 * s))
+    ref, ref_table = ladder(1.0)
+    assert ref_table.failures == ()
+    for s in (2.0**500, 2.0**-500):
+        traces, table = ladder(s)
+        assert table.prefixes == ref_table.prefixes
+        assert np.array_equal(table.differences, s * ref_table.differences)
+        assert table.max_tail == tuple(s * v for v in ref_table.max_tail)
+        for t, r in zip(traces, ref, strict=True):
+            assert np.array_equal(t.x, s * r.x)
+            assert t.coefficients == tuple(s * c for c in r.coefficients)
+            assert t.residuals == tuple(s * v for v in r.residuals)
+            for a, b in zip(t.achieved, r.achieved, strict=True):
+                assert a.value == s * b.value and np.array_equal(a.witness_coeffs, s * b.witness_coeffs)
+                assert a.dual_direction is None or np.array_equal(a.dual_direction, s * b.dual_direction)
 
 
 def test_frame_chain_solves_only_its_top_step(monkeypatch):

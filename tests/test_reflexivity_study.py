@@ -1,8 +1,12 @@
 import importlib.util
 import math
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+import lethargy.construct as construct_module
+from lethargy import Chain, ConstructOptions, NormSpec, Subspace, TargetSequence, finite_construct
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reflexivity_study.py"
 spec = importlib.util.spec_from_file_location("reflexivity_study", SCRIPT)
@@ -44,6 +48,22 @@ def test_lethargy_elements_converge_on_reflexive_lp(p):
     steps = study.lethargy_steps(p, LETHARGY_MS)
     assert all(a > b for a, b in zip(steps, steps[1:])), steps
     assert steps[-1] < 1e-4, steps
+
+
+@pytest.mark.parametrize("m", LETHARGY_MS)
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_tied_level_takes_the_exact_root_0(p, m):
+    # d_1 = d_2 = 1: after the recentre rho(x, {0}) = |x| = rho(x, ker f) = 1
+    # already, so lambda_1 is 0 itself, with no solve (a level-set solve
+    # there lands anywhere in its own noise, since 1 is the minimum over t)
+    chain = Chain(m, NormSpec(p), (Subspace.zero(m), study.kernel(p, m)))
+    with mock.patch.object(construct_module, "smallest_root",
+                           wraps=construct_module.smallest_root) as root:
+        trace = finite_construct(chain, TargetSequence((1.0, 1.0)), ConstructOptions(tol=1e-9))
+    assert trace.coefficients[0] == 0.0 and root.call_count == 0
+    # level 2's dual certifies level 1 too: the same bracket, to rounding
+    assert trace.max_residual <= 1e-9
+    assert trace.lower_bounds[0] == pytest.approx(trace.lower_bounds[1], rel=0, abs=1e-15)
 
 
 def test_lethargy_elements_do_not_settle_on_l1():

@@ -28,7 +28,7 @@ from lethargy.scenario import (
     parse_scenario,
     run,
 )
-from oracles import l2_vector_pass
+from oracles import l2_vector_coefficients
 
 
 def base_doc(**over):
@@ -450,13 +450,13 @@ BUNDLED_REPORT_SHA256 = {
     "coordinate-hilbert-finite": "47ba0d95a464cf22fd4ed1e317212ce19eda2fdbd41fba19979df32d2d6b0653",
     "geometric-half-check-xfail": "52f02c5b3ea569e7a8485c0c2b07e8a4c3d58034ca82076559447228d47c4696",
     "geometric-third-prefix": "1991d80d41daead6c472da5ccdce6520f73e584de23fd2350216e6e3869483c1",
-    "geometric-third-sequence": "656806374b97525f3d14451bdaa54ec7daac4d7c58c289922f3e77aff1839105",
+    "geometric-third-sequence": "d14eef17bd4080d27f1461a4d36a72562e5d723496ddff3c28ad6a8b4f65b860",
     "geometric-twofifth-check": "affb55804b5be831fd792c366619bb7235b5756fa9afc25a440d2126b75a424f",
     "polynomial-sup-degree15-finite": "4c30c8fbe8e401d708fbb382541207ad12aaab4a0a0e7d5f648bdbd4eb5f74d8",
     "polynomial-sup-finite": "8765b6c7866995d2e1066794c3fe35df6eed06c33485714e87b42c7443ad4500",
     "random-l1-finite": "5dfed213394f6823b31b323d55b22c9d38d77f242fd20a22a2f7449ca8c6ab43",
     "random-p1.1-finite": "4829ddb26bc5c6f477d92bc4251f9cd69c9f29d7a374dd0f4e9c3369aefefc9d",
-    "zero-tail-finite": "985aa700de8d6afe92ce8d3dc6526a777a2dc9158dd0a224cfc35dc215966de9",
+    "zero-tail-finite": "9f336e8010b1e36dfb8b59e75bdf78ea657297a45cc22010ad23b0ad69b695d8",
 }
 
 
@@ -481,7 +481,7 @@ def test_explicit_basis_ladder_keeps_its_bytes(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(["sequence", path.as_posix(), "--format", "machine"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "7fdf61fcdfe502a2d64f7a5c1a2da04ba2b04ed595cbb0dd9c346ec10abb2f90"
+    assert digest == "7f8fe022b735ec4066f8a717915674fbdb01ecb181f9be32cc8c13e4fdc9d257"
 
 
 def partial_ladder_doc(norm_p, tolerance):
@@ -519,17 +519,19 @@ def test_partly_failing_ladder_keeps_its_bytes(tmp_path, capsys):
 
 def test_l2_ladder_fails_where_the_vector_pass_fails(tmp_path, capsys):
     # a tolerance below rounding (10 tol = 1e-16, under one ulp of d_1 = 1):
-    # the scalar p = 2 pass misses it on rungs 2 and 4, the projections it
-    # replaced (oracles.l2_vector_pass) on rung 4, and no rung's residual,
-    # measured where every rung passes, differs from the oracle's by more
-    # than one ulp of d_1
+    # the closed-form p = 2 coefficients miss it on rung 5, the projections
+    # they replaced (oracles.l2_vector_pass) on rungs 4 and 5, and no rung's
+    # residual, measured where every rung passes, differs from the oracle's
+    # by more than one ulp of d_1
     doc = partial_ladder_doc(2, 1e-17)
     path = tmp_path / "partial.json"
     path.write_text(json.dumps(doc))
     scn = parse_scenario(doc)
+    steps = construct_module._prefix_steps(scn.chain, scn.targets, scn.N_max, recentre=False)
     residuals = []
-    for pass_, failed in ((construct_module._flag_pass, [2, 4]), (l2_vector_pass, [4])):
-        with mock.patch.object(construct_module, "_flag_pass", pass_):
+    for coefficients, failed in ((construct_module._l2_coefficients, [5]),
+                                 (l2_vector_coefficients(scn.chain, steps, False), [4, 5])):
+        with mock.patch.object(construct_module, "_l2_coefficients", coefficients):
             assert cli.main(["sequence", path.as_posix(), "--format", "machine"]) == 1
             traces, _ = construct_module.construct_sequence(
                 scn.chain, scn.targets, scn.N_max, construct_module.ConstructOptions(tol=1.0))
