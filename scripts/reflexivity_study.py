@@ -30,13 +30,15 @@ The lethargy construction shows the same dichotomy.  On the chain
 {0} c ker f with tied targets (1, 1), finite_construct's x_m has
 |x_m| = rho(x_m, ker f) = 1, so f attains its norm at x_m.  The second table
 shows |x_m - x_2m|_p, x_m padded by zeros and its sign fixed by its entry of
-largest magnitude, at tol 1e-9.  For m = 8, 16, 32 it falls, to 1.3e-9
-(p = 1.5), 2.3e-10 (p = 2) and 4.6e-5 (p = 3), and stays at 2.0, 2.0, 1.7
-at p = 1.  Off p = 2 the tied level's root is the minimizer of a function
-flat to second order, found only to about 1e-9 at p = 1.5, which is where
-that column stops falling.  At p = inf the m = 8 step is 1.0, and x_32
-stops at "tolerance not met": the LP's 1e-7 tolerances on the near-tied
-entries of f leave rho about 1.7e-8 off, and such a step prints as nan.
+largest magnitude, at tol 1e-9.  For m = 8, 16, 32 it falls, to 2.3e-10
+(p = 2) and 4.6e-5 (p = 3), and stays at 2.0, 2.0, 1.7 at p = 1.  At
+p = 1.5 it reads 1.526e-05, 2.328e-10 and 1.488e-16, as the residual
+table does: 2^(-2m), then rounding.  The tied level's root, the minimizer
+of a function flat to second order, is exactly 0, taken with no solve,
+since after the recentre |x| = rho(x, ker f) already.  At p = inf the
+m = 8 step is 1.0, and x_32 stops at "tolerance not met": the LP's 1e-7
+tolerances on the near-tied entries of f leave rho about 1.7e-8 off, and
+such a step prints as nan.
 
     python3 scripts/reflexivity_study.py [--p 1 1.5 2 3 inf] [--m 8 16 32 64]
 """

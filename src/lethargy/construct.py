@@ -15,14 +15,14 @@ rho(x, Y_k) = d_k:
                           stabilization diagnostics;
 
 plus the tail-domination (Borodin) condition checker and a sampled checker
-for the subspace-side condition.  The three modes share one step builder,
-_prefix_steps (entry checks, zero-tail reduction, the one step rule of
-_unit_step), and make one call each to one core, _realize, for rungs N, N
-and 1..N_max, so a prefix is the last rung of its ladder.  The core runs
-one backward pass per distinct rung and measures and gates every level of
-every rung at its final x: at p = 2 with a closed-form root per level, all
-rungs measured at once, on a flag frame F (Chain._frame) from one product
-X F; off p = 2 with one solve per root, whose certificate the measure uses.
+for the subspace-side condition.  The three modes make one call each to one
+core, _realize, for rungs N, N and 1..N_max, so a prefix is the last rung
+of its ladder.  The core derives its own steps (_prefix_steps: entry checks,
+zero-tail reduction, the one step rule of _unit_step), runs one backward
+pass per distinct rung and measures and gates every level of every rung at
+its final x: at p = 2 with a closed-form root per level, all rungs measured
+at once on a flag frame F (Chain._frame) from one product X F; off p = 2
+with one solve per root, whose certificate the measure uses.
 """
 
 from __future__ import annotations
@@ -390,13 +390,14 @@ def _levels_to_build(chain: Chain, d: TargetSequence, N: int) -> int:
     return Np
 
 
-def _measure(x, chain: Chain, k: int, n: int, solved: dict):
-    """rho(x, Y_k) and its certified lower bound, x built on n levels and so
-    in Y_{n+1}.  Level k <= n was solved at x_k, and x - x_k lies in Y_k, so
-    its witness moves to w_k = witness + P(x - x_k) and its dual g_k holds:
-    g_k(x - w_k) <= rho(x, Y_k) <= |x - w_k| (not g_k(x), which cancels)."""
+def _measure(x, chain: Chain, k: int, solved: dict):
+    """rho(x, Y_k) and its certified lower bound.  A level k not in solved
+    holds x, which is built on the levels below it.  Level k in solved was
+    solved at x_k, and x - x_k lies in Y_k, so its witness moves to w_k =
+    witness + P(x - x_k) and its dual g_k holds: g_k(x - w_k) <= rho(x, Y_k)
+    <= |x - w_k| (not g_k(x), which cancels)."""
     Y, norm = chain.level(k), chain.norm
-    if k > n:
+    if k not in solved:
         return DistanceResult(0.0, Y.basis.T @ x, "contained"), 0.0
     xk, res = solved[k]
     c = res.witness_coeffs + Y.basis.T @ (x - xk)
@@ -421,19 +422,22 @@ def _l2_measure(chain: Chain, X: np.ndarray, n: int):
             for C in [X @ B] for R in [X - C @ B.T]]
 
 
-def _realize(chain: Chain, d: TargetSequence, rungs, steps, opts: ConstructOptions,
+def _realize(chain: Chain, d: TargetSequence, rungs, opts: ConstructOptions | None,
              recentre: bool):
     """The rungs x_N, N in rungs (ascending), with rho(x_N, Y_k) = d_k for k
-    <= n = min(N, Np), Np = len(steps): the traces, and (N, error) per rung
-    that failed.  Rungs past Np share rung Np's pass, not its arrays.  Each
-    distinct n runs one backward pass, x = d_n q_n, then k = n-1..1 adds the
+    <= n = min(N, Np): the traces, and (N, error) per rung that failed.  The
+    core derives its steps q_1..q_Np for the last rung (_prefix_steps, with
+    the entry checks and Np), and opts defaults to ConstructOptions().
+    Rungs past Np share rung Np's pass, not its arrays.  Each distinct n
+    runs one backward pass, x = d_n q_n, then k = n-1..1 adds the
     root lambda_k of rho(x + lambda q_k, Y_k) = d_k: at p = 2 in closed form
     (_l2_coefficients), all rungs then measured at once (_l2_measure), else
     solved with certificates (_pass) that measure the final x (_measure).
     Schedule modes record lambda_k against d_k - d_{k+1}(1 - 2^-k).  Levels
     1..min(N, len(chain) + 1) are measured, and the 10 tol gate checks both
     ends of every certified bracket."""
-    norm, Np, m = chain.norm, len(steps), chain.ambient_dim
+    steps = _prefix_steps(chain, d, rungs[-1], recentre)
+    opts, norm, Np, m = opts or ConstructOptions(), chain.norm, len(steps), chain.ambient_dim
     ds = [d.value(k) for k in range(1, min(rungs[-1], len(chain.levels) + 1) + 1)]
     ns = sorted({min(N, Np) for N in rungs})
     passes = {}  # n -> (x, lambdas, solved levels), or the error that stopped the pass
@@ -460,9 +464,9 @@ def _realize(chain: Chain, d: TargetSequence, rungs, steps, opts: ConstructOptio
         i += 1  # the rung's row in X
         x = x.copy() if X is None else X[i]  # an array of its own per rung
         levels = range(1, min(N, len(chain.levels) + 1) + 1)
-        pairs = [_measure(x, chain, k, n, solved) for k in levels] if l2 is None else [
+        pairs = [_measure(x, chain, k, solved) for k in levels] if l2 is None else [
             (DistanceResult(float(v[i]), C[i], "closed_form_l2", R[i]), None) for C, R, v in l2[:n]
-        ] + [_measure(x, chain, k, n, {}) for k in levels[n:]]
+        ] + [_measure(x, chain, k, {}) for k in levels[n:]]
         achieved, lower_bounds = zip(*pairs)
         residuals = tuple(abs(r.value - dk) for r, dk in zip(achieved, ds))
         lower_ends = (abs(lo - dk) for lo, dk in zip(lower_bounds[:n], ds) if lo is not None)
@@ -477,6 +481,15 @@ def _realize(chain: Chain, d: TargetSequence, rungs, steps, opts: ConstructOptio
                                      for k, (lam, b) in enumerate(zip(lambdas, bounds), start=1)),
             lower_bounds=lower_bounds))
     return traces, failures
+
+
+def _rung(chain: Chain, d: TargetSequence, N: int, opts: ConstructOptions | None,
+          recentre: bool) -> ConstructionTrace:
+    """_realize's one rung x_N, or the rung's error raised."""
+    traces, failures = _realize(chain, d, [N], opts, recentre)
+    if failures:
+        raise failures[0][1]
+    return traces[0]
 
 
 def _pass(chain: Chain, steps, ds, recentre: bool):
@@ -555,11 +568,7 @@ def finite_construct(
     """
     if d.tail != "zero":
         raise TargetError("finite_construct needs a zero-tail target sequence")
-    steps = _prefix_steps(chain, d, len(d), recentre=True)
-    traces, failures = _realize(chain, d, [len(d)], steps, opts or ConstructOptions(), recentre=True)
-    if failures:
-        raise failures[0][1]
-    return traces[0]
+    return _rung(chain, d, len(d), opts, recentre=True)
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +626,7 @@ def construct_prefix(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    steps = _prefix_steps(chain, d, N, recentre=False)
-    traces, failures = _realize(chain, d, [N], steps, opts or ConstructOptions(), recentre=False)
-    if failures:
-        raise failures[0][1]
-    return traces[0]
+    return _rung(chain, d, N, opts, recentre=False)
 
 
 @dataclass(frozen=True)
@@ -647,15 +652,13 @@ def construct_sequence(
     construct_prefix(chain, d, N_max).  A rung that fails is listed in
     failures instead of raising.
     """
-    opts = opts or ConstructOptions()
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
-    steps = _prefix_steps(chain, d, N_max, recentre=False)
-    traces, failed = _realize(chain, d, range(1, N_max + 1), steps, opts, recentre=False)
+    traces, failed = _realize(chain, d, range(1, N_max + 1), opts, recentre=False)
     failures = tuple((N, str(exc)) for N, exc in failed)
     kept = sorted(set(range(1, N_max + 1)).difference(dict(failures)))
-    # the table over distinct x, spread to the rungs past Np, which repeat rung Np's
-    n, h = len(traces), len({min(N, len(steps)) for N in kept})
+    # the table over distinct passes (n = len(coefficients)), spread to the rungs past Np
+    n, h = len(traces), len({len(t.coefficients) for t in traces})
     X = np.reshape([t.x for t in traces[:h]], (h, chain.ambient_dim))
     rows = np.minimum(np.arange(n), h - 1)
     diffs = _norms(X[:, None, :] - X[None, :, :], chain.norm.p)[np.ix_(rows, rows)]
@@ -663,10 +666,5 @@ def construct_sequence(
     body = max_tail[:-1] if n else ()
     slack = 1e-12 * max(body, default=0.0)  # relative, as the tail scales with d
     non_inc = all(a >= b - slack for a, b in zip(body, body[1:]))
-    return traces, StabilizationTable(
-        prefixes=tuple(kept),
-        differences=diffs,
-        max_tail=max_tail,
-        tail_non_increasing=non_inc,
-        failures=failures,
-    )
+    return traces, StabilizationTable(prefixes=tuple(kept), differences=diffs, max_tail=max_tail,
+                                      tail_non_increasing=non_inc, failures=failures)

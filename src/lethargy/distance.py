@@ -18,13 +18,13 @@ Solver routes:
 level_endpoint gives the upper end of the interval {t : rho(x + t q, Y) <= d},
 the exact root step of the backward constructions, with the certificate of
 rho at that end; the lower end is minus the upper end for -q.  At p = 2 the
-end comes from one projection of x and q and one quadratic, _quadratic_ends,
+end comes from one projection of x and q and one quadratic, _quadratic_end,
 which also takes a set that misses d by at most rho's accuracy as its point
-(the p = 2 constructions solve the quadratic alone).  On a coordinate
-subspace at p in {1, inf} the end is a closed form in the entries of x and q off S, so a
-construction over a coordinate chain solves no linear program.  The other
-routes run on x, q and d rescaled by powers of two, so every end moves
-with x, q and d scaled together.
+(the p = 2 constructions solve none: their roots are closed forms).  On a
+coordinate subspace at p in {1, inf} the end is a closed form in the entries
+of x and q off S, so a construction over a coordinate chain solves no linear
+program.  The other routes run on x, q and d rescaled by powers of two, so
+every end moves with x, q and d scaled together.
 """
 
 from __future__ import annotations
@@ -334,17 +334,16 @@ def best_approximant(x, Y: Subspace, norm: NormSpec) -> np.ndarray:
     return rho(x, Y, norm).witness(Y)
 
 
-def _quadratic_ends(nx: float, ab: float, bb: float, d: float, m: int,
-                    shift: int) -> tuple[float, float] | None:
-    """Both ends (lower, upper) of {t : |xp + t qp|_2 <= d}, times 2^shift,
-    from nx = |xp|_2, ab = xp . qp and bb = qp . qp in units where max(nx, d)
-    and |qp|_2 are near 1, xp and qp of dimension m: the roots of one
-    quadratic in the cancellation-free form.  Both are t_min = -ab / bb when
-    the discriminant is 0 up to rounding, or when the set misses d by at most
-    rho's accuracy s = _L2_TOL (1 + d), min_t |xp + t qp|_2 <= d + s: tied
-    targets put d at that minimum, where rounding can leave it just out of
-    reach.  Otherwise a negative discriminant gives None.  The lower end is
-    minus the upper end for -ab, bit for bit."""
+def _quadratic_end(nx: float, ab: float, bb: float, d: float, m: int, shift: int) -> float | None:
+    """The upper end of {t : |xp + t qp|_2 <= d}, times 2^shift, from nx =
+    |xp|_2, ab = xp . qp and bb = qp . qp in units where max(nx, d) and
+    |qp|_2 are near 1, xp and qp of dimension m: the larger root of one
+    quadratic in the cancellation-free form (the lower end is minus this
+    end for -ab, that is for -q).  It is t_min = -ab / bb when the discriminant is 0
+    up to rounding, or when the set misses d by at most rho's accuracy s =
+    _L2_TOL (1 + d), min_t |xp + t qp|_2 <= d + s: tied targets put d at
+    that minimum, where rounding can leave it just out of reach.  Otherwise
+    a negative discriminant gives None."""
     cc = (nx - d) * (nx + d)
     disc = ab * ab - bb * cc  # bb (d^2 - min_t |xp + t qp|_2^2)
     s = _L2_TOL * (1.0 + d)
@@ -355,16 +354,13 @@ def _quadratic_ends(nx: float, ab: float, bb: float, d: float, m: int,
     if not (point or disc >= 0.0):
         return None
     sq = 0.0 if point else math.sqrt(disc)
-
-    def upper_end(ab):
-        if point:
-            t = 0.0 - ab / bb  # +0.0 at ab = 0, so the lower end is -0.0
-        elif ab < 0.0:
-            t = (sq - ab) / bb
-        else:
-            t = -cc / (ab + sq) if ab + sq > 0.0 else 0.0
-        return math.ldexp(t, shift)
-    return -upper_end(-ab), upper_end(ab)
+    if point:
+        t = 0.0 - ab / bb  # +0.0 at ab = 0, so the lower end is -0.0
+    elif ab < 0.0:
+        t = (sq - ab) / bb
+    else:
+        t = -cc / (ab + sq) if ab + sq > 0.0 else 0.0
+    return math.ldexp(t, shift)
 
 
 def _coordinate_level_end(a: np.ndarray, b: np.ndarray, norm: NormSpec, d: float) -> float | None:
@@ -407,7 +403,7 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
     is a closed interval and each end is one exact solve:
 
       * p = 2        a quadratic on the orthogonal complement of Y
-                     (_quadratic_ends), which owns its tangent rule
+                     (_quadratic_end), which owns its tangent rule
       * p in {1, inf} on a coordinate subspace, a closed form in the entries
                      of x and q off its support (_coordinate_level_end);
                      otherwise one linear program maximizing t
@@ -446,8 +442,8 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
     x, cx, xp, d = np.ldexp(x, -ex), np.ldexp(cx, -ex), np.ldexp(xp, -ex), math.ldexp(d, -ex)
     q, qp = np.ldexp(q, -eq), np.ldexp(qp, -eq)
     if norm.p == 2.0:
-        ends = _quadratic_ends(math.ldexp(nx, -ex), float(xp @ qp), float(qp @ qp), d, x.size, ex - eq)
-        return None if ends is None else Endpoint(ends[1], None)
+        t = _quadratic_end(math.ldexp(nx, -ex), float(xp @ qp), float(qp @ qp), d, x.size, ex - eq)
+        return None if t is None else Endpoint(t, None)
 
     def end(t: float, res: DistanceResult) -> Endpoint:
         return Endpoint(math.ldexp(t, ex - eq), replace(

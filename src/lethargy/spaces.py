@@ -94,21 +94,23 @@ def _norm(x: np.ndarray, p: float) -> float:
 
 
 def _norms(X: np.ndarray, p: float) -> np.ndarray:
-    """_norm of every row of X (ndim >= 2, along the last axis) in one array
-    step, bit for bit off p = 2.  At p = 2 the squares are summed in units of
-    the largest entry's power of two, so that the norms scale exactly with
-    X.  Rows whose sum leaves the normal range go through _norm, in units."""
+    """_norm of every row of X (ndim >= 2, along the last axis), bit for bit
+    off p = 2, where rows whose sum leaves the normal range go through _norm.
+    At p = 2 a row's squares are summed in units of its largest entry's power
+    of two, so a non-zero row's sum lies in [1/4, n] and its norm scales exactly."""
     A = np.abs(X)
     if math.isinf(p) or p == 1.0:
         return A.max(axis=-1) if math.isinf(p) else A.sum(axis=-1)
-    e = math.frexp(float(A.max(initial=0.0)))[1] if p == 2.0 else 0
-    A = np.ldexp(A, -e)
-    with np.errstate(over="ignore"):
-        s = (A * A if p == 2.0 else A ** p).sum(axis=-1)
-    out = np.sqrt(s) if p == 2.0 else np.reshape([v ** (1.0 / p) for v in s.ravel().tolist()], s.shape)
+    with np.errstate(over="ignore"):  # past the largest float: inf at p = 2, else _norm below
+        if p == 2.0:
+            e = np.frexp(A.max(axis=-1, initial=0.0))[1]
+            A = np.ldexp(A, -e[..., None])
+            return np.ldexp(np.sqrt((A * A).sum(axis=-1)), e)
+        s = (A ** p).sum(axis=-1)
+    out = np.reshape([v ** (1.0 / p) for v in s.ravel().tolist()], s.shape)
     for i in np.flatnonzero(~((_TINY <= s) & (s <= _HUGE)) & A.any(axis=-1)):
         out.flat[i] = _norm(A.reshape(-1, A.shape[-1])[i], p)
-    return np.ldexp(out, e)
+    return out
 
 
 class Subspace:

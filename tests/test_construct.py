@@ -21,7 +21,7 @@ from lethargy.construct import (
     normalize_step,
     smallest_root,
 )
-from lethargy.distance import default_tol, rho
+from lethargy.distance import SolverError, default_tol, rho
 from lethargy.scenario import parse_scenario
 from lethargy.spaces import (Chain, NormSpec, Subspace, contains,
                              coordinate_chain, norm_eval, validate_chain)
@@ -1043,3 +1043,52 @@ def test_construct_options_reject_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol"):
         ConstructOptions(tol=tol)
 
+
+
+def test_a_pass_that_raises_fails_its_rung_alone():
+    # off p = 2 the pass for n = 4 is the only one to solve level 3; a solver
+    # error there fails rung 4 with the solver's message, every other rung
+    # builds as in the unpatched ladder, and construct_prefix raises it
+    chain = random_chain(2, 7, 5, NormSpec(1.0))
+    d = TargetSequence((1.0,), tail="geometric", ratio=0.3)
+    full, full_table = construct_sequence(chain, d, 4)
+    real = construct_module.smallest_root
+
+    def root(x, q, Y, *args, **kwargs):
+        if Y is chain.level(3):
+            raise SolverError("level-set linear program failed: injected")
+        return real(x, q, Y, *args, **kwargs)
+    with mock.patch.object(construct_module, "smallest_root", root):
+        traces, table = construct_sequence(chain, d, 4)
+        with pytest.raises(SolverError, match="^level-set linear program failed: injected$"):
+            construct_prefix(chain, d, 4)
+    assert table.failures == ((4, "level-set linear program failed: injected"),)
+    assert table.prefixes == (1, 2, 3) and len(traces) == 3
+    for t, ref in zip(traces, full):
+        assert np.array_equal(t.x, ref.x) and t.coefficients == ref.coefficients
+    assert np.array_equal(table.differences, full_table.differences[:3, :3])
+
+
+def test_an_l2_rung_whose_coefficients_fail_is_left_out():
+    # at p = 2 an error in place of rung 2's coefficients fails that rung
+    # alone: the table spans the other rungs' distinct passes (n = 1 and 3,
+    # rungs 4 and 5 repeating rung 3's x), and construct_prefix raises it
+    chain = random_chain(4, 8, 6, L2)
+    d = TargetSequence((1.0, 0.5, 0.2))
+    full, full_table = construct_sequence(chain, d, 5)
+    real = construct_module._l2_coefficients
+    error = ConstructionError("injected failure of rung 2")
+
+    def coefficients(mus, ds, ns):
+        return [error if n == 2 else lam for n, lam in zip(ns, real(mus, ds, ns))]
+    with mock.patch.object(construct_module, "_l2_coefficients", coefficients):
+        traces, table = construct_sequence(chain, d, 5)
+        with pytest.raises(ConstructionError) as exc:
+            construct_prefix(chain, d, 2)
+    assert exc.value is error
+    assert table.failures == ((2, "injected failure of rung 2"),) and table.prefixes == (1, 3, 4, 5)
+    kept = [0, 2, 3, 4]
+    for t, ref in zip(traces, [full[i] for i in kept], strict=True):
+        assert np.array_equal(t.x, ref.x) and t.coefficients == ref.coefficients
+    assert np.array_equal(table.differences, full_table.differences[np.ix_(kept, kept)])
+    assert table.max_tail == tuple(np.triu(table.differences, 1).max(axis=1, initial=0.0).tolist())

@@ -376,18 +376,9 @@ def l2_level_draws(seed, n=200):
 def test_l2_level_set_ends():
     # one projection, one quadratic: the upper end, and the lower end as
     # minus the upper end for -q (signed zeros included); an empty set has
-    # neither.  The quadratic's lower end is minus its upper end for -ab,
-    # bit for bit, as the scalar pass takes both from one call.
+    # neither.
     negative_zeros = 0
     for x, q, Y, d in l2_level_draws(37):
-        xp, qp = Y.residual(x), Y.residual(q)
-        args = float(np.linalg.norm(xp)), float(xp @ qp), float(qp @ qp), d, x.size, 0
-        ends = distance_module._quadratic_ends(*args)
-        flipped = distance_module._quadratic_ends(*args[:1], -args[1], *args[2:])
-        assert (ends is None) == (flipped is None)
-        if ends is not None:
-            for t, u in zip(ends, (-flipped[1], -flipped[0])):
-                assert t == u and math.copysign(1.0, t) == math.copysign(1.0, u)
         lower, upper = lower_end(x, q, Y, L2, d), level_endpoint(x, q, Y, L2, d)
         if upper is None or lower is None:  # negative discriminant beyond rho's accuracy: empty
             assert upper is None and lower is None

@@ -1,5 +1,8 @@
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -48,6 +51,8 @@ def test_lethargy_elements_converge_on_reflexive_lp(p):
     steps = study.lethargy_steps(p, LETHARGY_MS)
     assert all(a > b for a, b in zip(steps, steps[1:])), steps
     assert steps[-1] < 1e-4, steps
+    if p == 1.5:  # the tied root is exactly 0: the step falls to rounding (1.5e-16)
+        assert steps[-1] <= 1e-14, steps
 
 
 @pytest.mark.parametrize("m", LETHARGY_MS)
@@ -81,3 +86,18 @@ def test_lethargy_elements_do_not_settle_on_c0():
 def test_lethargy_elements_on_c0_past_m_16():
     steps = study.lethargy_steps(math.inf, (16, 32))
     assert min(steps) >= 0.99, steps
+
+
+def test_study_prints_both_tables():
+    # the command line at m = 8: p = 1.5 steps 2^-16 in both tables, p = inf 1
+    root = SCRIPT.parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, str(SCRIPT), "--p", "1.5", "inf", "--m", "8"],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines.count("|x_m - x_2m|_p, lethargy elements on {0} c ker f, targets (1, 1)") == 1
+    rows = [line.split() for line in lines if line[:1].isdigit() or line.startswith("inf")]
+    assert [line.split() for line in lines if line.startswith("p ")] == [["p", "m", "=", "8"]] * 2
+    assert rows == [["1.5", "1.526e-05"], ["inf", "1.000e+00"]] * 2

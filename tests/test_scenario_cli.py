@@ -385,6 +385,18 @@ MALFORMED = {
                                 "got 1e-20 < 2e-20"),
     "top-level-fills": (base_doc(ambient_dim=2, chain={"levels": [[[1, 0]], [[1, 0], [0, 1]]]}),
                         "targets = 2: top chain level already fills the ambient space"),
+    "chain=5": (base_doc(chain=5), "chain must be an object"),
+    "ambient_dim=0": (base_doc(ambient_dim=0), "ambient_dim must be positive"),
+    "unknown-generator": (base_doc(chain={"generator": "spiral"}),
+                          "unknown chain generator 'spiral'"),
+    "subspace_condition=3": (base_doc(mode="check_only", subspace_condition=3),
+                             "subspace_condition must be an object"),
+    # extending lists with a rank-deficient top: the one-QR ingestion declines
+    # them, and the per-level path names the fault
+    "p2-dependent-top-dim-3": (base_doc(ambient_dim=3, chain={"levels": [[[1, 0, 0]],
+                                                                         [[1, 0, 0], [2, 0, 0]]]}),
+                               "chain level 2: basis columns are linearly dependent "
+                               "(numerical rank 1 < 2)"),
 }
 # p = 2 explicit levels in ambient_dim 4: those whose vector lists extend each
 # other reach the one-QR ingestion first and keep the per-level path's message
@@ -400,6 +412,8 @@ for case, levels, message in [
     ("p2-not-nested", [[E1], [E2, E3]],
      "chain fails strict-nesting validation: levels 1 -> 2: not nested"),
     ("p2-nan", [[NAN1], [NAN1, E2]], "chain level 1: basis entries must be finite"),
+    ("p2-string-entry", [[E1], [E1, ["a", 1, 0, 0]]],
+     "chain level 2: could not convert string to float: 'a'"),
 ]:
     MALFORMED[case] = (base_doc(chain={"levels": levels}), message)
 

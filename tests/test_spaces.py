@@ -16,6 +16,7 @@ from lethargy.spaces import (
     contains,
     coordinate_chain,
     _norm,
+    _norms,
     norm_eval,
     validate_chain,
 )
@@ -54,6 +55,23 @@ def test_norm_of_a_non_finite_entry_ends(p):
     assert _norm(np.array([np.inf, 1.0]), p) == math.inf
     assert _norm(np.array([-np.inf, 0.0]), p) == math.inf
     assert math.isnan(_norm(np.array([np.nan, 1.0]), p))
+
+
+def test_norms_scale_each_row_on_its_own():
+    # at p = 2 each row's squares are summed in units of its own largest
+    # entry's power of two: a row 1e-400 times the largest entry of the array
+    # once underflowed to 0 (1e-200 read 0 next to 1e200); rows from 1e-300
+    # to 1e300, and all-zero rows, agree with _norm with no warning
+    middle = _norms(np.array([[1e200, 1.0], [1e-200, 2e-200], [3.0, 4.0]]), 2.0)[1]
+    assert middle == pytest.approx(_norm(np.array([1e-200, 2e-200]), 2.0), rel=1e-15, abs=0.0)
+    rng = np.random.default_rng(9)
+    X = np.concatenate([rng.standard_normal((61, 7)) * 10.0 ** np.linspace(-300, 300, 61)[:, None],
+                        np.zeros((3, 7))])
+    X[::5, ::2] = 0.0
+    for rows in (X, X.reshape(4, 16, 7)):
+        out = _norms(rows, 2.0)
+        ref = np.reshape([_norm(r, 2.0) for r in rows.reshape(-1, 7)], out.shape)
+        assert np.all(np.abs(out - ref) <= 1e-15 * ref) and not out.flat[-1]
 
 
 def test_norm_eval_in_range_is_numpys():
