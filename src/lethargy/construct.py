@@ -28,7 +28,9 @@ with one solve per root, whose certificate the measure uses.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -93,14 +95,11 @@ class TargetSequence:
 
     def tail_sum_after(self, n: int) -> float:
         """Exact sum of d_k for k > n (closed form for the geometric part)."""
-        stored = math.fsum(self.values[n:]) if n < len(self.values) else 0.0
         if self.tail == "zero":
-            return stored
-        geo = self.values[-1] * self.ratio / (1.0 - self.ratio)
-        if n >= len(self.values):
-            # sum_{k>n} d_N r^{k-N} for n >= N
+            return math.fsum(self.values[n:])
+        if n >= len(self.values):  # sum_{k>n} d_N r^{k-N} for n >= N
             return self.value(n) * self.ratio / (1.0 - self.ratio)
-        return stored + geo
+        return math.fsum(self.values[n:]) + self.values[-1] * self.ratio / (1.0 - self.ratio)
 
     def is_strictly_decreasing(self) -> bool:
         return all(a > b for a, b in zip(self.values, self.values[1:]))
@@ -124,9 +123,7 @@ def check_borodin_condition(d: TargetSequence) -> BorodinReport:
     closed-form margin factor (1 - 2r)/(1 - r).
     """
     margins = tuple(d.value(n) - d.tail_sum_after(n) for n in range(1, len(d) + 1))
-    tail_factor = None
-    if d.tail == "geometric":
-        tail_factor = (1.0 - 2.0 * d.ratio) / (1.0 - d.ratio)
+    tail_factor = (1.0 - 2.0 * d.ratio) / (1.0 - d.ratio) if d.tail == "geometric" else None
     # smallest n0 with margin > 0 at every later positive target
     last_bad = 0
     for n in range(1, len(d) + 1):
@@ -179,18 +176,15 @@ def check_subspace_condition(
     ratio = d.value(k - 1) / dk
     Yk = chain.level(k)
     samples = []
-    bad = False
     for q in q_samples:
         q = as_vector(q, dim=chain.ambient_dim)
         nq = norm_eval(q, chain.norm)
         rq = rho(q, Yk, chain.norm).value
         bound = ratio * rq
         holds = nq - bound <= 1e-9 * nq  # relative: the condition scales with q
-        bad = bad or not holds
         samples.append(SubspaceSample(norm_q=nq, rho_q=rq, bound=bound, holds=holds))
-    return SubspaceConditionReport(
-        level=k, ratio=ratio, samples=tuple(samples), counterexample_found=bad
-    )
+    return SubspaceConditionReport(level=k, ratio=ratio, samples=tuple(samples),
+                                   counterexample_found=not all(s.holds for s in samples))
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +303,8 @@ def interpolating_family(
     _nested(Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q1, Q2, Q3)))
     y = _unit_step(Q2, Q3, norm)[0]
     s = _unit_step(Q1, Q2, norm)[0]
-    members = []
-    for um, vm in zip(u, v):
-        lam = smallest_root(vm * y, s, Q1, norm, um, two_sided=False).t
-        members.append(FamilyMember(q=vm * y + lam * s, mu=lam))
+    lams = [smallest_root(vm * y, s, Q1, norm, um, two_sided=False).t for um, vm in zip(u, v)]
+    members = [FamilyMember(q=vm * y + lam * s, mu=lam) for vm, lam in zip(v, lams)]
     return InterpolationFamily(members=tuple(members), step_outer=y, step_inner=s)
 
 
@@ -347,15 +339,29 @@ class CoefficientBound:
 
 @dataclass(frozen=True)
 class ConstructionTrace:
+    """x, its coefficients, residuals |rho(x, Y_k) - d_k| and certified lower
+    bounds (None where rho re-measured the level); the records, achieved and
+    coefficient_bounds, are built on first read from _records and _bounds."""
+
     x: np.ndarray
     coefficients: tuple[float, ...]
-    achieved: tuple[DistanceResult, ...]
     targets: TargetSequence
     residuals: tuple[float, ...]
-    coefficient_bounds: tuple[CoefficientBound, ...] = field(default_factory=tuple)
-    # certified lower bound on rho(x, Y_k) per level (achieved holds the
-    # upper one); None where the level was re-measured by rho
     lower_bounds: tuple[float | None, ...] = field(default_factory=tuple)
+    _records: tuple[DistanceResult, ...] | Callable[[], tuple] = field(default=(), compare=False, repr=False)
+    _bounds: tuple[float, ...] = ()
+
+    @cached_property
+    def achieved(self) -> tuple[DistanceResult, ...]:
+        return self._records if isinstance(self._records, tuple) else self._records()
+
+    @cached_property
+    def coefficient_bounds(self) -> tuple[CoefficientBound, ...]:
+        return tuple(CoefficientBound(k, lam, b, abs(lam) <= b)
+                     for k, (lam, b) in enumerate(zip(self.coefficients, self._bounds), start=1))
+
+    def __getstate__(self):  # pickled with its records built: a thunk does not pickle
+        return {**self.__dict__, "_records": self.achieved}
 
     @property
     def max_residual(self) -> float:
@@ -363,9 +369,9 @@ class ConstructionTrace:
 
     @property
     def certificate_gap(self) -> float | None:
-        """Worst upper - lower over the certified levels; None when none is."""
-        gaps = [r.value - lo for r, lo in zip(self.achieved, self.lower_bounds) if lo is not None]
-        return max(gaps) if gaps else None
+        """Worst upper - lower over the certified levels; None, reading no record, when none is."""
+        certified = [(k, lo) for k, lo in enumerate(self.lower_bounds) if lo is not None]
+        return max((self.achieved[k].value - lo for k, lo in certified), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +414,18 @@ def _measure(x, chain: Chain, k: int, solved: dict):
 
 
 def _l2_measure(chain: Chain, X: np.ndarray, n: int):
-    """(witness coefficients, residuals, rho) of levels 1..n at p = 2, a row
-    per row x of X.  A frame chain takes one product C = X F: the residual
-    off F's first j columns is x minus the partial sums of c_i f_i, i <= j.
-    Other chains take one projection per level."""
+    """(witness coefficients, residuals) of levels 1..n at p = 2, a row per
+    row x of X, and rho, a column per level.  A frame chain takes one product
+    C = X F: the residual off F's first j columns is x minus the partial sums
+    of c_i f_i, i <= j.  Other chains take one projection per level."""
     if (F := chain._frame) is not None and n:
-        F = F[:, :chain.level(n).rank]
+        ranks = [chain.level(k).rank for k in range(1, n + 1)]
+        F = F[:, :ranks[-1]]
         C = X @ F
         R = np.cumsum(np.concatenate([X[:, None, :], -(C[:, :, None] * F.T)], axis=1), axis=1)
-        values = _norms(R, 2.0)
-        return [(C[:, :r], R[:, r], values[:, r]) for r in (chain.level(k).rank for k in range(1, n + 1))]
-    return [(C, R, _norms(R, 2.0)) for B in (chain.level(k).basis for k in range(1, n + 1))
-            for C in [X @ B] for R in [X - C @ B.T]]
+        return [(C[:, :r], R[:, r]) for r in ranks], _norms(R, 2.0)[:, ranks]
+    pieces = [(C, X - C @ B.T) for B in (chain.level(k).basis for k in range(1, n + 1)) for C in [X @ B]]
+    return pieces, _norms(np.reshape([R for _, R in pieces], (n, *X.shape)), 2.0).T
 
 
 def _realize(chain: Chain, d: TargetSequence, rungs, opts: ConstructOptions | None,
@@ -429,13 +435,13 @@ def _realize(chain: Chain, d: TargetSequence, rungs, opts: ConstructOptions | No
     core derives its steps q_1..q_Np for the last rung (_prefix_steps, with
     the entry checks and Np), and opts defaults to ConstructOptions().
     Rungs past Np share rung Np's pass, not its arrays.  Each distinct n
-    runs one backward pass, x = d_n q_n, then k = n-1..1 adds the
-    root lambda_k of rho(x + lambda q_k, Y_k) = d_k: at p = 2 in closed form
-    (_l2_coefficients), all rungs then measured at once (_l2_measure), else
-    solved with certificates (_pass) that measure the final x (_measure).
+    runs one backward pass, x = d_n q_n, then k = n-1..1 adds the root
+    lambda_k of rho(x + lambda q_k, Y_k) = d_k: at p = 2 in closed form
+    (_l2_coefficients), all rungs gated from one measure (_l2_measure), a
+    rung's records built on first read; else solved with certificates
+    (_pass) that measure the final x into records (_measure) the gate reads.
     Schedule modes record lambda_k against d_k - d_{k+1}(1 - 2^-k).  Levels
-    1..min(N, len(chain) + 1) are measured, and the 10 tol gate checks both
-    ends of every certified bracket."""
+    1..min(N, len(chain) + 1) are measured; the 10 tol gate checks both ends."""
     steps = _prefix_steps(chain, d, rungs[-1], recentre)
     opts, norm, Np, m = opts or ConstructOptions(), chain.norm, len(steps), chain.ambient_dim
     ds = [d.value(k) for k in range(1, min(rungs[-1], len(chain.levels) + 1) + 1)]
@@ -452,8 +458,10 @@ def _realize(chain: Chain, d: TargetSequence, rungs, opts: ConstructOptions | No
             except (ConstructionError, SolverError) as exc:
                 passes[n] = exc
     built = [N for N in rungs if not isinstance(passes[min(N, Np)], Exception)]
-    X = np.reshape([passes[min(N, Np)][0] for N in built], (len(built), m)) if norm.p == 2.0 else None
-    l2 = _l2_measure(chain, X, min(built[-1], Np)) if X is not None and built else None
+    if norm.p == 2.0 and built:  # every rung measured at once, its |rho - d_k| a row
+        X = np.reshape([passes[min(N, Np)][0] for N in built], (len(built), m))
+        l2, V = _l2_measure(chain, X, min(built[-1], Np))
+        gaps = np.abs(V - ds[:len(l2)]).tolist()
     traces, failures, i = [], [], -1
     caps = [ds[k - 1] - ds[k] * (1.0 - 2.0**-k) + opts.tol for k in range(1, Np)]
     for N in rungs:
@@ -462,24 +470,25 @@ def _realize(chain: Chain, d: TargetSequence, rungs, opts: ConstructOptions | No
             continue
         x, lambdas, solved = out
         i += 1  # the rung's row in X
-        x = x.copy() if X is None else X[i]  # an array of its own per rung
         levels = range(1, min(N, len(chain.levels) + 1) + 1)
-        pairs = [_measure(x, chain, k, solved) for k in levels] if l2 is None else [
-            (DistanceResult(float(v[i]), C[i], "closed_form_l2", R[i]), None) for C, R, v in l2[:n]
-        ] + [_measure(x, chain, k, {}) for k in levels[n:]]
-        achieved, lower_bounds = zip(*pairs)
-        residuals = tuple(abs(r.value - dk) for r, dk in zip(achieved, ds))
-        lower_ends = (abs(lo - dk) for lo, dk in zip(lower_bounds[:n], ds) if lo is not None)
+        if norm.p == 2.0:  # a row of gaps, no bracket; the levels past n hold x: rho 0, certified by 0
+            x, residuals, lower_ends = X[i], tuple(gaps[i][:n]) + (0.0,) * len(levels[n:]), ()
+            lower_bounds = (None,) * n + (0.0,) * len(levels[n:])
+            achieved = lambda i=i, n=n, x=x, ks=levels[n:]: (*(  # noqa: E731
+                DistanceResult(v, C[i], "closed_form_l2", R[i]) for (C, R), v in zip(l2[:n], V[i].tolist())
+            ), *(_measure(x, chain, k, {})[0] for k in ks))
+        else:
+            x = x.copy()  # an array of its own per rung
+            achieved, lower_bounds = zip(*[_measure(x, chain, k, solved) for k in levels])
+            residuals = tuple(abs(r.value - dk) for r, dk in zip(achieved, ds))
+            lower_ends = (abs(lo - dk) for lo, dk in zip(lower_bounds[:n], ds) if lo is not None)
         if (worst := max([*residuals[:n], *lower_ends], default=0.0)) > opts.tol * 10:
             failures.append((N, ConstructionError(
                 f"tolerance not met: max residual {worst:.3e} > {opts.tol:.1e}")))
             continue
-        bounds = [*caps[:n - 1], ds[n - 1] + opts.tol] if n and not recentre else []
-        traces.append(ConstructionTrace(
-            x=x, coefficients=tuple(lambdas), achieved=achieved, targets=d, residuals=residuals,
-            coefficient_bounds=tuple(CoefficientBound(level=k, value=lam, bound=b, ok=abs(lam) <= b)
-                                     for k, (lam, b) in enumerate(zip(lambdas, bounds), start=1)),
-            lower_bounds=lower_bounds))
+        bounds = (*caps[:n - 1], ds[n - 1] + opts.tol) if n and not recentre else ()
+        traces.append(ConstructionTrace(x=x, coefficients=tuple(lambdas), targets=d, residuals=residuals,
+                                        lower_bounds=lower_bounds, _records=achieved, _bounds=bounds))
     return traces, failures
 
 

@@ -171,6 +171,8 @@ def _parse_chain(raw, norm: NormSpec, ambient_dim: int) -> Chain:
         levels = []
         for i, cols in enumerate(raw["levels"], start=1):
             try:
+                if isinstance(cols, list) and len({len(v) if isinstance(v, list) else -1 for v in cols}) > 1:
+                    raise ValueError("its vectors must have equal length")
                 B = np.asarray(cols, dtype=float).T  # rows of vectors -> columns
                 levels.append(Subspace(B, ambient_dim=ambient_dim))
             except (ValueError, TypeError) as exc:
@@ -333,8 +335,7 @@ def _measured(report: Report, traces, scenario: Scenario):
                 {"k": b.level, "value": float(b.value), "bound": b.bound, "ok": b.ok}
                 for b in trace.coefficient_bounds
             ]
-    gaps = [t.certificate_gap for t in traces if t.certificate_gap is not None]
-    report.certificate_gap = max(gaps, default=None)
+    report.certificate_gap = max((g for t in traces if (g := t.certificate_gap) is not None), default=None)
     report.checks["residuals_within_tolerance"] = bool(traces) and all(
         t.max_residual <= scenario.tolerance for t in traces
     )

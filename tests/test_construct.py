@@ -1,4 +1,5 @@
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import lethargy.construct as construct_module
 from lethargy.construct import (
+    CoefficientBound,
     ConstructionError,
     ConstructOptions,
     TargetError,
@@ -936,9 +938,69 @@ def test_rungs_past_the_last_positive_target_reuse_its_pass():
         assert np.array_equal(t.x, traces[2].x) and t.coefficients == traces[2].coefficients
         assert len(t.achieved) == min(N, len(chain.levels) + 1)
     assert not table.differences[2:, 2:].any() and table.max_tail[2:] == (0.0,) * 11
+    assert_no_shared_memory(traces)
+
+
+def assert_no_shared_memory(traces):
+    """No array a trace holds shares memory with one of another trace, so a
+    caller writing into one trace leaves every other as it was."""
     for i, a in enumerate(traces):
         for b in traces[i + 1:]:
             assert not any(np.shares_memory(u, v) for u in trace_arrays(a) for v in trace_arrays(b))
+
+
+L2_LADDERS = {  # targets and N_max: a geometric tail, and a zero tail past Np = 4
+    "geometric": (TargetSequence((1.0,), tail="geometric", ratio=0.3), 6),
+    "zero-tail": (TargetSequence((1.0, 0.45, 0.2, 0.08)), 7),
+}
+
+
+@pytest.mark.parametrize("targets", sorted(L2_LADDERS))
+@pytest.mark.parametrize("basis", ["coordinate", "frame", "svd"])
+def test_l2_records_built_on_read_are_the_eager_ones(basis, targets):
+    # at p = 2 every record is built on first read and is, bit for bit, the
+    # one the eager loop built from the single measure of all the rungs' x
+    # (_l2_measure over their rows): the closed form up to each rung's n,
+    # then the contained levels past Np at rho 0, certified by 0.  Bounds are
+    # CoefficientBound(k, lambda_k, b_k, |lambda_k| <= b_k), and each record
+    # is one tuple on every read.  Chains: a coordinate frame, an ingested
+    # (one-QR) frame and separately SVD-factored levels (no frame).
+    A = np.random.default_rng(7).standard_normal((9, 6))
+    chain = {"coordinate": coordinate_chain(9, 6, L2),
+             "frame": parse_scenario(l2_ladder_doc(A, 0.3, 1e-8)).chain,
+             "svd": Chain(9, L2, tuple(Subspace(A[:, :k]) for k in range(1, 7)))}[basis]
+    assert (chain._frame is None) == (basis == "svd")
+    (d, N_max), opts = L2_LADDERS[targets], ConstructOptions(tol=1e-8)
+    traces, table = construct_sequence(chain, d, N_max, opts)
+    assert table.failures == () and len(traces) == N_max
+    ns = [len(t.coefficients) for t in traces]
+    assert ns == [min(N, 4 if targets == "zero-tail" else 6) for N in range(1, N_max + 1)]
+    l2, V = construct_module._l2_measure(chain, np.array([t.x for t in traces]), max(ns))
+    for i, (t, n) in enumerate(zip(traces, ns)):
+        assert t.achieved is t.achieved and len(t.achieved) == i + 1
+        for k, (r, lower, residual) in enumerate(zip(t.achieved, t.lower_bounds, t.residuals, strict=True)):
+            Y = chain.level(k + 1)
+            if k < n:
+                (C, R), v = l2[k], V[i, k]
+                assert (r.value, r.solver, lower) == (v, "closed_form_l2", None) and type(r.value) is float
+                assert np.array_equal(r.witness_coeffs, C[i]) and np.array_equal(r.dual_direction, R[i])
+                assert r.value == pytest.approx(rho(t.x, Y, L2).value, rel=1e-14, abs=1e-15)
+            else:
+                assert (r.value, r.solver, r.dual_direction, lower) == (0.0, "contained", None, 0.0)
+                assert np.array_equal(r.witness_coeffs, Y.basis.T @ t.x)
+            assert residual == abs(r.value - d.value(k + 1))
+        b = [d.value(k) - d.value(k + 1) * (1.0 - 2.0**-k) + opts.tol for k in range(1, n)]
+        expected = tuple(CoefficientBound(k, lam, bk, abs(lam) <= bk)
+                         for k, (lam, bk) in enumerate(zip(t.coefficients, b + [d.value(n) + opts.tol]), 1))
+        assert t.coefficient_bounds is t.coefficient_bounds and t.coefficient_bounds == expected
+    assert_no_shared_memory(traces)
+    # a trace pickles with its records built, as its thunk would not
+    fresh, _ = construct_sequence(chain, d, N_max, opts)
+    restored = pickle.loads(pickle.dumps(fresh[-1]))
+    assert isinstance(restored._records, tuple) and np.array_equal(restored.x, traces[-1].x)
+    for r, s in zip(restored.achieved, traces[-1].achieved, strict=True):
+        assert (r.value, r.solver) == (s.value, s.solver) and np.array_equal(r.witness_coeffs, s.witness_coeffs)
+    assert restored.coefficient_bounds == traces[-1].coefficient_bounds
 
 
 @pytest.mark.parametrize("basis", ["coordinate", "explicit"])

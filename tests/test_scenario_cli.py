@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 import lethargy.construct as construct_module
 from lethargy import cli
+from lethargy.construct import ConstructOptions, construct_sequence
+from lethargy.distance import DistanceResult
 from lethargy.scenario import (
     Report,
     ScenarioError,
@@ -414,8 +416,13 @@ for case, levels, message in [
     ("p2-nan", [[NAN1], [NAN1, E2]], "chain level 1: basis entries must be finite"),
     ("p2-string-entry", [[E1], [E1, ["a", 1, 0, 0]]],
      "chain level 2: could not convert string to float: 'a'"),
+    ("p2-ragged-level", [[E1], [E1, [0.0, 1.0, 0.0]]],
+     "chain level 2: its vectors must have equal length"),
 ]:
     MALFORMED[case] = (base_doc(chain={"levels": levels}), message)
+# the same ragged level off p = 2, where every level takes the per-level path
+MALFORMED["p1-ragged-level"] = (base_doc(norm_p=1, chain={"levels": [[E1], [E1, [0.0, 1.0, 0.0]]]}),
+                                "chain level 2: its vectors must have equal length")
 
 
 def _command(doc):
@@ -496,6 +503,48 @@ def test_explicit_basis_ladder_keeps_its_bytes(tmp_path, capsys):
     assert cli.main(["sequence", path.as_posix(), "--format", "machine"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "7f8fe022b735ec4066f8a717915674fbdb01ecb181f9be32cc8c13e4fdc9d257"
+
+
+def counted_records(monkeypatch) -> dict:
+    """The DistanceResult and CoefficientBound records built from now on, by class name."""
+    counts = {}
+
+    def count(cls):
+        init = cls.__init__
+
+        def counting_init(self, *args, **kwargs):
+            counts[cls.__name__] = counts.get(cls.__name__, 0) + 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    count(DistanceResult)
+    count(construct_module.CoefficientBound)
+    return counts
+
+
+def test_l2_sequence_builds_the_records_of_the_reported_rung_only(tmp_path, capsys, monkeypatch):
+    # a p = 2 ladder of 24 rungs over 23 positive targets reports its last
+    # rung's levels (23 in closed form, one contained) and 23 coefficient
+    # bounds, and builds those records alone, not the 300 and 299 of every
+    # rung; a record read again is the same tuple, and a certificate gap
+    # over no certified level is None without a record built
+    doc = base_doc(ambient_dim=26, chain={"generator": "coordinate", "n_levels": 24}, mode="sequence",
+                   N_max=24, targets={"values": [0.4**k for k in range(23)]}, tolerance=1e-8)
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(doc))
+    counts = counted_records(monkeypatch)
+    assert cli.main(["sequence", path.as_posix(), "--format", "machine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["levels"]) == 24 and len(report["coefficient_bounds"]) == 23
+    assert counts == {"DistanceResult": 24, "CoefficientBound": 23}
+    scn = parse_scenario(doc)
+    traces, _ = construct_sequence(scn.chain, scn.targets, 24, ConstructOptions(tol=1e-8))
+    counts.clear()
+    trace = traces[4]
+    assert trace.certificate_gap is None and trace.certificate_gap is None and counts == {}
+    achieved, bounds = trace.achieved, trace.coefficient_bounds
+    assert trace.achieved is achieved and trace.coefficient_bounds is bounds
+    assert counts == {"DistanceResult": 5, "CoefficientBound": 5}
+    assert sum(len(t.achieved) for t in traces) == 300 and counts["DistanceResult"] == 300
 
 
 def partial_ladder_doc(norm_p, tolerance):
