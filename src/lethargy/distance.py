@@ -11,8 +11,9 @@ Solver routes:
   * p = 2        orthogonal projection (closed form), on every subspace
   * coordinate   Y = span{e_i : i in S} ({0} included), p != 2: rho(x, Y)
                  is the norm of x off S, attained at x_S (closed form)
-  * p = 1        the annihilator linear program (HiGHS), r equality rows
-  * p = inf      the primal linear program (HiGHS)
+  * p = 1, inf   the annihilator linear program (HiGHS): r equality rows,
+                 and at p = inf the row |g|_1 <= 1 before them; its solution
+                 is the certificate and its row duals give the witness
   * other p      damped Newton on one side of Fenchel duality, to a 1e-13 gap
 
 level_endpoint gives the upper end of the interval {t : rho(x + t q, Y) <= d},
@@ -63,6 +64,9 @@ def _solver():
         solver = _local.solver = _highs._Highs()
         solver.setOptionValue("output_flag", False)
         solver.setOptionValue("presolve", "off")
+        # HiGHS's default 1e-7 left rho up to 2.3e-7 off on near-tied inputs
+        solver.setOptionValue("primal_feasibility_tolerance", 1e-9)
+        solver.setOptionValue("dual_feasibility_tolerance", 1e-9)
     return solver
 
 
@@ -82,12 +86,13 @@ def linprog(c, A, row_lo, row_hi, col_lo, col_hi) -> LPResult:
     (scipy.optimize._highspy).  Each thread keeps one solver, and the model
     goes to it through passModel's array overload, by pointer.  Presolve is
     off: on these dense LPs it removes nothing and costs more than the dual
-    simplex itself.  The model and options are those scipy.optimize.linprog
-    (method="highs", options={"presolve": False}) passes for the same rows,
-    so x, fun and the row duals are its x, fun and ineqlin/eqlin.marginals,
-    bit for bit, and the status codes are its codes.  On rho's LPs a call
-    costs about 0.3-0.5 ms at m = 16-64 and 0.6 ms (p = 1) to 1.4 ms
-    (p = inf) at m = 256, on a 2-core x86-64 host."""
+    simplex itself.  The primal and dual feasibility tolerances are 1e-9
+    (_solver).  The model and options are those scipy.optimize.linprog
+    (method="highs") passes with these options for the same rows, so x, fun
+    and the row duals are its x, fun and ineqlin/eqlin.marginals, bit for
+    bit, and the status codes are its codes.  On rho's annihilator LPs at
+    rank r <= 8 a call costs about 0.1-0.3 ms at m = 16-64, and 0.36 ms
+    (p = 1) or 0.74 ms (p = inf) at m = 256, on a 2-core x86-64 host."""
     n = len(c)
     nonzero = A.T != 0.0  # column-wise, rows ascending, as scipy's CSC
     start = np.zeros(n, dtype=np.int32)  # n entries: HiGHS rejects the closing one
@@ -109,7 +114,7 @@ def linprog(c, A, row_lo, row_hi, col_lo, col_hi) -> LPResult:
         return LPResult(status, message, None, None, None)
     solution = solver.getSolution()
     return LPResult(status, message, np.array(solution.col_value),
-                    solver.getInfo().objective_function_value, np.array(solution.row_dual))
+                    solver.getObjectiveValue(), np.array(solution.row_dual))
 
 
 class SolverError(RuntimeError):
@@ -187,24 +192,18 @@ def _rho_l2(x: np.ndarray, Y: Subspace) -> DistanceResult:
                           dual_direction=r)
 
 
-def _lp(x: np.ndarray, A: np.ndarray, norm: NormSpec, cost_v, d: float | None = None):
+def _lp(x: np.ndarray, A: np.ndarray, norm: NormSpec, cost_v, d: float):
     """HiGHS LP over (v, s) with |x - A v| <= s entrywise (p = 1) or s
-    scalar (p = inf).  Minimizes the norm bound when d is None (rho at
-    p = inf); otherwise caps it at d and minimizes cost_v . v (level sets)."""
+    scalar (p = inf), the sum of s capped at d, minimizing cost_v . v: the
+    level sets' LP."""
     m, n = A.shape
     J = np.ones((m, 1)) if norm.is_sup else np.eye(m)
     k = J.shape[1]
-    rows = np.block([[-A, -J], [A, -J]])
-    row_hi = np.concatenate([-x, x])
-    if d is None:
-        cost = np.concatenate([cost_v, np.ones(k)])
-    else:
-        cost = np.concatenate([cost_v, np.zeros(k)])
-        rows = np.vstack([rows, np.concatenate([np.zeros(n), np.ones(k)])])
-        row_hi = np.append(row_hi, d)
+    rows = np.block([[-A, -J], [A, -J], [np.zeros((1, n)), np.ones((1, k))]])
+    row_hi = np.concatenate([-x, x, [d]])
     col_lo = np.concatenate([np.full(n, -np.inf), np.zeros(k)])
-    return linprog(cost, rows, np.full(row_hi.size, -np.inf), row_hi,
-                   col_lo, np.full(n + k, np.inf))
+    return linprog(np.concatenate([cost_v, np.zeros(k)]), rows, np.full(row_hi.size, -np.inf),
+                   row_hi, col_lo, np.full(n + k, np.inf))
 
 
 def _lp_dual(res, m: int) -> np.ndarray:
@@ -215,32 +214,31 @@ def _lp_dual(res, m: int) -> np.ndarray:
 
 
 def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
-    # Solve on the part of x orthogonal to Y, scaled to norm 1: rho only
-    # shifts and scales with it, and HiGHS's absolute tolerances then act
-    # relative to rho, which keeps a small rho (tiny x, or x near Y) accurate.
+    """The annihilator LP max{g . u : B^T g = 0, |g|_* <= 1} (Cheney,
+    Introduction to Approximation Theory, ch. 2): r equality rows, over m
+    columns -1 <= g <= 1 at p = 1, over g = g+ - g- >= 0 below a first row
+    sum(g+ + g-) <= 1 at p = inf.  Its g is the certificate (none at optimum
+    0, x in Y); the duals y of B^T g = 0 give the residual u - B(-y).  u is
+    xp, the part of x orthogonal to Y, over |xp|: HiGHS's absolute
+    tolerances then act relative to rho, so a small rho stays accurate."""
+    m, zero = x.size, np.zeros(Y.rank)
     c0 = Y.basis.T @ x
     xp = x - Y.basis @ c0
     scale = _norm(xp, norm.p) or 1.0
+    u = xp / scale
     if norm.is_sup:
-        res = _lp(xp / scale, Y.basis, norm, np.zeros(Y.rank))
+        A = np.vstack([np.ones(2 * m), np.hstack([Y.basis.T, -Y.basis.T])])
+        res = linprog(np.concatenate([-u, u]), A, np.append(-np.inf, zero), np.append(1.0, zero),
+                      np.zeros(2 * m), np.full(2 * m, np.inf))
     else:
-        # The annihilator LP rho = max{g . x : B^T g = 0, |g_i| <= 1}, r rows
-        # against the primal's 2m (Cheney, Introduction to Approximation
-        # Theory, ch. 2).  Its solution g is the certificate; the duals y of
-        # B^T g = 0 give the residual x - B(-y).  At optimum 0 (x in Y) g is
-        # an arbitrary vertex and certifies nothing.
-        zero, one = np.zeros(Y.rank), np.ones(x.size)
-        res = linprog(-xp / scale, Y.basis.T, zero, zero, -one, one)
+        res = linprog(-u, Y.basis.T, zero, zero, -np.ones(m), np.ones(m))
     if res.status != 0:
         raise SolverError(f"linear program failed: {res.message}")
-    if norm.is_sup:
-        v, direction = res.x[: Y.rank], _lp_dual(res, x.size)
-    else:
-        v, direction = -res.row_dual, res.x if res.fun < 0.0 else None
-    c = c0 + v * scale
+    g, y = (res.x[:m] - res.x[m:], res.row_dual[1:]) if norm.is_sup else (res.x, res.row_dual)
+    c = c0 - y * scale
     value = _norm(x - Y.basis @ c, norm.p)
     return DistanceResult(value=value, witness_coeffs=c, solver="linear_program",
-                          dual_direction=direction)
+                          dual_direction=g if res.fun < 0.0 else None)
 
 
 def _annihilator_step(grad: np.ndarray, s: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -14,8 +14,9 @@ subdifferential} / rho(x1, Q), where the subdifferential is the face
 divided by rho(x1, Q), is the pinned norming functional itself, so no search
 over a is needed.  rho's own certificate lies in the face, so it serves
 without x2 and for 1 < p < inf, where the face is one point.  For p in
-{1, inf} with x2 the witness residual fixes the face exactly, and one LP
-over it picks the minimizer.
+{1, inf} with x2 the witness residual and the certificate's support fix the
+face; a face of one point is one square solve, and one LP over any other
+face picks the minimizer.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .distance import SolverError, linprog, rho
 from .spaces import NormSpec, Subspace, _norm, as_vector, norm_eval
 
 FUNC_TOL = 1e-8
-NORMING_TOL = 1e-7  # HiGHS's feasibility tolerance
+NORMING_TOL = 1e-7  # slack of the norming identity and of a point face's bounds
 # A residual entry within ACTIVE_TOL * max|r| of max|r| (p = inf) or of 0
 # (p = 1) counts as equal to it.  On the benchmark's sweep inputs the LP
 # witnesses leave ties within 5e-12 * max|r| and gaps above 1e-6 * max|r|.
@@ -85,31 +86,46 @@ def _face_minimizer(res, x1: np.ndarray, Q: Subspace, norm: NormSpec, x2) -> np.
 
     Without x2, or for 1 < p < inf (where the face is one point), g is
     rho's own certificate.  For p in {1, inf} with x2, complementary
-    slackness with the witness residual r fixes the face exactly, and one LP
-    minimizes g(x2) over it subject to g|Q = 0:
+    slackness with the witness residual r fixes the face subject to g|Q = 0:
 
       * p = inf  g = sum over A of w_i sign(r_i) e_i, w >= 0, sum w = 1,
                  A = {i : |r_i| = max |r|};
       * p = 1    g_i = sign(r_i) where r_i != 0, g_i in [-1, 1] where r_i = 0.
 
-    "= max" and "= 0" are decided to ACTIVE_TOL relative to max |r|.  The
-    projection onto Q's annihilator removes the solver's error in g|Q = 0.
+    "= max" and "= 0" are decided to ACTIVE_TOL relative to max |r|, and
+    the free entries also take the support of rho's certificate (non-zero
+    at p = inf, below 1 in size at p = 1), which then lies in the face.  As
+    many free entries as rows (Q's and, at p = inf, sum w = 1) leave at
+    most one point: one square solve, kept when it is within NORMING_TOL of
+    the bounds.  Any other face, or a singular or out-of-bounds solve, takes
+    one LP minimizing g(x2).  The projection onto Q's annihilator removes
+    the error in g|Q = 0.
     """
     if x2 is None or not (norm.p == 1.0 or norm.is_sup):
         return res.dual(Q, norm)
-    r = x1 - res.witness(Q)
+    r, cert = x1 - res.witness(Q), res.dual_direction
     size, s = np.abs(r), np.sign(r)
     # The face as bounds on g.  A fixed coordinate gets equal bounds and
     # stays a column, so the LP has columns even when none is free.
     if norm.is_sup:
-        active = size >= (1.0 - ACTIVE_TOL) * size.max()
+        active = (size >= (1.0 - ACTIVE_TOL) * size.max()) | (cert != 0.0)
         lo = np.where(active & (s < 0), -np.inf, 0.0)
         hi = np.where(active & (s > 0), np.inf, 0.0)
         A, b = np.vstack([Q.basis.T, s]), np.append(np.zeros(Q.rank), 1.0)
     else:
-        zero = size <= ACTIVE_TOL * size.max()
+        zero = (size <= ACTIVE_TOL * size.max()) | (np.abs(cert) < 1.0)
         lo, hi = np.where(zero, -1.0, s), np.where(zero, 1.0, s)
         A, b = Q.basis.T, np.zeros(Q.rank)
+    free = lo < hi
+    if np.count_nonzero(free) == b.size:  # the face is at most one point
+        g = np.where(free, 0.0, lo)
+        try:
+            g[free] = np.linalg.solve(A[:, free], b - A @ g)
+        except np.linalg.LinAlgError:  # singular: the face is not one point
+            pass
+        else:
+            if np.all(g >= lo - NORMING_TOL) and np.all(g <= hi + NORMING_TOL):
+                return Q.residual(g)
     out = linprog(x2, A, b, b, lo, hi)
     if out.status != 0:
         raise SolverError(f"norming linear program failed: {out.message}")

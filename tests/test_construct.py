@@ -560,7 +560,7 @@ def test_stabilization_verdict_is_scale_free(d1, tol):
     d = TargetSequence((d1,), "geometric", 0.55)
     _, table = construct_sequence(chain, d, 6, ConstructOptions(tol=tol))
     assert not table.failures
-    assert table.max_tail[2] - table.max_tail[1] == pytest.approx(0.254 * d1, rel=1e-2)
+    assert table.max_tail[2] - table.max_tail[1] == pytest.approx(0.254 * d1, rel=1e-2, abs=0)
     assert not table.tail_non_increasing
 
 

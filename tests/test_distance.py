@@ -686,6 +686,10 @@ def norming_lps():
         x1, x2 = rng.standard_normal(dim), rng.standard_normal(dim)
         functionals_module.norming_functional(x1, Q, norm)
         functionals_module.norming_functional(x1, Q, norm, x2=x2)
+        # a face of positive dimension takes the LP: x1's largest entries
+        # tied (p = inf) or some zero (p = 1), off {0}
+        tied = np.sign(x1) if norm.is_sup else np.where(np.arange(dim) % 2 == 0, x1, 0.0)
+        functionals_module.norming_functional(tied, Subspace.zero(dim), norm, x2=x2)
 
 
 def l1_sweep_instances():
@@ -695,9 +699,9 @@ def l1_sweep_instances():
             for m in (16, 64, 256) for r in (1, 8, 32) if r < m for _ in range(2)]
 
 
-def l1_rho_lps():
+def sweep_rho_lps(p):
     for Y, x in l1_sweep_instances():
-        rho(x, Y, NormSpec(1.0))
+        rho(x, Y, NormSpec(p))
 
 
 def random_basis_criterion_2():
@@ -712,7 +716,7 @@ def random_basis_criterion_2():
     return out
 
 
-LP_FAMILIES = ["criterion 2", "level sets", "norming", "p = 1 rho"]
+LP_FAMILIES = ["criterion 2", "level sets", "norming", "p = 1 rho", "p = inf rho"]
 
 
 def family_lps(monkeypatch, family) -> list:
@@ -722,7 +726,8 @@ def family_lps(monkeypatch, family) -> list:
         "criterion 2": (distance_module, lambda: [finite_construct(c, d) for c, d in instances]),
         "level sets": (distance_module, level_set_lps),
         "norming": (functionals_module, norming_lps),
-        "p = 1 rho": (distance_module, l1_rho_lps),
+        "p = 1 rho": (distance_module, lambda: sweep_rho_lps(1.0)),
+        "p = inf rho": (distance_module, lambda: sweep_rho_lps(math.inf)),
     }[family]
     return recorded_lps(monkeypatch, module, run)
 
@@ -736,7 +741,8 @@ def assert_same_lp_result(ours, ref):
 
 
 def scipy_linprog(c, A, row_lo, row_hi, col_lo, col_hi):
-    """The same LP through scipy.optimize.linprog, presolve off: rows
+    """The same LP through scipy.optimize.linprog, with distance._solver's
+    options (presolve off, feasibility tolerances 1e-9): rows
     row_lo = -inf become A_ub, rows row_lo = row_hi become A_eq.  scipy puts
     A_ub's rows first, so every A_ub row must come before every A_eq row."""
     eq = row_lo == row_hi
@@ -744,7 +750,9 @@ def scipy_linprog(c, A, row_lo, row_hi, col_lo, col_hi):
     assert not np.any(eq[:-1] & ~eq[1:])
     res = scipy.optimize.linprog(c, A_ub=A[~eq], b_ub=row_hi[~eq], A_eq=A[eq], b_eq=row_hi[eq],
                                  bounds=np.column_stack([col_lo, col_hi]),
-                                 method="highs", options={"presolve": False})
+                                 method="highs", options={"presolve": False,
+                                                          "primal_feasibility_tolerance": 1e-9,
+                                                          "dual_feasibility_tolerance": 1e-9})
     row_dual = (np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
                 if res.status == 0 else None)
     return distance_module.LPResult(res.status, res.message, res.x, res.fun, row_dual)
@@ -831,3 +839,24 @@ def test_rho_l1_solves_the_annihilator_lp(monkeypatch):
         assert res.value == pytest.approx(rho_l1_primal_oracle(x, Y), rel=1e-12)
         g = res.dual(Y, norm)
         assert abs(res.value - float(g @ (x - res.witness(Y)))) <= 1e-12 * res.value
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("m", [32, 64, 128])
+@pytest.mark.parametrize("basis", ["svd", "qr"])
+def test_rho_lp_on_near_tied_kernels(p, m, basis):
+    # Y = ker f, x = e_1 with f = (1 - 2^-k) at p = 1 and f = (2^-k) at
+    # p = inf: f's entries tie to 2^-m, and rho = |f_1| / |f|_* exactly.
+    # HiGHS's default 1e-7 tolerances leave rho up to 2.3e-7 off here
+    norm = NormSpec(p)
+    k = np.arange(1, m + 1, dtype=float)
+    f = 1.0 - 2.0**-k if p == 1.0 else 2.0**-k
+    exact = f[0] / norm_eval(f, NormSpec(norm.dual_p))
+    Y = Subspace(np.linalg.svd(f[None, :])[2][1:].T if basis == "svd"
+                 else np.linalg.qr(np.column_stack([f, np.eye(m)[:, :m - 1]]))[0][:, 1:])
+    x = np.eye(m)[0]
+    res = rho(x, Y, norm)
+    assert res.solver == "linear_program"
+    assert abs(res.value - exact) <= default_tol(norm) * exact
+    g = res.dual(Y, norm)
+    assert res.value - float(g @ (x - res.witness(Y))) <= default_tol(norm) * res.value

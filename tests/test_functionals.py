@@ -120,8 +120,10 @@ def test_limit_on_near_tied_faces(case):
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
 def test_norming_functional_solve_count(monkeypatch, p):
-    # rho's certificate is the functional without x2; one LP over its face
-    # pins f(x2).  rho's own LP goes through lethargy.distance.linprog.
+    # rho's certificate is the functional without x2.  With x2, a face of
+    # one point (as many free entries as rows, as on generic inputs) is one
+    # square solve, and a face of positive dimension takes one LP.  rho's
+    # own LP goes through lethargy.distance.linprog.
     import lethargy.functionals as functionals_module
 
     calls = []
@@ -132,9 +134,44 @@ def test_norming_functional_solve_count(monkeypatch, p):
     Q = Subspace(rng.standard_normal((8, 3)))
     x1, x2 = rng.standard_normal(8), rng.standard_normal(8)
     norming_functional(x1, Q, NormSpec(p))
-    assert len(calls) == 0
     norming_functional(x1, Q, NormSpec(p), x2=x2)
+    assert len(calls) == 0
+    # tied: two largest entries (p = inf), or one zero entry (p = 1)
+    tied = [1.0, 1.0, 0.5] if p == math.inf else [1.0, 0.0, 0.5]
+    f = norming_functional(tied, Subspace.zero(3), NormSpec(p), x2=[2.0, 1.0, 1.0])
     assert len(calls) == 1
+    # min g(x2) over the face: g = e_2 (p = inf), g = (1, -1, 1) (p = 1)
+    assert f([2.0, 1.0, 1.0]) == pytest.approx(1.0 if p == math.inf else 2.0 / 1.5, abs=1e-12)
+
+
+def face_draw(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.choice([8, 16, 32, 64]))
+    r = int(rng.integers(1, m))
+    B = rng.standard_normal((m, r))
+    return Subspace(B), rng.standard_normal(m), rng.standard_normal(m)
+
+
+def test_norming_face_holds_the_certificate():
+    # m = 64, r = 36 at p = inf: the witness residual's ties spread past
+    # ACTIVE_TOL, and a face taken from it alone missed rho's own
+    # certificate, so its LP came out infeasible
+    Q, x1, x2 = face_draw(1409)
+    assert Q.basis.shape == (64, 36)
+    sup = NormSpec(math.inf)
+    f = norming_functional(x1, Q, sup, x2=x2)
+    assert f(x2) == pytest.approx(limit_value(x2, x1, Q, sup), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_norming_faces_on_random_draws(p):
+    # every face holds rho's certificate, so no face LP fails; rank m - 1
+    # puts x2 in span[{x1} + Q], which has no pinned functional
+    for seed in range(300):
+        Q, x1, x2 = face_draw(seed)
+        if Q.rank < Q.ambient_dim - 1:
+            f = norming_functional(x1, Q, NormSpec(p), x2=x2)
+            assert f(x1) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_norming_functional_basic():

@@ -473,8 +473,8 @@ BUNDLED_REPORT_SHA256 = {
     "geometric-third-prefix": "1991d80d41daead6c472da5ccdce6520f73e584de23fd2350216e6e3869483c1",
     "geometric-third-sequence": "d14eef17bd4080d27f1461a4d36a72562e5d723496ddff3c28ad6a8b4f65b860",
     "geometric-twofifth-check": "affb55804b5be831fd792c366619bb7235b5756fa9afc25a440d2126b75a424f",
-    "polynomial-sup-degree15-finite": "4c30c8fbe8e401d708fbb382541207ad12aaab4a0a0e7d5f648bdbd4eb5f74d8",
-    "polynomial-sup-finite": "8765b6c7866995d2e1066794c3fe35df6eed06c33485714e87b42c7443ad4500",
+    "polynomial-sup-degree15-finite": "fc5730aaf68c2e5201f4ed8da2391bc3ade994df4fb231201f6be107c5c4a72f",
+    "polynomial-sup-finite": "478c6700eac951530aa43353927e8f3de8831e5cb5cbc8c486bd446a6e387350",
     "random-l1-finite": "5dfed213394f6823b31b323d55b22c9d38d77f242fd20a22a2f7449ca8c6ab43",
     "random-p1.1-finite": "4829ddb26bc5c6f477d92bc4251f9cd69c9f29d7a374dd0f4e9c3369aefefc9d",
     "zero-tail-finite": "9f336e8010b1e36dfb8b59e75bdf78ea657297a45cc22010ad23b0ad69b695d8",
@@ -622,7 +622,7 @@ def test_ladder_with_every_rung_failing(tmp_path, capsys):
 @pytest.mark.parametrize("norm_p, code, digest", [
     (1, 1, "12bf0d60f096399ed045e96bb5b3308d8b8fd5af8edf28da1640bf23d05dd115"),
     (3, 0, "f654dc9c0722f24256a5bbb4cad242c9cbd619068eee2fc1717e96ab9343d1d1"),
-    ("inf", 1, "d8e1842abe450ebbfaeb0efd00ab510ad56c48fd10679ee6a081ba95fa25a907"),
+    ("inf", 1, "cc9d844cef17fe67cd1b6fe09980c3676fab11faad8f637fe95a15ffd3a3d09b"),
 ])
 def test_schedule_ladders_off_p2_keep_their_bytes(norm_p, code, digest, tmp_path, capsys):
     # the prefix steps' level-set solves off p = 2, at an ordinary tolerance;
