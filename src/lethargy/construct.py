@@ -36,7 +36,7 @@ import numpy as np
 
 from .distance import _L2_TOL, DistanceResult, Endpoint, SolverError, _rho, level_endpoint, rho
 from .functionals import norming_functional  # noqa: F401  (bench/tracing.py patches this binding)
-from .spaces import Chain, NormSpec, Subspace, _extends, _norm, _norms, as_vector, norm_eval, validate_chain
+from .spaces import Chain, NormSpec, Subspace, _norm, _norms, as_vector, norm_eval, validate_chain
 
 
 class TargetError(ValueError):
@@ -199,18 +199,19 @@ def normalize_step(chain: Chain, n: int) -> np.ndarray:
     Yn, Ynext = chain.level(n), chain.level(n + 1)
     if Ynext.rank <= Yn.rank:
         raise ConstructionError(f"no direction available above level {n}")
-    return _unit_step(Yn, Ynext, chain.norm)[0]
+    return _unit_step(Yn, Ynext, chain.norm, chain._extends_at(n))[0]
 
 
-def _unit_step(Yn: Subspace, Ynext: Subspace, norm: NormSpec
+def _unit_step(Yn: Subspace, Ynext: Subspace, norm: NormSpec, extends: bool
                ) -> tuple[np.ndarray, DistanceResult | None]:
     """normalize_step's y for Yn of lower rank than Ynext, with the certificate
     of rho(y, Yn) = 1.  The one step rule: where Ynext's basis extends Yn's
-    (spaces._extends; so out of {0}) y is its column rank(Yn) + 1 at p = 2,
-    with no certificate (p = 2 uses none); otherwise that column, or else
-    Ynext's column farthest from Yn, minus its best approximant in Yn,
-    normalized and oriented, with that solve's certificate, witness 0."""
-    if _extends(Yn, Ynext):
+    (extends, the chain's spaces._extends; so out of {0}) y is its column
+    rank(Yn) + 1 at p = 2, with no certificate (p = 2 uses none); otherwise
+    that column, or else Ynext's column farthest from Yn, minus its best
+    approximant in Yn, normalized and oriented, with that solve's
+    certificate, witness 0."""
+    if extends:
         z = Ynext.basis[:, Yn.rank]
         if norm.p == 2.0:
             return z.copy(), None  # not a view a caller could write the basis through
@@ -300,9 +301,10 @@ def interpolating_family(
     for um, vm in zip(u, v):
         if not (um >= vm >= 0.0):
             raise ValueError(f"targets must satisfy u_m >= v_m >= 0, got ({um}, {vm})")
-    _nested(Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q1, Q2, Q3)))
-    y = _unit_step(Q2, Q3, norm)[0]
-    s = _unit_step(Q1, Q2, norm)[0]
+    chain = Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q1, Q2, Q3))
+    _nested(chain)
+    y = _unit_step(Q2, Q3, norm, chain._extended[1])[0]
+    s = _unit_step(Q1, Q2, norm, chain._extended[0])[0]
     lams = [smallest_root(vm * y, s, Q1, norm, um, two_sided=False).t for um, vm in zip(u, v)]
     members = [FamilyMember(q=vm * y + lam * s, mu=lam) for vm, lam in zip(v, lams)]
     return InterpolationFamily(members=tuple(members), step_outer=y, step_inner=s)
@@ -604,11 +606,11 @@ def _prefix_steps(chain: Chain, d: TargetSequence, N: int, recentre: bool):
     steps, s = [], None
     for j, dj in enumerate(ds, start=1):
         Yj = chain.level(j)
-        y, cert = _unit_step(Yj, chain.level(j + 1), norm)
+        y, cert = _unit_step(Yj, chain.level(j + 1), norm, chain._extends_at(j))
         w, mu, q = tau / (2.0**j * dj), 0.0, y
         if Yj.rank and not recentre:
             if s is None:
-                s = _unit_step(zero, Yj, norm)[0]
+                s = _unit_step(zero, Yj, norm, True)[0]  # {0}'s empty basis begins every one
             if norm.p == 2.0:
                 mu = math.sqrt(w * (2.0 + w))
             else:
@@ -670,7 +672,10 @@ def construct_sequence(
     n, h = len(traces), len({len(t.coefficients) for t in traces})
     X = np.reshape([t.x for t in traces[:h]], (h, chain.ambient_dim))
     rows = np.minimum(np.arange(n), h - 1)
-    diffs = _norms(X[:, None, :] - X[None, :, :], chain.norm.p)[np.ix_(rows, rows)]
+    i, j = np.triu_indices(h, 1)
+    D = np.zeros((h, h))
+    D[i, j] = D[j, i] = _norms(X[i] - X[j], chain.norm.p)  # |x_N - x_M| = |x_M - x_N|, bit for bit
+    diffs = D[np.ix_(rows, rows)]
     max_tail = tuple(np.triu(diffs, 1).max(axis=1, initial=0.0).tolist())
     body = max_tail[:-1] if n else ()
     slack = 1e-12 * max(body, default=0.0)  # relative, as the tail scales with d

@@ -11,9 +11,9 @@ Solver routes:
   * p = 2        orthogonal projection (closed form), on every subspace
   * coordinate   Y = span{e_i : i in S} ({0} included), p != 2: rho(x, Y)
                  is the norm of x off S, attained at x_S (closed form)
-  * p = 1, inf   the annihilator linear program (HiGHS): r equality rows,
-                 and at p = inf the row |g|_1 <= 1 before them; its solution
-                 is the certificate and its row duals give the witness
+  * p = 1, inf   the annihilator LP max{g . x : B^T g = 0, |g|_* <= 1} at
+                 an exact vertex, by exchange (_rho_linprog); its g is the
+                 certificate and its c the witness, bracketing rho to rounding
   * other p      damped Newton on one side of Fenchel duality, to a 1e-13 gap
 
 level_endpoint gives the upper end of the interval {t : rho(x + t q, Y) <= d},
@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dlaswp
+from scipy.linalg.lapack import dgetrf, dgetrs, dlaswp
 from scipy.optimize import minimize  # noqa: F401  (bench/tracing.py patches this binding)
 from scipy.optimize._highspy import _core as _highs
 
@@ -64,7 +64,8 @@ def _solver():
         solver = _local.solver = _highs._Highs()
         solver.setOptionValue("output_flag", False)
         solver.setOptionValue("presolve", "off")
-        # HiGHS's default 1e-7 left rho up to 2.3e-7 off on near-tied inputs
+        # for the level-set and face LPs: the default 1e-7 left the annihilator
+        # LP up to 2.3e-7 off rho on near-tied inputs
         solver.setOptionValue("primal_feasibility_tolerance", 1e-9)
         solver.setOptionValue("dual_feasibility_tolerance", 1e-9)
     return solver
@@ -90,9 +91,9 @@ def linprog(c, A, row_lo, row_hi, col_lo, col_hi) -> LPResult:
     (_solver).  The model and options are those scipy.optimize.linprog
     (method="highs") passes with these options for the same rows, so x, fun
     and the row duals are its x, fun and ineqlin/eqlin.marginals, bit for
-    bit, and the status codes are its codes.  On rho's annihilator LPs at
-    rank r <= 8 a call costs about 0.1-0.3 ms at m = 16-64, and 0.36 ms
-    (p = 1) or 0.74 ms (p = inf) at m = 256, on a 2-core x86-64 host."""
+    bit, and the status codes are its codes.  A level-set LP (_lp) costs
+    about 0.2 ms at m = 8 and 0.9-2.1 ms at m = 64, a norming-face LP
+    0.05-0.3 ms at m = 16-256, on a 2-core x86-64 host."""
     n = len(c)
     nonzero = A.T != 0.0  # column-wise, rows ascending, as scipy's CSC
     start = np.zeros(n, dtype=np.int32)  # n entries: HiGHS rejects the closing one
@@ -135,8 +136,8 @@ class DistanceResult:
     value: float
     witness_coeffs: np.ndarray
     solver: str
-    # Raw certificate direction: the residual or Newton's g, the primal LP's
-    # row duals, or the annihilator LP's solution; dual() projects, scales it.
+    # Raw certificate direction: the residual or Newton's g, the level-set
+    # LP's row duals, or the exchange's vertex g; dual() projects, scales it.
     dual_direction: np.ndarray | None = None
 
     def witness(self, Y: Subspace) -> np.ndarray:
@@ -195,7 +196,8 @@ def _rho_l2(x: np.ndarray, Y: Subspace) -> DistanceResult:
 def _lp(x: np.ndarray, A: np.ndarray, norm: NormSpec, cost_v, d: float):
     """HiGHS LP over (v, s) with |x - A v| <= s entrywise (p = 1) or s
     scalar (p = inf), the sum of s capped at d, minimizing cost_v . v: the
-    level sets' LP."""
+    level sets' LP, on x and d over max(|xp|_p, d), so that HiGHS's absolute
+    tolerances act relative to them."""
     m, n = A.shape
     J = np.ones((m, 1)) if norm.is_sup else np.eye(m)
     k = J.shape[1]
@@ -213,32 +215,150 @@ def _lp_dual(res, m: int) -> np.ndarray:
     return res.row_dual[m:2 * m] - res.row_dual[:m]
 
 
-def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
-    """The annihilator LP max{g . u : B^T g = 0, |g|_* <= 1} (Cheney,
-    Introduction to Approximation Theory, ch. 2): r equality rows, over m
-    columns -1 <= g <= 1 at p = 1, over g = g+ - g- >= 0 below a first row
-    sum(g+ + g-) <= 1 at p = inf.  Its g is the certificate (none at optimum
-    0, x in Y); the duals y of B^T g = 0 give the residual u - B(-y).  u is
-    xp, the part of x orthogonal to Y, over |xp|: HiGHS's absolute
-    tolerances then act relative to rho, so a small rho stays accurate."""
-    m, zero = x.size, np.zeros(Y.rank)
+def _outside(x: np.ndarray, Y: Subspace, norm: NormSpec):
+    """(c0, xp, |xp|_p) with x = B c0 + xp, xp a residual taken twice (one
+    leaves xp's own rounding in Y); the norm is 0 for x in Y up to rounding."""
     c0 = Y.basis.T @ x
-    xp = x - Y.basis @ c0
-    scale = _norm(xp, norm.p) or 1.0
-    u = xp / scale
-    if norm.is_sup:
-        A = np.vstack([np.ones(2 * m), np.hstack([Y.basis.T, -Y.basis.T])])
-        res = linprog(np.concatenate([-u, u]), A, np.append(-np.inf, zero), np.append(1.0, zero),
-                      np.zeros(2 * m), np.full(2 * m, np.inf))
-    else:
-        res = linprog(-u, Y.basis.T, zero, zero, -np.ones(m), np.ones(m))
-    if res.status != 0:
-        raise SolverError(f"linear program failed: {res.message}")
-    g, y = (res.x[:m] - res.x[m:], res.row_dual[1:]) if norm.is_sup else (res.x, res.row_dual)
-    c = c0 - y * scale
-    value = _norm(x - Y.basis @ c, norm.p)
-    return DistanceResult(value=value, witness_coeffs=c, solver="linear_program",
-                          dual_direction=g if res.fun < 0.0 else None)
+    xp = Y.residual(x - Y.basis @ c0)
+    scale = _norm(xp, norm.p)
+    if scale and np.abs(Y.basis.T @ xp).max(initial=0.0) > 1e-8 * scale:
+        scale = 0.0
+    return c0, xp, scale
+
+
+def _pivot_rows(A: np.ndarray) -> list[int]:
+    """The rows that row-pivoted LU of A takes as its pivots, in order."""
+    rows = list(range(A.shape[0]))
+    for i, j in enumerate(dgetrf(A)[1].tolist()):
+        rows[i], rows[j] = rows[j], rows[i]
+    return rows[:A.shape[1]]
+
+
+def _sup_exchange(u: np.ndarray, B: np.ndarray, cap: int):
+    """Stiefel's exchange (Cheney, Introduction to Approximation Theory, ch.
+    2) for min |u - B c|_inf, the simplex method on g = sum_R lambda_k s_k
+    e_k, lambda >= 0 summing to 1: a reference R of r + 1 rows, signs s and
+    B_R of rank r make K = [B_R, s] nonsingular; K (c, h) = u_R levels e =
+    u - B c to s h on R, and K^T g_R = e_{r+1}.  It starts at B's pivot rows
+    weighted by |u| and the largest |u| off them, signed by their null
+    vector; the largest |e| enters, and where a step leaves h (lambda_k = 0)
+    rows enter and leave by smallest index (Bland) until one moves it, an
+    entering row's excess over h at least 1e-6 of the largest (smaller ones
+    are rounding, as where |u| ties).  A reference that comes back, where
+    rounding outweighs the steps (K near singular), ends it with the least
+    max |e| seen as the witness.  A zero row of B holds its residual at u_i
+    whatever c: the other rows are solved alone, and rho is the larger of
+    their distance and the largest such |u_i|, certified by that row's unit
+    vector when it is larger."""
+    m, r = B.shape
+    if not (live := B.any(axis=1)).all():
+        j = np.flatnonzero(~live)[np.abs(u[~live]).argmax()]
+        c, g_live = (_sup_exchange(u[live], B[live], cap) if live.sum() > r and u[live].any()
+                     else (np.linalg.lstsq(B[live], u[live])[0], None))  # u fitted exactly on them
+        g = np.zeros(m)
+        if g_live is not None and np.abs(u[live] - B[live] @ c).max() >= abs(u[j]):
+            g[live] = g_live
+        else:
+            g[j] = 1.0 if u[j] >= 0.0 else -1.0
+        return c, g
+    a = np.abs(u)
+    P = _pivot_rows((a + 1e-3 * a.max())[:, None] * B)
+    a[P] = -1.0
+    R = np.array([*P, int(a.argmax())])
+    lu, piv, _ = dgetrf(B[P])
+    sigma = np.append(dgetrs(lu, piv, -B[R[r]], trans=1)[0], 1.0)
+    s = np.where(sigma >= 0.0, 1.0, -1.0) * (1.0 if sigma @ u[R] >= 0.0 else -1.0)
+    K, rhs = np.column_stack([B[R], s]), np.zeros((r + 1, 2))
+    rhs[r] = 1.0
+    bland, seen, best = False, set(), (np.inf, None)
+    for _ in range(cap):
+        lu, piv, _ = dgetrf(K)
+        ch = dgetrs(lu, piv, u[R])[0]
+        h, e = ch[r], u - B @ ch[:r]
+        a = np.abs(e)
+        a[R] = h  # |e| = h there, up to the rounding of the solve
+        i = int(a.argmax())
+        if (top := a[i]) < best[0]:  # h rises, max |e| need not fall
+            best = top, ch[:r]
+        repeat = False
+        if bland:
+            i = int(np.argmax(a > h + max(1e-14 * h, 1e-6 * (top - h))))
+            repeat = (state := (R.tobytes(), s.tobytes())) in seen
+            seen.add(state)
+        if a[i] - h <= 1e-14 * h or repeat:
+            g = np.zeros(m)
+            g[R] = dgetrs(lu, piv, rhs[:, 0], trans=1)[0]
+            return (best[1] if repeat else ch[:r]), g
+        si = 1.0 if e[i] >= 0.0 else -1.0
+        rhs[:r, 1] = si * B[i]
+        lam, d = (s[:, None] * dgetrs(lu, piv, rhs, trans=1)[0]).T  # lambda, and its rate
+        ratio = np.divide(np.maximum(lam, 0.0), d, out=np.full(r + 1, np.inf), where=d > 1e-12 * d.max())
+        k = int(ratio.argmin())
+        bland = ratio[k] * (a[i] - h) <= 1e-15 * h
+        if bland:
+            ties = np.flatnonzero(ratio <= ratio[k] + 1e-15)
+            k = int(ties[np.argmin(R[ties])])
+        R[k], s[k], K[k, :r], K[k, r] = i, si, B[i], si
+    raise SolverError(f"vertex exchange reached its step cap 50 (m + r) = {cap}")
+
+
+def _l1_exchange(u: np.ndarray, B: np.ndarray, cap: int):
+    """Barrodale-Roberts descent (Watson, Approximation Theory and Numerical
+    Methods, ch. 3, 4) for min |u - B c|_1, the dual simplex method: a
+    vertex solves B_Z c = u_Z on r rows Z, g = s off Z, the signs of e = u -
+    B c (kept where |e| <= 1e-13, a zero), and B_Z^T g_Z = -B^T s.  It
+    starts at B's pivot rows weighted by 1 / (|u| + 1e-3 max |u|).  A step
+    frees the largest |g_k| > 1 and moves c along B_Z delta = -sign(g_k) e_k
+    past the rows that cross 0 (zero rows at once) until the slope 1 - |g_k|
+    + 2 sum s_i v_i, v = B delta, turns; that row enters Z.  The first step
+    of length 0 (zeros beyond r, as for a construction's x) moves u by
+    1e-10 entrywise, which parts the zeros, and the walk goes on from there;
+    g is then the moved vertex's, and c solves B_Z c = u_Z."""
+    m, r = B.shape
+    a = np.abs(u)
+    Z = np.array(_pivot_rows(B / (a + 1e-3 * a.max())[:, None]))
+    s, unit = np.ones(m), np.zeros(r)
+    s[Z] = 0.0
+    v = u
+    for _ in range(cap):
+        lu, piv, _ = dgetrf(B[Z])
+        c = dgetrs(lu, piv, v[Z])[0]
+        e = v - B @ c
+        nonzero = np.abs(e) > 1e-13
+        np.copysign(s, e, out=s, where=nonzero)
+        s[Z] = 0.0
+        gz = dgetrs(lu, piv, -(B.T @ s), trans=1)[0]
+        a = np.abs(gz)
+        k = int(a.argmax())
+        if a[k] <= 1.0 + 1e-13:
+            s[Z] = gz
+            return (c if v is u else dgetrs(lu, piv, u[Z])[0]), s
+        unit[:] = 0.0
+        unit[k] = sk = -1.0 if gz[k] < 0.0 else 1.0
+        sv = s * (B @ dgetrs(lu, piv, -unit)[0])  # v_k = -sk: v in units of v_k
+        rows = np.flatnonzero(sv > 1e-12)  # crossing, and with a pivot away from 0
+        tau = (e * nonzero)[rows] * s[rows] / sv[rows]
+        order = np.argsort(tau, kind="stable")
+        j = order[np.searchsorted(np.cumsum(2.0 * sv[rows[order]]), a[k] - 1.0)]
+        if tau[j] <= 1e-15 and v is u:
+            v = u + 1e-10 * np.random.default_rng(m).uniform(0.5, 1.5, m)
+            continue
+        s[Z[k]], s[rows[j]], Z[k] = sk, 0.0, rows[j]
+    raise SolverError(f"vertex exchange reached its step cap 50 (m + r) = {cap}")
+
+
+def _rho_linprog(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
+    """rho at p in {1, inf}: a vertex of max{g . u : B^T g = 0, |g|_* <= 1},
+    u = xp / |xp|_p, by an exchange with one square factorization a step and
+    at most 50 (m + r) steps; its g and c bracket rho to rounding."""
+    c0, xp, scale = _outside(x, Y, norm)
+    if not scale:
+        return DistanceResult(0.0, c0, "linear_program")
+    exchange = _sup_exchange if norm.is_sup else _l1_exchange
+    c, g = (exchange(xp / scale, Y.basis, 50 * (x.size + Y.rank)) if Y.rank
+            else (c0, _norming_direction(xp, norm)))  # {0}: g norms xp
+    c = c0 + scale * c
+    return DistanceResult(_norm(x - Y.basis @ c, norm.p), c, "linear_program", g)
 
 
 def _annihilator_step(grad: np.ndarray, s: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -271,10 +391,8 @@ def _rho_convex(x: np.ndarray, Y: Subspace, norm: NormSpec) -> DistanceResult:
         return replace(res, value=math.ldexp(res.value, e),
                        witness_coeffs=np.ldexp(res.witness_coeffs, e))
     p, q, B = norm.p, norm.dual_p, Y.basis
-    c0 = B.T @ x
-    xp = Y.residual(x - B @ c0)  # twice: rounding leaves xp's own scale in Y
-    scale = _norm(xp, norm.p)
-    if scale == 0.0 or np.abs(B.T @ xp).max() > 1e-8 * scale:  # x in Y, up to rounding
+    c0, xp, scale = _outside(x, Y, norm)
+    if not scale:
         return DistanceResult(0.0, c0, "convex_descent")
     u, primal = xp / scale, p >= 2.0
     k, lin, v = (p, 0.0 * u, u) if primal else (q, u, u)
@@ -447,7 +565,7 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
         return Endpoint(math.ldexp(t, ex - eq), replace(
             res, value=math.ldexp(res.value, ex), witness_coeffs=np.ldexp(res.witness_coeffs, ex)))
     if linear and Y.support is None:
-        scale = max(_norm(xp, norm.p), d) or 1.0  # as in _rho_linprog
+        scale = max(_norm(xp, norm.p), d) or 1.0  # see _lp
         cost = np.append(np.zeros(Y.rank), -1.0)  # maximize t
         res = _lp(xp / scale, np.column_stack([B, -q]), norm, cost, d / scale)
         if res.status != 2:  # 2: infeasible

@@ -31,8 +31,9 @@ from .spaces import NormSpec, Subspace, _norm, as_vector, norm_eval
 FUNC_TOL = 1e-8
 NORMING_TOL = 1e-7  # slack of the norming identity and of a point face's bounds
 # A residual entry within ACTIVE_TOL * max|r| of max|r| (p = inf) or of 0
-# (p = 1) counts as equal to it.  On the benchmark's sweep inputs the LP
-# witnesses leave ties within 5e-12 * max|r| and gaps above 1e-6 * max|r|.
+# (p = 1) counts as equal to it.  On the benchmark's sweep inputs (seeds 5
+# and 43, 3600 norming functionals each) the exchange's witnesses leave ties
+# within 2e-14 * max|r| and gaps above 7e-7 * max|r|.
 ACTIVE_TOL = 1e-10
 
 

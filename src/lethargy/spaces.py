@@ -228,9 +228,23 @@ class Chain:
         return len(self.levels)
 
     @cached_property
+    def _extended(self) -> tuple[bool, ...]:
+        """_extends of each adjacent pair of levels, compared once per chain:
+        _validation, _frame and the construction's unit steps read it."""
+        return tuple(map(_extends, self.levels, self.levels[1:]))
+
+    def _extends_at(self, n: int) -> bool:
+        """_extends(level n, level n + 1); above the top, level n's basis
+        against the identity's columns, Subspace.full's, with none built."""
+        if n < len(self.levels):
+            return self._extended[n - 1]
+        top = self.level(n).basis
+        return bool((top == np.eye(*top.shape)).all())
+
+    @cached_property
     def _validation(self) -> ChainValidation:  # validate_chain's verdict
-        for k, (lo, hi) in enumerate(zip(self.levels, self.levels[1:]), start=1):
-            nested = _extends(lo, hi) or np.linalg.norm(hi.residual(lo.basis), axis=0).max() <= NEST_TOL
+        for k, (lo, hi, ext) in enumerate(zip(self.levels, self.levels[1:], self._extended), start=1):
+            nested = ext or np.linalg.norm(hi.residual(lo.basis), axis=0).max() <= NEST_TOL
             if not (nested and hi.rank > lo.rank):
                 kind = "not nested" if not nested else "not strict"
                 return ChainValidation(passes=False, failure=f"levels {k} -> {k + 1}: {kind}")
@@ -242,7 +256,7 @@ class Chain:
         the one below (coordinate_chain's and the explicit p = 2 chains of
         scenario._parse_chain); None otherwise.  Only the p = 2 measure,
         construct._l2_measure, reads it."""
-        if self.levels and all(map(_extends, self.levels, self.levels[1:])):
+        if self.levels and all(self._extended):
             return self.levels[-1].basis
         return None
 

@@ -23,9 +23,10 @@ from lethargy.construct import (
     normalize_step,
     smallest_root,
 )
+import lethargy.spaces as spaces_module
 from lethargy.distance import SolverError, default_tol, rho
 from lethargy.scenario import parse_scenario
-from lethargy.spaces import (Chain, NormSpec, Subspace, contains,
+from lethargy.spaces import (Chain, NormSpec, Subspace, _norms, contains,
                              coordinate_chain, norm_eval, validate_chain)
 from oracles import (BorodinSchedule, build_schedule, l2_prefix_coefficients, l2_schedule_mu,
                      l2_vector_coefficients, l2_vector_pass, lipschitz_check)
@@ -645,14 +646,15 @@ def counted_lps(monkeypatch) -> list:
 
 
 def test_finite_construct_reuses_its_solves(monkeypatch):
-    # 4 unit steps and the upper end of each of the 3 one-sided roots; the
-    # top level scales its step's certificate, and recentres, the trim and
-    # the measures reuse the certificates.  A coordinate chain takes no LP.
+    # the upper end of each of the 3 one-sided roots (the 4 unit steps' rho
+    # is a vertex exchange, no LP); the top level scales its step's
+    # certificate, and recentres, the trim and the measures reuse the
+    # certificates.  A coordinate chain takes no LP.
     d = TargetSequence((0.9, 0.5, 0.3, 0.1))
     calls = counted_lps(monkeypatch)
     tr = finite_construct(random_chain(0, 6, 4, NormSpec(1)), d)
     assert tr.max_residual <= 1e-12
-    assert len(calls) == 7
+    assert len(calls) == 3
     calls.clear()
     tr = finite_construct(coordinate_chain(6, 4, NormSpec(1)), d)
     assert tr.max_residual <= 1e-12
@@ -661,19 +663,20 @@ def test_finite_construct_reuses_its_solves(monkeypatch):
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
 def test_schedule_modes_solve_counts(monkeypatch, p):
-    # steps: 5 unit steps out of Y_1..Y_5 (the direction in Y_1 leaves {0}
-    # with no LP, and so do the family roots, level sets on {0}); each rung
-    # then solves both ends of each of its N - 1 two-sided roots, and none
-    # at its top.  A coordinate chain takes no LP.
+    # the steps take no LP: the 5 unit steps' rho is a vertex exchange, the
+    # direction in Y_1 leaves {0} with none, and so do the family roots,
+    # level sets on {0}; each rung then solves both ends of each of its
+    # N - 1 two-sided roots, and none at its top.  A coordinate chain takes
+    # no LP.
     d = TargetSequence((1.0,), "geometric", 1.0 / 3.0)
     calls = counted_lps(monkeypatch)
     chain = random_chain(0, 7, 6, NormSpec(p))
     construct_prefix(chain, d, 5)
-    assert len(calls) == 5 + 2 * 4
+    assert len(calls) == 2 * 4
     calls.clear()
     _, table = construct_sequence(chain, d, 5)
     assert not table.failures
-    assert len(calls) == 5 + 2 * (0 + 1 + 2 + 3 + 4)
+    assert len(calls) == 2 * (0 + 1 + 2 + 3 + 4)
     calls.clear()
     chain = coordinate_chain(7, 6, NormSpec(p))
     construct_prefix(chain, d, 5)
@@ -1049,6 +1052,36 @@ def test_frame_chain_solves_only_its_top_step(monkeypatch):
         ranks.clear()
         construct_sequence(chain, d, 6)
         assert ranks == solved
+
+
+def test_each_level_pair_is_compared_once(monkeypatch):
+    # the nesting check, the p = 2 frame and the unit steps read one
+    # comparison per adjacent pair, cached on the chain; the step above the
+    # top level reads its basis against the identity's, building no full space
+    calls = []
+    real = spaces_module._extends
+    monkeypatch.setattr(spaces_module, "_extends", lambda lo, hi: calls.append((lo.rank, hi.rank)) or real(lo, hi))
+    d = TargetSequence((1.0,), tail="geometric", ratio=0.3)
+    chain = coordinate_chain(9, 6, L2)
+    construct_sequence(chain, d, 5)
+    assert chain._frame is not None and validate_chain(chain).passes
+    assert calls == [(k, k + 1) for k in range(1, 6)]
+    calls.clear()
+    chain = coordinate_chain(9, 6, L2)
+    construct_sequence(chain, d, 6)
+    assert calls == [(k, k + 1) for k in range(1, 6)]
+    assert chain._extends_at(6) and not random_chain(0, 9, 6, L2)._extends_at(6)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_stabilization_table_mirrors_one_triangle(p):
+    # the table measures |x_N - x_M| for N < M and mirrors it: the same bits
+    # as the full matrix of differences
+    chain = random_chain(5, 9, 7, NormSpec(p))
+    traces, table = construct_sequence(chain, TargetSequence((1.0,), "geometric", 0.35), 7)
+    assert not table.failures
+    X = np.array([t.x for t in traces])
+    assert np.array_equal(table.differences, _norms(X[:, None, :] - X[None, :, :], p))
 
 
 def test_ingested_ladder_is_nested_without_a_residual(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import lethargy.distance as distance_module
 import lethargy.functionals as functionals_module
+import lethargy.scenario as scenario_module
 from lethargy.construct import ConstructOptions, TargetSequence, finite_construct, smallest_root
 from lethargy.distance import (
     DistanceResult,
@@ -699,11 +700,6 @@ def l1_sweep_instances():
             for m in (16, 64, 256) for r in (1, 8, 32) if r < m for _ in range(2)]
 
 
-def sweep_rho_lps(p):
-    for Y, x in l1_sweep_instances():
-        rho(x, Y, NormSpec(p))
-
-
 def random_basis_criterion_2():
     """Criterion 2's (chain, targets) pairs with each chain's shape and norm
     kept and its basis drawn at random: its coordinate chains take no LP."""
@@ -716,7 +712,7 @@ def random_basis_criterion_2():
     return out
 
 
-LP_FAMILIES = ["criterion 2", "level sets", "norming", "p = 1 rho", "p = inf rho"]
+LP_FAMILIES = ["criterion 2", "level sets", "norming"]
 
 
 def family_lps(monkeypatch, family) -> list:
@@ -726,8 +722,6 @@ def family_lps(monkeypatch, family) -> list:
         "criterion 2": (distance_module, lambda: [finite_construct(c, d) for c, d in instances]),
         "level sets": (distance_module, level_set_lps),
         "norming": (functionals_module, norming_lps),
-        "p = 1 rho": (distance_module, lambda: sweep_rho_lps(1.0)),
-        "p = inf rho": (distance_module, lambda: sweep_rho_lps(math.inf)),
     }[family]
     return recorded_lps(monkeypatch, module, run)
 
@@ -796,8 +790,9 @@ def test_linprog_reused_solver_matches_a_fresh_one(monkeypatch, family):
 
 
 def test_rho_in_two_threads_matches_serial():
-    # each thread solves on its own solver: two threads running rho over the
-    # same inputs in opposite orders give the serial results bit for bit
+    # rho keeps no state between calls, and each thread has its own HiGHS
+    # solver for the LPs that remain: two threads running rho over the same
+    # inputs in opposite orders give the serial results bit for bit
     cases = [(x, Y, NormSpec(p)) for Y, x in l1_sweep_instances() for p in (1.0, math.inf)]
     serial = [rho(x, Y, norm) for x, Y, norm in cases]
     barrier = threading.Barrier(2)
@@ -821,42 +816,195 @@ def test_rho_in_two_threads_matches_serial():
 
 
 def test_rho_l1_solves_the_annihilator_lp(monkeypatch):
-    # rho(x, Y) = max{g . x : B^T g = 0, -1 <= g <= 1}: one LP with m
-    # columns, r equality rows and no inequality rows, whose solution g
-    # certifies the value of the witness from its equality-row duals
+    # rho(x, Y) = max{g . x : B^T g = 0, -1 <= g <= 1}, solved at a vertex
+    # by exchange, with no linear program: the value is the primal LP's,
+    # and the vertex's g and witness bracket it to rounding
     norm = NormSpec(1.0)
     for Y, x in l1_sweep_instances():
         out = []
-        calls = recorded_lps(monkeypatch, distance_module, lambda: out.append(rho(x, Y, norm)))
-        assert len(calls) == 1
-        (c, A, row_lo, row_hi, col_lo, col_hi), _ = calls[0]
-        assert len(c) == Y.ambient_dim
-        assert A.shape == (Y.rank, Y.ambient_dim)
-        assert np.array_equal(row_lo, np.zeros(Y.rank)) and np.array_equal(row_hi, row_lo)
-        assert np.array_equal(col_lo, -np.ones(Y.ambient_dim))
-        assert np.array_equal(col_hi, np.ones(Y.ambient_dim))
+        assert recorded_lps(monkeypatch, distance_module, lambda: out.append(rho(x, Y, norm))) == []
         res = out[0]
+        assert res.solver == "linear_program"
         assert res.value == pytest.approx(rho_l1_primal_oracle(x, Y), rel=1e-12)
-        g = res.dual(Y, norm)
-        assert abs(res.value - float(g @ (x - res.witness(Y)))) <= 1e-12 * res.value
+        assert_certifies(res, x, Y, norm, res.value, 1e-13 * res.value)
+
+
+def near_tied_kernel(p, m, basis):
+    """(Y, x, rho): Y = ker f, x = e_1 with f = (1 - 2^-k) at p = 1 and
+    f = (2^-k) at p = inf, whose entries tie to 2^-m; rho = |f_1| / |f|_*
+    exactly.  Y's basis is f's SVD complement or a QR of [f, I]."""
+    k = np.arange(1, m + 1, dtype=float)
+    f = 1.0 - 2.0**-k if p == 1.0 else 2.0**-k
+    exact = f[0] / norm_eval(f, NormSpec(NormSpec(p).dual_p))
+    Y = Subspace(np.linalg.svd(f[None, :])[2][1:].T if basis == "svd"
+                 else np.linalg.qr(np.column_stack([f, np.eye(m)[:, :m - 1]]))[0][:, 1:])
+    return Y, np.eye(m)[0], exact
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
 @pytest.mark.parametrize("m", [32, 64, 128])
 @pytest.mark.parametrize("basis", ["svd", "qr"])
 def test_rho_lp_on_near_tied_kernels(p, m, basis):
-    # Y = ker f, x = e_1 with f = (1 - 2^-k) at p = 1 and f = (2^-k) at
-    # p = inf: f's entries tie to 2^-m, and rho = |f_1| / |f|_* exactly.
-    # HiGHS's default 1e-7 tolerances leave rho up to 2.3e-7 off here
+    # HiGHS's default 1e-7 tolerances left rho up to 2.3e-7 off here
     norm = NormSpec(p)
-    k = np.arange(1, m + 1, dtype=float)
-    f = 1.0 - 2.0**-k if p == 1.0 else 2.0**-k
-    exact = f[0] / norm_eval(f, NormSpec(norm.dual_p))
-    Y = Subspace(np.linalg.svd(f[None, :])[2][1:].T if basis == "svd"
-                 else np.linalg.qr(np.column_stack([f, np.eye(m)[:, :m - 1]]))[0][:, 1:])
-    x = np.eye(m)[0]
+    Y, x, exact = near_tied_kernel(p, m, basis)
     res = rho(x, Y, norm)
     assert res.solver == "linear_program"
     assert abs(res.value - exact) <= default_tol(norm) * exact
     g = res.dual(Y, norm)
     assert res.value - float(g @ (x - res.witness(Y))) <= default_tol(norm) * res.value
+
+
+# -- the vertex exchange at p in {1, inf} ---------------------------------------
+
+
+def relative_gap(res, x, Y: Subspace, norm: NormSpec) -> float:
+    """(|x - w| - g(x - w)) / |x - w| for rho's witness w and certificate g."""
+    return (res.value - float(res.dual(Y, norm) @ (x - res.witness(Y)))) / res.value
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_rho_exchange_matches_the_vertex_oracle(p):
+    rng = np.random.default_rng(42)
+    norm = NormSpec(p)
+    for _ in range(60):
+        m = int(rng.integers(2, 8))
+        Y = Subspace(rng.standard_normal((m, int(rng.integers(1, m)))))
+        x = rng.standard_normal(m)
+        assert rho(x, Y, norm).value == pytest.approx(rho_vertex_oracle(x, Y, norm), rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_rho_exchange_certificate_gap(monkeypatch, p):
+    # the vertex's g and witness bracket rho to rounding, with no linear
+    # program: on the benchmark sweep's draws (m in {16, 64, 256}, r in
+    # 1..8) and on the near-tied kernels, where HiGHS's feasibility
+    # tolerances left gaps near 1e-9
+    norm = NormSpec(p)
+    rng = np.random.default_rng(43)
+    cases = [(Subspace(rng.standard_normal((m, int(rng.integers(1, 9))))), rng.standard_normal(m))
+             for m in (16, 64, 256) for _ in range(20)]
+    cases += [near_tied_kernel(p, m, basis)[:2] for m in (32, 64, 128) for basis in ("svd", "qr")]
+    out = []
+    assert recorded_lps(monkeypatch, distance_module, lambda: out.extend(rho(x, Y, norm) for Y, x in cases)) == []
+    assert max(relative_gap(res, x, Y, norm) for res, (Y, x) in zip(out, cases)) <= 1e-13
+
+
+def degenerate_cases(p):
+    """(x, Y) whose vertices are degenerate, or whose bases every exchange
+    rule has to survive: coordinate subspaces with the support hidden, the
+    polynomial grids (constants in every level), rank m - 1, bases with zero
+    rows, x in Y up to rounding, and a finite construction's x (p = 1 leaves
+    more than rank zero residuals there)."""
+    rng = np.random.default_rng(45)
+    for _ in range(20):
+        m = int(rng.integers(2, 9))
+        S = rng.permutation(m)[: int(rng.integers(1, m))]
+        hidden = copy.copy(Subspace(np.eye(m)[:, S] * rng.choice([-1.0, 1.0], S.size)))
+        hidden.support = None
+        yield rng.standard_normal(m), hidden
+    for m, n in ((16, 6), (64, 16)):
+        chain = scenario_module._polynomial_grid_chain(n, m, NormSpec(p))
+        for Y in chain.levels:
+            yield rng.standard_normal(m), Y
+            yield np.abs(np.linspace(-1.0, 1.0, m)), Y  # symmetric about the grid's centre
+    for m in (3, 8, 17):
+        yield rng.standard_normal(m), Subspace(rng.standard_normal((m, m - 1)))
+    for m in (6, 12):
+        M = rng.standard_normal((m, 3))
+        M[::2] = 0.0
+        yield rng.standard_normal(m), Subspace(M)
+        Y = Subspace(rng.standard_normal((m, 3)))
+        yield Y.basis @ rng.standard_normal(3), Y
+    M = rng.standard_normal((9, 5))
+    chain = Chain(9, NormSpec(p), tuple(Subspace(M[:, :k]) for k in range(1, 6)))
+    x = finite_construct(chain, TargetSequence((0.9, 0.6, 0.4, 0.2, 0.1))).x
+    for Y in chain.levels:
+        yield x, Y
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_rho_exchange_on_degenerate_vertices(p):
+    # each ends below its step cap with no warning (RuntimeWarnings are
+    # errors here), and certifies its value to rounding
+    norm = NormSpec(p)
+    for x, Y in degenerate_cases(p):
+        res = rho(x, Y, norm)
+        assert res.solver == "linear_program"
+        assert_certifies(res, x, Y, norm, res.value, 1e-13 * max(1.0, res.value))
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_rho_exchange_in_and_near_the_subspace(p):
+    # x = 0 is in Y: rho 0 and no certificate, with no exchange; x = 0 plus
+    # rounding noise is a distance of its own, certified like any other
+    norm = NormSpec(p)
+    Y = Subspace(np.random.default_rng(46).standard_normal((12, 4)))
+    res = rho(np.zeros(12), Y, norm)
+    assert res.value == 0.0 and res.dual_direction is None
+    x = 1e-17 * np.random.default_rng(47).standard_normal(12)
+    res = rho(x, Y, norm)
+    assert 0.0 < res.value == pytest.approx(rho_vertex_oracle(x, Y, norm), rel=1e-13)
+    assert_certifies(res, x, Y, norm, res.value, 1e-13 * res.value)
+
+
+@pytest.mark.parametrize("exchange", ["_sup_exchange", "_l1_exchange"])
+def test_rho_exchange_step_cap_raises(exchange):
+    # the cap is a SolverError that names it, never a wrong vertex
+    Y = Subspace(np.random.default_rng(48).standard_normal((8, 3)))
+    u = Y.residual(np.random.default_rng(49).standard_normal(8))
+    with pytest.raises(SolverError, match="step cap 50 \\(m \\+ r\\) = 0"):
+        getattr(distance_module, exchange)(u / np.abs(u).max(), Y.basis, 0)
+
+
+def test_rho_exchange_ends_where_rounding_outweighs_its_steps():
+    # Y within 1e-9 of a coordinate subspace and x of entries +-1: the optimal
+    # references are ill-conditioned (about 1e9), their residuals carry more
+    # rounding than a step gains, and 10 of these 40 draws at p = inf come
+    # back to a reference they left.  The exchange ends there, with the
+    # least |e| it has seen as the witness, and the bracket stays within
+    # rho's stated accuracy instead of running to the step cap.
+    gaps = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        Y = Subspace(np.eye(24)[:, rng.permutation(24)[:6]] + 1e-9 * rng.standard_normal((24, 6)))
+        x = np.where(rng.random(24) < 0.5, -1.0, 1.0)
+        for p in (1.0, math.inf):
+            norm = NormSpec(p)
+            gaps.append(relative_gap(rho(x, Y, norm), x, Y, norm))
+    assert max(gaps) <= default_tol(NormSpec(1.0))
+    assert sum(gap > 1e-12 for gap in gaps) >= 4  # the draws that come back
+
+
+def test_rho_l1_exchange_parts_zeros_far_beyond_the_rank():
+    # a 0/1 x on a polynomial grid leaves most residuals 0 at the start and
+    # at the optimum: smallest-index steps of length 0 ran to the step cap
+    # on 97 of these 240 distances (walking over the zeros' vertices); with
+    # u moved by 1e-10 at the first such step each ends, and certifies its
+    # value to rounding (the primal LP oracle's own tolerance is looser)
+    norm = NormSpec(1.0)
+    chain = scenario_module._polynomial_grid_chain(8, 64, norm)
+    for seed in range(30):
+        x = (np.random.default_rng(seed).random(64) < 0.3).astype(float)
+        for Y in chain.levels:
+            res = rho(x, Y, norm)
+            assert res.value == pytest.approx(rho_l1_primal_oracle(x, Y), rel=1e-9)
+            assert relative_gap(res, x, Y, norm) <= 1e-13
+
+
+def test_rho_sup_exchange_on_sparse_bases_with_tied_x():
+    # four in five basis entries 0 (about 8% zero rows) and x of integer
+    # entries: a zero row holds its residual at u_i whatever c, and many |u_i|
+    # tie with h.  A reference can then carry all its weight on a zero row
+    # while its levelled c is far from optimal, and rows tied with h up to
+    # rounding would take the smallest index ahead of rows 0.4 above it.
+    # Without the zero-row split 6 of these 600 ran to the step cap; without
+    # the 1e-6 entering bound 3 of them ended 0.2 to 0.4 |x| off.
+    norm = NormSpec(math.inf)
+    gaps = []
+    for seed in range(600):
+        rng = np.random.default_rng(seed)
+        Y = Subspace(rng.standard_normal((128, 11)) * (rng.random((128, 11)) < 0.2))
+        x = rng.integers(-2, 3, 128).astype(float)
+        gaps.append(relative_gap(rho(x, Y, norm), x, Y, norm))
+    assert max(gaps) <= 1e-10

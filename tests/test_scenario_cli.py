@@ -473,9 +473,9 @@ BUNDLED_REPORT_SHA256 = {
     "geometric-third-prefix": "1991d80d41daead6c472da5ccdce6520f73e584de23fd2350216e6e3869483c1",
     "geometric-third-sequence": "d14eef17bd4080d27f1461a4d36a72562e5d723496ddff3c28ad6a8b4f65b860",
     "geometric-twofifth-check": "affb55804b5be831fd792c366619bb7235b5756fa9afc25a440d2126b75a424f",
-    "polynomial-sup-degree15-finite": "fc5730aaf68c2e5201f4ed8da2391bc3ade994df4fb231201f6be107c5c4a72f",
-    "polynomial-sup-finite": "478c6700eac951530aa43353927e8f3de8831e5cb5cbc8c486bd446a6e387350",
-    "random-l1-finite": "5dfed213394f6823b31b323d55b22c9d38d77f242fd20a22a2f7449ca8c6ab43",
+    "polynomial-sup-degree15-finite": "4ae73530601f4af78e0b826271134d6433666d58b9ea0b43e3ddb53c10c738ad",
+    "polynomial-sup-finite": "83cbcbe12c77e53f89f3933e56822709d0f050f0dede23140bc6e375faed4a0e",
+    "random-l1-finite": "309f5d77b5c2a972996bf0c01aed11f97e15ab7b120618b87a06a6bcbc12c049",
     "random-p1.1-finite": "4829ddb26bc5c6f477d92bc4251f9cd69c9f29d7a374dd0f4e9c3369aefefc9d",
     "zero-tail-finite": "9f336e8010b1e36dfb8b59e75bdf78ea657297a45cc22010ad23b0ad69b695d8",
 }
@@ -610,7 +610,7 @@ def test_ladder_with_every_rung_failing(tmp_path, capsys):
     assert cli.main(["sequence", path.as_posix(), "--format", "machine"]) == 1
     machine = capsys.readouterr().out
     assert hashlib.sha256(machine.encode()).hexdigest() == (
-        "46a0063951b6cdd0aae975c3b79743b5eb5b5732ff24dce5cc41d71fced8417e")
+        "4fad9de18f489fffce7e14804217b21652abd3abc26a096383b394592d428dc8")
     rep = parse_report(machine)
     assert rep.levels == [] and rep.x is None and rep.norm_x is None
     # no rung built: no check over the rungs passes
@@ -620,9 +620,9 @@ def test_ladder_with_every_rung_failing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("norm_p, code, digest", [
-    (1, 1, "12bf0d60f096399ed045e96bb5b3308d8b8fd5af8edf28da1640bf23d05dd115"),
+    (1, 1, "630f2e56c359b15c755a003ea573ed062eaab1df793f38ee5b2e33693b058bd4"),
     (3, 0, "f654dc9c0722f24256a5bbb4cad242c9cbd619068eee2fc1717e96ab9343d1d1"),
-    ("inf", 1, "cc9d844cef17fe67cd1b6fe09980c3676fab11faad8f637fe95a15ffd3a3d09b"),
+    ("inf", 1, "35a1e6afefb801a7e04c9b38a0f52412410a45abbb57bae0c6fb8473ec44c759"),
 ])
 def test_schedule_ladders_off_p2_keep_their_bytes(norm_p, code, digest, tmp_path, capsys):
     # the prefix steps' level-set solves off p = 2, at an ordinary tolerance;
