@@ -26,6 +26,12 @@ coordinate subspace at p in {1, inf} the end is a closed form in the entries
 of x and q off S, so a construction over a coordinate chain solves no linear
 program.  The other routes run on x, q and d rescaled by powers of two, so
 every end moves with x, q and d scaled together.
+
+scipy is imported where a route first calls it, not with this module: LAPACK
+(scipy.linalg.lapack) by the vertex exchange and by Newton at p < 2, HiGHS
+(scipy.optimize._highspy) by linprog, which serves the level-set and
+norming-face LPs.  The p = 2 and coordinate routes load neither, so runs on
+them never pay for scipy's import (about 0.4 s on a 2-core x86-64 host).
 """
 
 from __future__ import annotations
@@ -36,32 +42,37 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, dlaswp
-from scipy.optimize import minimize  # noqa: F401  (bench/tracing.py patches this binding)
-from scipy.optimize._highspy import _core as _highs
 
 from .spaces import _TINY, NormSpec, Subspace, _norm, as_vector
 
 _EPS = float(np.finfo(float).eps)
 _L2_TOL = 1e-10  # the accuracy of rho at p = 2, see default_tol
 
-_STATUS = {
-    _highs.HighsModelStatus.kOptimal: 0,
-    _highs.HighsModelStatus.kTimeLimit: 1,
-    _highs.HighsModelStatus.kIterationLimit: 1,
-    _highs.HighsModelStatus.kInfeasible: 2,
-    _highs.HighsModelStatus.kModelError: 2,
-    _highs.HighsModelStatus.kUnbounded: 3,
-}
+# linprog's status code by HiGHS model status name, as scipy's linprog maps them
+_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1, "kInfeasible": 2,
+           "kModelError": 2, "kUnbounded": 3}
 _local = threading.local()  # one solver per thread, see _solver
+
+
+def __getattr__(name: str):
+    """distance.minimize, resolved on first read (PEP 562): nothing here
+    calls it, and importing scipy.optimize for it would cost every run."""
+    if name == "minimize":
+        from scipy.optimize import minimize  # noqa: F401  (bench/tracing.py patches this binding)
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _solver():
     """This thread's HiGHS solver, made on first use and reused: passModel
-    replaces the model and drops the previous basis."""
+    replaces the model and drops the previous basis.  The first one imports
+    scipy's HiGHS bindings."""
     solver = getattr(_local, "solver", None)
     if solver is None:
-        solver = _local.solver = _highs._Highs()
+        from scipy.optimize._highspy import _core as highs
+
+        solver = _local.solver = highs._Highs()
         solver.setOptionValue("output_flag", False)
         solver.setOptionValue("presolve", "off")
         # for the level-set and face LPs: the default 1e-7 left the annihilator
@@ -84,16 +95,19 @@ class LPResult(NamedTuple):
 def linprog(c, A, row_lo, row_hi, col_lo, col_hi) -> LPResult:
     """min c . x subject to row_lo <= A x <= row_hi and col_lo <= x <= col_hi,
     A dense, a missing bound +-inf, solved by the HiGHS solver scipy ships
-    (scipy.optimize._highspy).  Each thread keeps one solver, and the model
-    goes to it through passModel's array overload, by pointer.  Presolve is
-    off: on these dense LPs it removes nothing and costs more than the dual
-    simplex itself.  The primal and dual feasibility tolerances are 1e-9
+    (scipy.optimize._highspy, imported by the first call, so that a run
+    with no LP never loads scipy.optimize).  Each thread keeps one solver,
+    and the model goes to it through passModel's array overload, by
+    pointer.  Presolve is off: on these dense LPs it removes nothing and
+    costs more than the dual simplex itself.  The primal and dual feasibility tolerances are 1e-9
     (_solver).  The model and options are those scipy.optimize.linprog
     (method="highs") passes with these options for the same rows, so x, fun
     and the row duals are its x, fun and ineqlin/eqlin.marginals, bit for
     bit, and the status codes are its codes.  A level-set LP (_lp) costs
     about 0.2 ms at m = 8 and 0.9-2.1 ms at m = 64, a norming-face LP
     0.05-0.3 ms at m = 16-256, on a 2-core x86-64 host."""
+    from scipy.optimize._highspy import _core as highs
+
     n = len(c)
     nonzero = A.T != 0.0  # column-wise, rows ascending, as scipy's CSC
     start = np.zeros(n, dtype=np.int32)  # n entries: HiGHS rejects the closing one
@@ -104,12 +118,12 @@ def linprog(c, A, row_lo, row_hi, col_lo, col_hi) -> LPResult:
         n, A.shape[0], index.size, 1, 1, 0.0,  # column-wise, minimize, no offset
         c, col_lo, col_hi, row_lo, row_hi,
         start, index, A.T[nonzero], np.zeros(n, dtype=np.int32))  # all columns continuous
-    if passed == _highs.HighsStatus.kError:
-        model_status = _highs.HighsModelStatus.kModelError
+    if passed == highs.HighsStatus.kError:
+        model_status = highs.HighsModelStatus.kModelError
     else:
         solver.run()
         model_status = solver.getModelStatus()
-    status = _STATUS.get(model_status, 4)
+    status = _STATUS.get(model_status.name, 4)
     message = f"HiGHS: {solver.modelStatusToString(model_status)}"
     if status != 0:  # the solution is read only at an optimum, as scipy's linprog does
         return LPResult(status, message, None, None, None)
@@ -228,6 +242,8 @@ def _outside(x: np.ndarray, Y: Subspace, norm: NormSpec):
 
 def _pivot_rows(A: np.ndarray) -> list[int]:
     """The rows that row-pivoted LU of A takes as its pivots, in order."""
+    from scipy.linalg.lapack import dgetrf
+
     rows = list(range(A.shape[0]))
     for i, j in enumerate(dgetrf(A)[1].tolist()):
         rows[i], rows[j] = rows[j], rows[i]
@@ -250,6 +266,8 @@ def _sup_exchange(u: np.ndarray, B: np.ndarray, cap: int):
     whatever c: the other rows are solved alone, and rho is the larger of
     their distance and the largest such |u_i|, certified by that row's unit
     vector when it is larger."""
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
     m, r = B.shape
     if not (live := B.any(axis=1)).all():
         j = np.flatnonzero(~live)[np.abs(u[~live]).argmax()]
@@ -314,6 +332,8 @@ def _l1_exchange(u: np.ndarray, B: np.ndarray, cap: int):
     of length 0 (zeros beyond r, as for a construction's x) moves u by
     1e-10 entrywise, which parts the zeros, and the walk goes on from there;
     g is then the moved vertex's, and c solves B_Z c = u_Z."""
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
     m, r = B.shape
     a = np.abs(u)
     Z = np.array(_pivot_rows(B / (a + 1e-3 * a.max())[:, None]))
@@ -366,6 +386,8 @@ def _annihilator_step(grad: np.ndarray, s: np.ndarray, B: np.ndarray) -> np.ndar
     Row-pivoted LU of [w B, w grad], w = s^(-1/2), puts e = d / w's r heaviest
     rows P first: e_P = -M^T e_F, M = L_F L_P^-1, and Woodbury solves (I + M
     M^T) e_F = the last column's elimination in O(m r^2), never dividing by s_P."""
+    from scipy.linalg.lapack import dgetrf, dlaswp
+
     r, w = B.shape[1], s**-0.5
     lu, swaps, _ = dgetrf(w[:, None] * np.append(B, grad[:, None], axis=1))
     M = lu[r:, :r] @ np.linalg.inv(np.where(np.tri(r, k=-1, dtype=bool), lu[:r, :r], np.eye(r)))
