@@ -230,31 +230,18 @@ def _unit_step(Yn: Subspace, Ynext: Subspace, norm: NormSpec, extends: bool
                              dual_direction=sign * res.dual_direction)
 
 
-def smallest_root(
-    x: np.ndarray, q: np.ndarray, Y: Subspace, norm: NormSpec, target: float, two_sided: bool = True
-) -> Endpoint:
-    """Root t of rho(x + t q, Y) = target nearest to 0, with its certificate.
-
-    The level set {t : rho(x + t q, Y) <= target} is an interval [a, b]
-    (convexity).  When it misses 0 the nearer end is returned; when it holds
-    0 the answer is b one-sided, else the end of smaller magnitude (b on
-    ties).  One-sided with |x| < target, 0 lies inside the set, since
-    rho(x, Y) <= |x|, so b is returned without solving for a.  Each end is
-    a level_endpoint solve, the lower end as minus the upper end for -q, and
-    its certificate at x + t q comes along (none at p = 2).  Raises when the
-    set is empty.
+def smallest_root(x: np.ndarray, q: np.ndarray, Y: Subspace, norm: NormSpec, target: float) -> Endpoint:
+    """The root t of rho(x + t q, Y) = target that every construction takes,
+    with its certificate at x + t q: the upper end b of the level set
+    {t : rho(x + t q, Y) <= target}, an interval [a, b] (convexity), from
+    one level_endpoint solve.  Where the set holds 0, as tail domination
+    makes it, b is the intermediate-value root t >= 0.  A set left of 0
+    gives b < 0, a negative coefficient; a set right of 0 gives b, its far
+    end.  Raises when the set is empty.
     """
-    b = level_endpoint(x, q, Y, norm, target)
-    if b is None:
+    if (b := level_endpoint(x, q, Y, norm, target)) is None:
         raise _below_minimum(target)
-    if b.t < 0.0 or (not two_sided and _norm(x, norm.p) < target):
-        return b
-    a = level_endpoint(x, -q, Y, norm, target)
-    # None: tangent within tolerance on one side only, a single point;
-    # otherwise the upper end for -q, negated
-    a = b if a is None else Endpoint(-a.t, a.certificate)
-    # 0 <= b: a when the set misses 0, else b one-sided or where |b| <= |a|
-    return b if a.t <= 0.0 and (not two_sided or a.t + b.t <= 0.0) else a
+    return b
 
 
 def _below_minimum(target: float) -> ConstructionError:
@@ -291,21 +278,26 @@ def interpolating_family(
 
     Each member is v_m * y + lambda_m * s where y is a unit step out of Q2
     (so the Q2 distance is exactly v_m) and s is a unit direction of Q2
-    outside Q1; lambda_m is the smallest root of the convex coercive map
-    lambda -> rho(v_m y + lambda s, Q1) = u_m, from one level-set solve.
+    outside Q1; lambda_m is the root >= 0 of the convex coercive map
+    lambda -> rho(v_m y + lambda s, Q1) = u_m (smallest_root): at p = 2,
+    y orthogonal to s and Q1, sqrt((u_m - v_m)(u_m + v_m)) (_l2_root),
+    otherwise one level-set solve.
     """
     u = [float(t) for t in u]
     v = [float(t) for t in v]
     if len(u) != len(v) or not u:
         raise ValueError("u and v must be non-empty and of equal length")
     for um, vm in zip(u, v):
+        if not (math.isfinite(um) and math.isfinite(vm)):
+            raise ValueError(f"targets must be finite, got ({um}, {vm})")
         if not (um >= vm >= 0.0):
             raise ValueError(f"targets must satisfy u_m >= v_m >= 0, got ({um}, {vm})")
     chain = Chain(ambient_dim=Q3.ambient_dim, norm=norm, levels=(Q1, Q2, Q3))
     _nested(chain)
     y = _unit_step(Q2, Q3, norm, chain._extended[1])[0]
     s = _unit_step(Q1, Q2, norm, chain._extended[0])[0]
-    lams = [smallest_root(vm * y, s, Q1, norm, um, two_sided=False).t for um, vm in zip(u, v)]
+    lams = [_l2_root(um, vm) if norm.p == 2.0 else smallest_root(vm * y, s, Q1, norm, um).t
+            for um, vm in zip(u, v)]
     members = [FamilyMember(q=vm * y + lam * s, mu=lam) for vm, lam in zip(v, lams)]
     return InterpolationFamily(members=tuple(members), step_outer=y, step_inner=s)
 
@@ -506,11 +498,11 @@ def _rung(chain: Chain, d: TargetSequence, N: int, opts: ConstructOptions | None
 def _pass(chain: Chain, steps, ds, recentre: bool):
     """_realize's pass off p = 2 over n = len(steps) levels: x, lambda, and per
     level (x after its solve, rho there with its certificate; q_n's, scaled,
-    at the top).  With recentre x first moves to its residual off Y_{k+1},
-    the root is one-sided, and a last trim leaves |x| = d_1; there a tie d_k
-    <= d_{k+1} takes the exact root 0 with no solve: rho(x, Y_k) <= |x| =
-    g_{k+1}(x) for level k+1's projected dual, which vanishes on Y_k and so
-    certifies rho(x, Y_k) = |x| at witness 0."""
+    at the top).  Each root is smallest_root's upper end.  With recentre x
+    first moves to its residual off Y_{k+1}, and a last trim leaves |x| =
+    d_1; there a tie d_k <= d_{k+1} takes the exact root 0 with no solve:
+    rho(x, Y_k) <= |x| = g_{k+1}(x) for level k+1's projected dual, which
+    vanishes on Y_k and so certifies rho(x, Y_k) = |x| at witness 0."""
     norm, n = chain.norm, len(steps)
     lambdas, x, solved = [0.0] * n, np.zeros(chain.ambient_dim), {}
     if n:  # rho(q_n, Y_n) = 1's certificate, scaled: its dual holds for d_n q_n too
@@ -526,7 +518,7 @@ def _pass(chain: Chain, steps, ds, recentre: bool):
                 solved[k] = (x, replace(above, value=_norm(x, norm.p), witness_coeffs=np.zeros(Y.rank),
                                         dual_direction=above.dual(chain.level(k + 1), norm)))
                 continue
-        root = smallest_root(x, q, Y, norm, ds[k - 1], two_sided=not recentre)
+        root = smallest_root(x, q, Y, norm, ds[k - 1])
         lambdas[k - 1], x = root.t, x + root.t * q
         solved[k] = (x, root.certificate)
     return (x - solved[1][1].witness(chain.level(1)) if recentre and n else x), lambdas, solved
@@ -537,17 +529,10 @@ def _l2_coefficients(mus, ds, ns):
     q_k = f_k + mu_k f_{k-1}, or the rung's error.  The unit steps f_0 out of
     {0} and f_k out of Y_k are orthonormal, so x = sum zeta_j f_j has rho(x,
     Y_k)^2 = sum_{j >= k} zeta_j^2 (Golub and Van Loan, Matrix Computations,
-    5.2): with d_{k+1} met, level k's root makes zeta_k = lambda_k + z_k, z_k
-    = lambda_{k+1} mu_{k+1}, sign(z_k) sqrt((d_k - d_{k+1})(d_k + d_{k+1}))
-    in units of d_k's power of two, + on ties (finite steps have z = 0).  A
-    d_{k+1} above d_k by at most rho's accuracy, _L2_TOL (1 + d_k) in those
-    units, gives the tangent point zeta_k = 0; by more, an empty level set."""
-    roots = []  # the square roots, None below the attainable minimum
-    for a, b in zip(ds, ds[1:]):
-        f = math.frexp(a)[1]
-        a, b = math.ldexp(a, -f), math.ldexp(b, -f)
-        roots.append(math.ldexp(math.sqrt((a - b) * (a + b)), f) if a >= b
-                     else 0.0 if b - a <= _L2_TOL * (1.0 + a) else None)
+    5.2): with d_{k+1} met, level k's root, the upper end of its level set,
+    makes zeta_k = lambda_k + z_k, z_k = lambda_{k+1} mu_{k+1}, the square
+    root _l2_root(d_k, d_{k+1}) (finite steps have z = 0)."""
+    roots = [_l2_root(a, b) for a, b in zip(ds, ds[1:])]  # None below the attainable minimum
     out = []
     for n in ns:
         lam = [0.0] * (n - 1) + ds[n - 1:n]  # lambda_n = d_n
@@ -556,10 +541,22 @@ def _l2_coefficients(mus, ds, ns):
             if roots[k] is None:
                 lam = _below_minimum(ds[k])
                 break
-            lam[k] = (roots[k] if z >= 0.0 else -roots[k]) - z
+            lam[k] = roots[k] - z
             z = lam[k] * mus[k]
         out.append(lam)
     return out
+
+
+def _l2_root(a: float, b: float) -> float | None:
+    """zeta >= 0 with b^2 + zeta^2 = a^2, the p = 2 root of every level and
+    family member: sqrt((a - b)(a + b)) in units of a's power of two.  A b
+    above a by at most rho's accuracy, _L2_TOL (1 + a) in those units, gives
+    the tangent point 0; by more, None (an empty level set)."""
+    f = math.frexp(a)[1]
+    a, b = math.ldexp(a, -f), math.ldexp(b, -f)
+    if a >= b:
+        return math.ldexp(math.sqrt((a - b) * (a + b)), f)
+    return 0.0 if b - a <= _L2_TOL * (1.0 + a) else None
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +592,7 @@ def _prefix_steps(chain: Chain, d: TargetSequence, N: int, recentre: bool):
     q_j = y_j + mu_j s: y_j, the unit step out of Y_j (_unit_step), keeps
     its distance, at witness mu_j s; s, the previous y normalized (a unit
     vector of Y_1 at the first level), pre-loads the distance one level
-    down, and mu_j is the smallest root of |y_j + mu s| = 1 + w_j: at p = 2,
+    down, and mu_j is the root mu >= 0 of |y_j + mu s| = 1 + w_j: at p = 2,
     y_j being orthogonal to s, mu_j = sqrt(w_j (2 + w_j)) (no cancellation
     for small w_j), and a step is (q_j, mu_j); otherwise one level-set solve,
     and a step is (q_j, certificate of rho(q_j, Y_j) = 1)."""
@@ -614,7 +611,7 @@ def _prefix_steps(chain: Chain, d: TargetSequence, N: int, recentre: bool):
             if norm.p == 2.0:
                 mu = math.sqrt(w * (2.0 + w))
             else:
-                mu = smallest_root(y, s, zero, norm, 1.0 + w, two_sided=False).t
+                mu = smallest_root(y, s, zero, norm, 1.0 + w).t
                 cert = replace(cert, witness_coeffs=cert.witness_coeffs + mu * (Yj.basis.T @ s))
             q = y + mu * s
         steps.append((q, mu if norm.p == 2.0 else cert))

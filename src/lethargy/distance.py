@@ -17,15 +17,14 @@ Solver routes:
   * other p      damped Newton on one side of Fenchel duality, to a 1e-13 gap
 
 level_endpoint gives the upper end of the interval {t : rho(x + t q, Y) <= d},
-the exact root step of the backward constructions, with the certificate of
-rho at that end; the lower end is minus the upper end for -q.  At p = 2 the
-end comes from one projection of x and q and one quadratic, _quadratic_end,
-which also takes a set that misses d by at most rho's accuracy as its point
-(the p = 2 constructions solve none: their roots are closed forms).  On a
-coordinate subspace at p in {1, inf} the end is a closed form in the entries
-of x and q off S, so a construction over a coordinate chain solves no linear
-program.  The other routes run on x, q and d rescaled by powers of two, so
-every end moves with x, q and d scaled together.
+the exact root step of the backward constructions off p = 2, with the
+certificate of rho at that end; the lower end is minus the upper end for
+-q.  On a coordinate subspace at p in {1, inf} the end is a closed form in
+the entries of x and q off S, so a construction over a coordinate chain
+solves no linear program.  The other routes, p = 2 among them (the p = 2
+constructions solve no level set: their roots are closed forms), run on x,
+q and d rescaled by powers of two, so every end moves with x, q and d
+scaled together.
 
 scipy is imported where a route first calls it, not with this module: LAPACK
 (scipy.linalg.lapack) by the vertex exchange and by Newton at p < 2, HiGHS
@@ -45,7 +44,6 @@ import numpy as np
 
 from .spaces import _TINY, NormSpec, Subspace, _norm, as_vector
 
-_EPS = float(np.finfo(float).eps)
 _L2_TOL = 1e-10  # the accuracy of rho at p = 2, see default_tol
 
 # linprog's status code by HiGHS model status name, as scipy's linprog maps them
@@ -169,11 +167,10 @@ class DistanceResult:
 
 
 class Endpoint(NamedTuple):
-    """An end t of a level set, with rho(x + t q, Y) and its certificate
-    (None from the closed-form p = 2 quadratic, which solves for t only)."""
+    """An end t of a level set, with rho(x + t q, Y) and its certificate."""
 
     t: float
-    certificate: DistanceResult | None
+    certificate: DistanceResult
 
 
 def _norming_direction(r: np.ndarray, norm: NormSpec) -> np.ndarray:
@@ -472,35 +469,6 @@ def best_approximant(x, Y: Subspace, norm: NormSpec) -> np.ndarray:
     return rho(x, Y, norm).witness(Y)
 
 
-def _quadratic_end(nx: float, ab: float, bb: float, d: float, m: int, shift: int) -> float | None:
-    """The upper end of {t : |xp + t qp|_2 <= d}, times 2^shift, from nx =
-    |xp|_2, ab = xp . qp and bb = qp . qp in units where max(nx, d) and
-    |qp|_2 are near 1, xp and qp of dimension m: the larger root of one
-    quadratic in the cancellation-free form (the lower end is minus this
-    end for -ab, that is for -q).  It is t_min = -ab / bb when the discriminant is 0
-    up to rounding, or when the set misses d by at most rho's accuracy s =
-    _L2_TOL (1 + d), min_t |xp + t qp|_2 <= d + s: tied targets put d at
-    that minimum, where rounding can leave it just out of reach.  Otherwise
-    a negative discriminant gives None."""
-    cc = (nx - d) * (nx + d)
-    disc = ab * ab - bb * cc  # bb (d^2 - min_t |xp + t qp|_2^2)
-    s = _L2_TOL * (1.0 + d)
-    # d at the minimum over t, up to the rounding of ab, bb and cc (m eps
-    # each), where sqrt(disc) would move t_min by about sqrt(eps), or below
-    # it by at most s
-    point = abs(disc) <= 8 * m * _EPS * bb * max(nx, d) ** 2 or 0.0 > disc >= -bb * s * (2.0 * d + s)
-    if not (point or disc >= 0.0):
-        return None
-    sq = 0.0 if point else math.sqrt(disc)
-    if point:
-        t = 0.0 - ab / bb  # +0.0 at ab = 0, so the lower end is -0.0
-    elif ab < 0.0:
-        t = (sq - ab) / bb
-    else:
-        t = -cc / (ab + sq) if ab + sq > 0.0 else 0.0
-    return math.ldexp(t, shift)
-
-
 def _coordinate_level_end(a: np.ndarray, b: np.ndarray, norm: NormSpec, d: float) -> float | None:
     """Upper end of {t : |a + t b| <= d} at p in {1, inf}, None when empty:
     the level set of rho(x + t q, Y) for Y a coordinate subspace, with a and
@@ -540,22 +508,20 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
     t -> rho(x + t q, Y) is convex, and coercive for q outside Y, so the set
     is a closed interval and each end is one exact solve:
 
-      * p = 2        a quadratic on the orthogonal complement of Y
-                     (_quadratic_end), which owns its tangent rule
       * p in {1, inf} on a coordinate subspace, a closed form in the entries
                      of x and q off its support (_coordinate_level_end);
                      otherwise one linear program maximizing t
       * other p      Newton on rho - d, slope g(q) for rho's certificate g,
                      from the outer bound t_min + (d + rho_min) / rho(q, Y),
-                     rho_min = rho(x, Y + span q) the minimum, at t_min
+                     rho_min = rho(x, Y + span q) the minimum, at t_min;
+                     p = 2 among them (no construction solves a p = 2 set)
 
     The end comes with rho(x + t q, Y) and its certificate, from the solve
-    that found it (none from the quadratic).  The lower end is minus the
-    upper end for -q, with the same certificate.  The coordinate closed form
-    is scale-free; the quadratic, the linear program, the tangent rule and
-    Newton run on x and d divided by 2^ex and q by 2^eq, so that
-    max(|xp|_2, d) and |qp|_2 lie in [1/2, 1), and the tolerances below are
-    in those units.  A set that misses d by at most rho's accuracy,
+    that found it.  The lower end is minus the upper end for -q, with the
+    same certificate.  The coordinate closed form is scale-free; the linear
+    program, the tangent rule and Newton run on x and d divided by 2^ex and
+    q by 2^eq, so that max(|xp|_2, d) and |qp|_2 lie in [1/2, 1), and the
+    tolerances below are in those units.  A set that misses d by at most rho's accuracy,
     default_tol(norm) * (1 + d), is the point t_min: tied targets put d at
     that minimum, where rounding can leave it just out of reach.  q inside Y
     (the set is empty or all of R), or 100 Newton steps short of
@@ -574,15 +540,11 @@ def level_endpoint(x, q, Y: Subspace, norm: NormSpec, d: float) -> Endpoint | No
         a, b = np.delete(xp, Y.support), np.delete(qp, Y.support)
         if (t := _coordinate_level_end(a, b, norm, d)) is not None:
             return Endpoint(t, _rho_coordinate(x + t * q, Y, norm))
-    # The rules below are absolute, so they run in the quadratic's units;
-    # end() scales back (rho's dual direction has no scale).
+    # The rules below are absolute, so they run in the units above; end()
+    # scales back (rho's dual direction has no scale).
     ex, eq = math.frexp(max(nx, d))[1], math.frexp(nq)[1]
     x, cx, xp, d = np.ldexp(x, -ex), np.ldexp(cx, -ex), np.ldexp(xp, -ex), math.ldexp(d, -ex)
     q, qp = np.ldexp(q, -eq), np.ldexp(qp, -eq)
-    if norm.p == 2.0:
-        t = _quadratic_end(math.ldexp(nx, -ex), float(xp @ qp), float(qp @ qp), d, x.size, ex - eq)
-        return None if t is None else Endpoint(t, None)
-
     def end(t: float, res: DistanceResult) -> Endpoint:
         return Endpoint(math.ldexp(t, ex - eq), replace(
             res, value=math.ldexp(res.value, ex), witness_coeffs=np.ldexp(res.witness_coeffs, ex)))

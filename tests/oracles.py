@@ -11,8 +11,8 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from lethargy.construct import ConstructionError, TargetError, smallest_root
-from lethargy.distance import best_approximant, rho
+from lethargy.construct import ConstructionError, TargetError, _below_minimum
+from lethargy.distance import SolverError, best_approximant, rho
 from lethargy.spaces import NormSpec, Subspace, as_vector, norm_eval
 
 
@@ -171,8 +171,7 @@ def l2_prefix_coefficients(d, mu) -> list[float]:
         lambda_N = d_N,
         lambda_k = sqrt(d_k^2 - d_{k+1}^2) - mu_{k+1} lambda_{k+1},
 
-    with the sign of the square root that of mu_{k+1} lambda_{k+1} (the root
-    nearer 0; + on a tie).
+    the upper end of level k's set.
     """
     with localcontext() as ctx:
         ctx.prec = 50
@@ -180,9 +179,7 @@ def l2_prefix_coefficients(d, mu) -> list[float]:
         lam = [Decimal(0)] * len(D)
         lam[-1] = D[-1]
         for k in range(len(D) - 1, 0, -1):  # lam[k - 1] is lambda_k
-            a = M[k] * lam[k]
-            s = (D[k - 1] ** 2 - D[k] ** 2).sqrt()
-            lam[k - 1] = (s if a >= 0 else -s) - a
+            lam[k - 1] = (D[k - 1] ** 2 - D[k] ** 2).sqrt() - M[k] * lam[k]
         return [float(v) for v in lam]
 
 
@@ -233,12 +230,51 @@ def lipschitz_check(family, u, v, norm: NormSpec, tol: float = 1e-9) -> Lipschit
     return LipschitzReport(passes=worst >= -tol, worst_slack=worst, pair_count=count)
 
 
+def l2_level_end(x, q, Y: Subspace, d: float) -> float | None:
+    """The upper end of {t : |xp + t qp|_2 <= d}, xp and qp the parts of x
+    and q orthogonal to Y, None when empty: one projection and the larger
+    root of one quadratic in the cancellation-free form, on xp and d divided
+    by 2^ex and qp by 2^eq, so that max(|xp|_2, d) and |qp|_2 lie in
+    [1/2, 1) (the products under- or overflow long before xp and qp do).
+    The lower end is minus this end for -q.  It is t_min = -(xp . qp) /
+    (qp . qp) when the discriminant is 0 up to rounding, or when the set
+    misses d by at most rho's accuracy s = 1e-10 (1 + d), min_t |xp + t qp|_2
+    <= d + s: tied targets put d at that minimum, where rounding can leave
+    it just out of reach.  q inside Y raises SolverError."""
+    x, q = as_vector(x, dim=Y.ambient_dim), as_vector(q, dim=Y.ambient_dim)
+    xp, qp = Y.residual(x), Y.residual(q)
+    nx, nq = norm_eval(xp, NormSpec(2.0)), norm_eval(qp, NormSpec(2.0))
+    if nq <= 1e-12 * norm_eval(q, NormSpec(2.0)):
+        raise SolverError("level set of a direction inside the subspace is empty or unbounded")
+    ex, eq = math.frexp(max(nx, d))[1], math.frexp(nq)[1]
+    xp, qp, nx, d = np.ldexp(xp, -ex), np.ldexp(qp, -eq), math.ldexp(nx, -ex), math.ldexp(d, -ex)
+    ab, bb = float(xp @ qp), float(qp @ qp)
+    cc = (nx - d) * (nx + d)
+    disc = ab * ab - bb * cc  # bb (d^2 - min_t |xp + t qp|_2^2)
+    s = 1e-10 * (1.0 + d)
+    # d at the minimum over t, up to the rounding of ab, bb and cc (m eps
+    # each), where sqrt(disc) would move t_min by about sqrt(eps), or below
+    # it by at most s
+    point = (abs(disc) <= 8 * x.size * np.finfo(float).eps * bb * max(nx, d) ** 2
+             or 0.0 > disc >= -bb * s * (2.0 * d + s))
+    if not (point or disc >= 0.0):
+        return None
+    if point:
+        t = 0.0 - ab / bb  # +0.0 at ab = 0, so the lower end is -0.0
+    elif ab < 0.0:
+        t = (math.sqrt(disc) - ab) / bb
+    else:
+        t = -cc / den if (den := ab + math.sqrt(disc)) > 0.0 else 0.0
+    return math.ldexp(t, ex - eq)
+
+
 def l2_vector_pass(chain, steps, ds, recentre):
     """The p = 2 backward pass on vectors, a reference for construct's scalar
     pass with the same signature and result (x, lambda_1..lambda_Np): x =
     d_Np q_Np, then for k = Np-1..1 (x first moved to its residual off
-    Y_{k+1} when recentring) the root of rho(x + t q_k, Y_k) = d_k from one
-    projection and one quadratic, and a last trim off Y_1 when recentring."""
+    Y_{k+1} when recentring) the root of rho(x + t q_k, Y_k) = d_k that the
+    constructions take, the upper end of its level set (l2_level_end), and
+    a last trim off Y_1 when recentring."""
     qs = [q for q, _ in steps]
     Np, norm = len(qs), chain.norm
     lambdas = [0.0] * Np
@@ -249,9 +285,11 @@ def l2_vector_pass(chain, steps, ds, recentre):
     for k in range(Np - 1, 0, -1):
         if recentre:
             x = x - best_approximant(x, chain.level(k + 1), norm)
-        root = smallest_root(x, qs[k - 1], chain.level(k), norm, ds[k - 1], two_sided=not recentre)
-        lambdas[k - 1] = root.t
-        x = x + root.t * qs[k - 1]
+        t = l2_level_end(x, qs[k - 1], chain.level(k), ds[k - 1])
+        if t is None:
+            raise _below_minimum(ds[k - 1])
+        lambdas[k - 1] = t
+        x = x + t * qs[k - 1]
     if recentre and Np:
         x = x - best_approximant(x, chain.level(1), norm)
     return x, lambdas

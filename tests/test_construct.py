@@ -191,37 +191,27 @@ def test_normalize_step_needs_a_strictly_larger_level():
 
 
 def test_smallest_root_rules(monkeypatch):
-    # rho(a e2 + t e2, span{e1}) = |a + t| at every p: level set [-a - 0.5, -a + 0.5]
+    # rho(a e2 + t e2, span{e1}) = |a + t| at every p: level set [-a - 0.5, -a + 0.5],
+    # and the root is its upper end, from one solve, wherever the set lies
     Y, e2 = Subspace(np.eye(3)[:, :1]), np.eye(3)[:, 1]
     ends = []
     real = construct_module.level_endpoint
     monkeypatch.setattr(construct_module, "level_endpoint",
                         lambda *a, **kw: ends.append(1) or real(*a, **kw))
-    # one-sided with |x| < target, 0 lies in the set: the upper end alone.
-    # Each end is one solve (an LP at p in {1, inf}, a quadratic at p = 2).
-    for norm in (NormSpec(1), L2, NormSpec(math.inf)):
-        for a, one_sided, two_sided, n_ends in (
-            (0.3, 0.2, 0.2, (1, 2)),
-            (-0.3, 0.8, -0.2, (1, 2)),
-            (0.0, 0.5, 0.5, (1, 2)),  # tie: the upper end
-            (1.0, -0.5, -0.5, (1, 1)),  # set left of 0: its upper end
-            (-1.0, 0.5, 0.5, (2, 2)),  # set right of 0: its lower end
-            (0.5, 0.0, 0.0, (2, 2)),  # |x| == target: both ends, 0 is the upper
+    for norm in (NormSpec(1), NormSpec(math.inf)):
+        for a, upper in (
+            (0.3, 0.2),
+            (-0.3, 0.8),
+            (0.0, 0.5),  # 0 at the centre
+            (1.0, -0.5),  # set left of 0: a negative root
+            (-1.0, 1.5),  # set right of 0: its far end
+            (0.5, 0.0),  # |x| == target: 0 is the upper end
         ):
-            for two, expect, n in ((False, one_sided, n_ends[0]), (True, two_sided, n_ends[1])):
-                ends.clear()
-                t = smallest_root(a * e2, e2, Y, norm, 0.5, two_sided=two).t
-                assert t == pytest.approx(expect, abs=1e-15)
-                assert len(ends) == n
+            ends.clear()
+            assert smallest_root(a * e2, e2, Y, norm, 0.5).t == pytest.approx(upper, abs=1e-15)
+            assert len(ends) == 1
         with pytest.raises(ConstructionError, match="below attainable minimum"):
             smallest_root(np.eye(3)[:, 2], e2, Y, norm, 0.5)
-    # no end for -q (tangent within tolerance on that side): the set is taken
-    # as its upper end alone, here instead of the lower ends -0.2 and 0.5
-    monkeypatch.setattr(construct_module, "level_endpoint",
-                        lambda x, q, *a, **kw: None if q[1] < 0 else real(x, q, *a, **kw))
-    for norm in (NormSpec(1), NormSpec(math.inf)):
-        for a, upper in ((-0.3, 0.8), (-1.0, 1.5)):
-            assert smallest_root(a * e2, e2, Y, norm, 0.5).t == pytest.approx(upper, abs=1e-15)
 
 
 # -- interpolating families --------------------------------------------------
@@ -552,16 +542,31 @@ def test_construct_sequence_long_geometric_tail_non_increasing():
     assert table.tail_non_increasing
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+def test_ladders_off_p2_stabilize_with_positive_coefficients(p, seed):
+    # under tail domination every root is the upper end of its level set,
+    # which holds 0: every coefficient is positive and the tail falls
+    M = np.random.default_rng(seed).standard_normal((14, 13))
+    chain = Chain(14, NormSpec(p), [Subspace(M[:, :k]) for k in range(1, 13)])
+    d = TargetSequence((1.0,), "geometric", 0.3)
+    traces, table = construct_sequence(chain, d, 12, ConstructOptions(tol=1e-7))
+    assert table.failures == () and len(traces) == 12
+    assert table.tail_non_increasing
+    assert all(lam > 0.0 for t in traces for lam in t.coefficients)
+
+
 @pytest.mark.parametrize("d1, tol", [(1.0, 1e-7), (1e-13, 1e-20)])
 def test_stabilization_verdict_is_scale_free(d1, tol):
-    # the tail rises by 0.254 d_1 at the third rung; an absolute 1e-12 slack
-    # hid that once d_1 was small enough
-    M = np.random.default_rng(0).standard_normal((9, 7))
-    chain = Chain(9, NormSpec(1), [Subspace(M[:, :k]) for k in range(1, 8)])
-    d = TargetSequence((d1,), "geometric", 0.55)
+    # targets past tail domination (ratio 0.7): the tail rises by 0.126 d_1
+    # at the third rung; an absolute 1e-12 slack hid that once d_1 was small
+    # enough
+    M = np.random.default_rng(4).standard_normal((9, 7))
+    chain = Chain(9, NormSpec(math.inf), [Subspace(M[:, :k]) for k in range(1, 8)])
+    d = TargetSequence((d1,), "geometric", 0.7)
     _, table = construct_sequence(chain, d, 6, ConstructOptions(tol=tol))
     assert not table.failures
-    assert table.max_tail[2] - table.max_tail[1] == pytest.approx(0.254 * d1, rel=1e-2, abs=0)
+    assert table.max_tail[2] - table.max_tail[1] == pytest.approx(0.12624 * d1, rel=1e-3, abs=0)
     assert not table.tail_non_increasing
 
 
@@ -646,7 +651,7 @@ def counted_lps(monkeypatch) -> list:
 
 
 def test_finite_construct_reuses_its_solves(monkeypatch):
-    # the upper end of each of the 3 one-sided roots (the 4 unit steps' rho
+    # the upper end of each of the 3 roots (the 4 unit steps' rho
     # is a vertex exchange, no LP); the top level scales its step's
     # certificate, and recentres, the trim and the measures reuse the
     # certificates.  A coordinate chain takes no LP.
@@ -665,18 +670,17 @@ def test_finite_construct_reuses_its_solves(monkeypatch):
 def test_schedule_modes_solve_counts(monkeypatch, p):
     # the steps take no LP: the 5 unit steps' rho is a vertex exchange, the
     # direction in Y_1 leaves {0} with none, and so do the family roots,
-    # level sets on {0}; each rung then solves both ends of each of its
-    # N - 1 two-sided roots, and none at its top.  A coordinate chain takes
-    # no LP.
+    # level sets on {0}; each rung then solves the upper end of each of its
+    # N - 1 roots, and none at its top.  A coordinate chain takes no LP.
     d = TargetSequence((1.0,), "geometric", 1.0 / 3.0)
     calls = counted_lps(monkeypatch)
     chain = random_chain(0, 7, 6, NormSpec(p))
     construct_prefix(chain, d, 5)
-    assert len(calls) == 2 * 4
+    assert len(calls) == 4
     calls.clear()
     _, table = construct_sequence(chain, d, 5)
     assert not table.failures
-    assert len(calls) == 2 * (0 + 1 + 2 + 3 + 4)
+    assert len(calls) == 0 + 1 + 2 + 3 + 4
     calls.clear()
     chain = coordinate_chain(7, 6, NormSpec(p))
     construct_prefix(chain, d, 5)
@@ -770,9 +774,7 @@ def test_l2_ladder_matches_its_exact_model():
 def test_prefix_steps_take_mu_from_the_schedule_gap(ratio, kind):
     # mu_j = sqrt(w_j (2 + w_j)), not sqrt(u^2 - 1) from the rounded u = 1 + w_j:
     # w_1 is about 1e-12 at N = 24, where u kept 4 digits of it and lambda
-    # moved by up to 1.3e-11 off the exact model.  At N = 100 mu_2 lambda_2,
-    # the centre of level 1's set, lies below the rounding of its ends and
-    # still picks the end nearest 0.
+    # moved by up to 1.3e-11 off the exact model.
     d = TargetSequence((1.0,), tail="geometric", ratio=ratio)
     for N in (9, 16, 24, 100):
         if kind == "coordinate":
@@ -837,7 +839,7 @@ def test_l2_coefficients_match_the_vector_pass(seed, ranks, mode, scale):
 def test_l2_coefficients_take_a_tangent_set_as_its_point():
     # a level set empty by less than rho's accuracy is the point t_min, as
     # level_endpoint takes it on the vector path; beyond that, it is empty
-    # (schedule steps, mu = 1/4 and 1/2, two-sided; finite steps, mu = 0, one-sided)
+    # (schedule steps, mu = 1/4 and 1/2; finite steps, mu = 0)
     chain = coordinate_chain(4, 3, L2)
     e = np.eye(4)
     for mu, recentre in (((0.25, 0.5), False), ((0.0, 0.0), True)):
@@ -875,7 +877,7 @@ def test_loosely_nested_chain_keeps_its_residuals(eps):
 
 
 def test_l2_constructions_solve_no_level_set(monkeypatch):
-    # the p = 2 constructions run on scalars: no root solve, no projected quadratic
+    # the p = 2 constructions and families run on scalars: no root solve
     def forbidden(*args, **kwargs):
         raise AssertionError("a p = 2 construction called a vector root solve")
     for name in ("smallest_root", "level_endpoint"):
@@ -884,6 +886,8 @@ def test_l2_constructions_solve_no_level_set(monkeypatch):
         finite_construct(chain, TargetSequence((1.0, 0.6, 0.6, 0.2, 0.0)))
         construct_prefix(chain, TargetSequence((1.0,), tail="geometric", ratio=0.3), 5)
         construct_sequence(chain, TargetSequence((1.0,), tail="geometric", ratio=0.3), 5)
+        Q1, Q2, Q3 = (chain.level(k) for k in (1, 2, 3))
+        interpolating_family(Q1, Q2, Q3, L2, [1.3, 1.0, 0.5], [1.0, 1.0, 0.0])
 
 
 def l2_ladder_doc(A: np.ndarray, ratio: float, tol: float) -> dict:

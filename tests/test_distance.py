@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import lethargy.distance as distance_module
 import lethargy.functionals as functionals_module
 import lethargy.scenario as scenario_module
-from lethargy.construct import ConstructOptions, TargetSequence, finite_construct, smallest_root
+from lethargy.construct import ConstructOptions, TargetSequence, finite_construct
 from lethargy.distance import (
     DistanceResult,
     Endpoint,
@@ -24,7 +24,7 @@ from lethargy.distance import (
 )
 from lethargy.spaces import (Chain, DimensionMismatchError, NormSpec, Subspace, coordinate_chain,
                              norm_eval)
-from oracles import rho_l1_primal_oracle, rho_oracle, rho_vertex_oracle
+from oracles import l2_level_end, rho_l1_primal_oracle, rho_oracle, rho_vertex_oracle
 from test_acceptance import non_hilbert_instances
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
@@ -340,16 +340,20 @@ def level_instance(rng, p, dim=5, rank=2):
 
 
 def test_level_endpoint_l2_is_quadratic_root():
+    # the vector pass's quadratic, and level_endpoint's general route with
+    # its certificates, find the roots of |xp + t qp|_2^2 = d^2
     rng = np.random.default_rng(31)
     for _ in range(10):
         Y, x, q, d = level_instance(rng, 2.0)
         P = np.eye(5) - Y.basis @ Y.basis.T
         xp, qp = P @ x, P @ q
         roots = np.roots([qp @ qp, 2.0 * (xp @ qp), xp @ xp - d * d]).real
-        lo = lower_end(x, q, Y, NormSpec(2), d)
-        hi = level_endpoint(x, q, Y, NormSpec(2), d)
-        assert lo.certificate is None and hi.certificate is None  # the quadratic solves for t only
+        ends = (-l2_level_end(x, -q, Y, d), l2_level_end(x, q, Y, d))
+        assert ends == pytest.approx((roots.min(), roots.max()), rel=1e-12, abs=1e-12)
+        lo, hi = lower_end(x, q, Y, L2, d), level_endpoint(x, q, Y, L2, d)
         assert (lo.t, hi.t) == pytest.approx((roots.min(), roots.max()), rel=1e-12, abs=1e-12)
+        for end in (lo, hi):
+            assert_certifies(end.certificate, x + end.t * q, Y, L2, d, 1e-12)
 
 
 def l2_level_draws(seed, n=200):
@@ -375,13 +379,12 @@ def l2_level_draws(seed, n=200):
 
 
 def test_l2_level_set_ends():
-    # one projection, one quadratic: the upper end, and the lower end as
-    # minus the upper end for -q (signed zeros included); an empty set has
-    # neither.
+    # the upper end, and the lower end as minus the upper end for -q
+    # (signed zeros included); an empty set has neither.
     negative_zeros = 0
     for x, q, Y, d in l2_level_draws(37):
         lower, upper = lower_end(x, q, Y, L2, d), level_endpoint(x, q, Y, L2, d)
-        if upper is None or lower is None:  # negative discriminant beyond rho's accuracy: empty
+        if upper is None or lower is None:  # d below the minimum beyond rho's accuracy: empty
             assert upper is None and lower is None
             continue
         lower, upper = lower.t, upper.t
@@ -418,42 +421,17 @@ def test_l2_level_set_direction_inside_subspace():
 
 @pytest.mark.parametrize("s", [1e-305, 1e-170, 1e-150, 1e150, 1e160, 1e300])
 def test_l2_level_set_is_scale_safe(s):
-    # x, q and d scaled together leave the ends where they are.  Unscaled,
-    # xp . qp, qp . qp and |xp|^2 - d^2 under- or overflow long before xp
-    # and qp do: (-0.142, 1.619) at 1e-150, (-inf, 0) at 1e150, an overflow
-    # at 1e160, and |qp| = 0 ("direction inside the subspace") at 1e-170.
+    # x, q and d scaled together leave the vector pass's quadratic ends where
+    # they are.  Unscaled, xp . qp, qp . qp and |xp|^2 - d^2 under- or
+    # overflow long before xp and qp do: (-0.142, 1.619) at 1e-150, (-inf, 0)
+    # at 1e150, an overflow at 1e160, and |qp| = 0 ("direction inside the
+    # subspace") at 1e-170.
     Y, x, q, d = level_instance(np.random.default_rng(1), 2.0, dim=6, rank=2)
-    ends = [f(x, q, Y, L2, d).t for f in (lower_end, level_endpoint)]
+    ends = [-l2_level_end(x, -q, Y, d), l2_level_end(x, q, Y, d)]
     assert ends == pytest.approx((-0.643, 0.358), abs=1e-3)
-    scaled = [f(s * x, s * q, Y, L2, s * d).t for f in (lower_end, level_endpoint)]
+    scaled = [-l2_level_end(s * x, -s * q, Y, s * d), l2_level_end(s * x, s * q, Y, s * d)]
     for t, t0 in zip(scaled, ends):
         assert abs(t - t0) <= 2 * np.spacing(abs(t0))
-
-
-def test_l2_level_sets_build_no_subspace(monkeypatch):
-    # d just below the minimum over t, by less than rho's accuracy: the
-    # quadratic takes the set as its point t_min = -(xp . qp) / (qp . qp),
-    # and neither level_endpoint nor smallest_root builds Y + span q for it
-    rng = np.random.default_rng(41)
-    draws = []
-    for _ in range(100):
-        m = int(rng.integers(2, 9))
-        r = int(rng.integers(0, m - 1))
-        Y = Subspace(rng.standard_normal((m, r))) if r else Subspace.zero(m)
-        x, q = rng.standard_normal(m), rng.standard_normal(m)
-        xp, qp = Y.residual(x), Y.residual(q)
-        floor = rho(x, Subspace(np.column_stack([Y.basis, q])), L2).value
-        t_min = -float(xp @ qp) / float(qp @ qp)
-        draws += [(x, q, Y, floor * (1.0 - gap), t_min) for gap in (1e-12, 1e-11)]
-    built, init = [], Subspace.__init__
-    monkeypatch.setattr(Subspace, "__init__",
-                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
-    for x, q, Y, d, t_min in draws:
-        ts = [level_endpoint(x, q, Y, L2, d).t, lower_end(x, q, Y, L2, d).t]
-        ts += [smallest_root(x, q, Y, L2, d, two_sided=two).t for two in (False, True)]
-        for t in ts:
-            assert abs(t - t_min) <= 1e-12 * abs(t_min)
-    assert built == []
 
 
 @pytest.mark.parametrize("p", P_VALUES)

@@ -40,6 +40,8 @@ _Q1, _Q2, _Q3 = (_CHAIN.level(k) for k in (1, 2, 3))
     (lambda: lethargy.construct_sequence(_CHAIN, _TARGETS, 0), ValueError, "N_max must be >= 1"),
     (lambda: lethargy.interpolating_family(_Q1, _Q2, _Q3, _L2, [1.0], [0.5, 0.2]),
      ValueError, "equal length"),
+    (lambda: lethargy.interpolating_family(_Q1, _Q2, _Q3, _L2, [np.inf], [1.0]),
+     ValueError, "must be finite"),
     (lambda: lethargy.TargetSequence((1.0,), ratio=0.5), lethargy.TargetError,
      "only meaningful for a geometric tail"),
     (lambda: _TARGETS.value(0), IndexError, "1-indexed"),
@@ -49,7 +51,7 @@ _Q1, _Q2, _Q3 = (_CHAIN.level(k) for k in (1, 2, 3))
     (lambda: lethargy.coordinate_chain(3, 3, _L2), ValueError, "n_levels < ambient_dim"),
     (_bad_demo_seed, SystemExit, "2"),
 ], ids=["construct_prefix N=0", "construct_sequence N_max=0", "interpolating_family u, v",
-        "TargetSequence ratio", "TargetSequence.value(0)", "Subspace(None)",
+        "interpolating_family u = inf", "TargetSequence ratio", "TargetSequence.value(0)", "Subspace(None)",
         "Subspace non-finite", "as_vector([])", "coordinate_chain full", "demo --seed x"])
 def test_entry_points_reject_bad_input(call, error, match, capsys):
     # each public entry point names what is wrong with its input; the CLI
